@@ -9,6 +9,7 @@ frequency) with a configurable passband gain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,20 +78,27 @@ def propagate(wave: Waveform, cfg: ChannelConfig, seed: int) -> Waveform:
         return wave
     gain = coupling_gain(cfg.turns) * math.exp(-cfg.attenuation_per_m * cfg.cable_length_m)
     d = delay_samples(cfg, wave.sample_rate_hz)
-    out = np.zeros(len(wave) + d)
-    out[d:] = wave.samples * gain
+    n = len(wave) + d
+    if cfg.noise_sigma_v > 0 and not cfg.interference:
+        # Noise drawn first into the output is bitwise the same sum as noise
+        # added last: normal(0, s) is s * standard_normal and a + b == b + a.
+        out = np.random.default_rng(seed).standard_normal(n)
+        out *= cfg.noise_sigma_v
+        out[d:] += wave.samples * gain
+        return Waveform(out, wave.sample_rate_hz)
+    out = np.zeros(n)
+    np.multiply(wave.samples, gain, out=out[d:])
     if cfg.interference:
-        t = np.arange(len(out)) / wave.sample_rate_hz
+        t = np.arange(n) / wave.sample_rate_hz
         for freq_hz, amplitude_v in cfg.interference:
             out += amplitude_v * np.sin(2 * math.pi * freq_hz * t)
     if cfg.noise_sigma_v > 0:
-        rng = np.random.default_rng(seed)
-        out += rng.normal(0.0, cfg.noise_sigma_v, len(out))
+        out += np.random.default_rng(seed).normal(0.0, cfg.noise_sigma_v, n)
     return Waveform(out, wave.sample_rate_hz)
 
 
 def frontend_coefficients(fe: FrontEndConfig, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """Digital biquad (b, a) for the band-pass front end.
+    """Digital biquad (b, a) for the band-pass front end, cached and read-only.
 
     Analog prototype G * (w0/Q) s / (s^2 + (w0/Q) s + w0^2), bilinear
     transformed with the center frequency prewarped so the passband gain is
@@ -100,9 +108,18 @@ def frontend_coefficients(fe: FrontEndConfig, sample_rate_hz: float) -> tuple[np
         raise ValueError("sample rate must exceed twice the center frequency")
     w0 = 2 * math.pi * fe.center_hz
     wa = 2 * sample_rate_hz * math.tan(w0 / (2 * sample_rate_hz))
-    b = [fe.passband_gain * wa / fe.quality_factor, 0.0]
-    a = [1.0, wa / fe.quality_factor, wa**2]
-    return sps.bilinear(b, a, fs=sample_rate_hz)
+    b = (fe.passband_gain * wa / fe.quality_factor, 0.0)
+    a = (1.0, wa / fe.quality_factor, wa**2)
+    return _bilinear(b, a, sample_rate_hz)
+
+
+@functools.lru_cache
+def _bilinear(b: tuple, a: tuple, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Memoised bilinear transform; every caller shares the read-only result."""
+    bz, az = sps.bilinear(b, a, fs=sample_rate_hz)
+    bz.flags.writeable = False
+    az.flags.writeable = False
+    return bz, az
 
 
 def frontend_response(fe: FrontEndConfig, freq_hz: float, sample_rate_hz: float) -> float:
@@ -120,15 +137,29 @@ def condition(wave: Waveform, fe: FrontEndConfig) -> Waveform:
     return Waveform(sps.lfilter(b, a, wave.samples), wave.sample_rate_hz)
 
 
-def superpose(waves: list[Waveform]) -> Waveform:
-    """Sample-wise sum of time-aligned waveforms, zero-padded to max length."""
+def superpose(waves: list[Waveform], offsets=None, length: int | None = None) -> Waveform:
+    """Sample-wise sum of waveforms placed at per-waveform start offsets.
+
+    ``offsets[k]`` is the output index of ``waves[k]``'s first sample (all
+    zero by default).  The output covers ``[0, length)``, by default up to the
+    furthest waveform end; samples outside it are dropped and gaps are zero.
+    Waveforms are added in list order, so the floating-point sum is
+    reproducible.
+    """
     if not waves:
         raise ValueError("superpose needs at least one waveform")
     rate = waves[0].sample_rate_hz
     if any(w.sample_rate_hz != rate for w in waves):
         raise SampleRateMismatch("all waveforms must share one sample rate")
-    n = max(len(w) for w in waves)
-    out = np.zeros(n)
-    for w in waves:
-        out[: len(w)] += w.samples
+    if offsets is None:
+        offsets = [0] * len(waves)
+    if length is None:
+        length = max(0, max(off + len(w) for w, off in zip(waves, offsets)))
+    out = np.zeros(length)
+    for w, off in zip(waves, offsets):
+        src_lo = max(0, -off)
+        dst_lo = max(0, off)
+        n = min(len(w) - src_lo, length - dst_lo)
+        if n > 0:
+            out[dst_lo : dst_lo + n] += w.samples[src_lo : src_lo + n]
     return Waveform(out, rate)

@@ -36,14 +36,10 @@ def run(scenario_path, out_dir, seed, dump_waveforms):
         sys.exit(2)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sim = hs._Sim(sc)
-    report = sim.run()
+    report = hs.run_and_dump_waveforms(sc, out) if dump_waveforms else hs.run_scenario(sc)
     hs.emit_report(report, "json", out / "report.json")
     hs.emit_report(report, "csv", out / "report.csv")
     hs.emit_timeline(report, out / "timeline.jsonl")
-    if dump_waveforms:
-        for tx in sim.transmissions:
-            tx.wave.to_csv(out / f"tx{tx.index:04d}_{tx.sender}.csv")
     click.echo(f"wrote report.json, report.csv, timeline.jsonl to {out}")
 
 

@@ -34,13 +34,17 @@ class CodecError(ValueError):
     """A byte sequence that does not parse as a frame.
 
     ``kind`` identifies which frame invariant failed and ``offset`` the byte
-    index at which the failure was detected.
+    index at which the failure was detected.  The message is formatted only
+    when asked for, because corruption sweeps raise millions of these.
     """
 
     def __init__(self, kind: ErrorKind, offset: int):
-        super().__init__(f"{kind.value} at byte offset {offset}")
+        # BaseException.__new__ has already stored (kind, offset) as args.
         self.kind = kind
         self.offset = offset
+
+    def __str__(self) -> str:
+        return f"{self.kind.value} at byte offset {self.offset}"
 
 
 @dataclass(frozen=True)

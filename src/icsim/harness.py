@@ -3,9 +3,10 @@
 Every transmission is carried at waveform level: framed, modulated,
 superposed with any overlapping transmission, pushed through the coupled
 channel and front end, then demodulated and decoded at every other node.
-Silent intervals generate no samples.  A run is a pure function of the
-Scenario, seed included, so identical scenarios produce byte-identical
-reports.
+Silent intervals generate no samples, and a waveform is dropped once no
+pending reception can need it, so run memory does not grow with run length.
+A run is a pure function of the Scenario, seed included, so identical
+scenarios produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -141,6 +143,10 @@ class _Transmission:
     wave: md.Waveform
     start_s: float
     end_s: float
+    pending: int  # receptions not yet complete
+
+    def overlaps(self, other: "_Transmission") -> bool:
+        return other.start_s < self.end_s and self.start_s < other.end_s
 
 
 class _Node:
@@ -174,9 +180,10 @@ class _Node:
 
 
 class _Sim:
-    def __init__(self, sc: Scenario):
+    def __init__(self, sc: Scenario, wave_dir: Path | None = None):
         sc.validate()
         self.sc = sc
+        self.wave_dir = wave_dir
         noise = derived_noise_sigma(sc)
         self.channel_cfg = ch.ChannelConfig(
             turns=sc.channel.turns,
@@ -203,7 +210,9 @@ class _Sim:
 
         self.queue: list = []
         self.seq = 0
-        self.transmissions: list[_Transmission] = []
+        self.tx_count = 0
+        # Transmissions a pending reception may still need, in index order.
+        self.live: list[_Transmission] = []
         self.timeline: list = []
         self.link = LinkStats(nominal_bps=float(sc.modem.bit_rate_bps),
                               effective_bps=sc.modem.effective_bit_rate_bps)
@@ -231,36 +240,42 @@ class _Sim:
         bits = md.bytes_to_bits(data)
         wave = md.modulate(bits, self.sc.modem)
         end_s = now_s + frame_airtime_s(len(data), self.sc.modem)
-        tx = _Transmission(len(self.transmissions), sender, data, bits, wave, now_s, end_s)
-        self.transmissions.append(tx)
+        receivers = [node_id for node_id in self.nodes if node_id != sender]
+        tx = _Transmission(self.tx_count, sender, data, bits, wave, now_s, end_s,
+                           len(receivers))
+        self.tx_count += 1
+        self.live.append(tx)
+        if self.wave_dir is not None:
+            wave.to_csv(self.wave_dir / f"tx{tx.index:04d}_{sender}.csv")
         self.nodes[sender].stats.frames_sent += 1
         self.record(now_s, sender, "tx_start", frame_hex=data.hex(" "))
         self.push(end_s, "tx_done", sender)
-        for node_id in self.nodes:
-            if node_id != sender:
-                self.push(end_s + self.prop_delay_s, "rx_complete", (tx.index, node_id))
+        for node_id in receivers:
+            self.push(end_s + self.prop_delay_s, "rx_complete", (tx, node_id))
 
     def _channel_input(self, tx: _Transmission) -> md.Waveform:
         """The sender's waveform plus overlapping portions of concurrent ones."""
-        samples = tx.wave.samples.copy()
-        for other in self.transmissions:
-            if other.index == tx.index:
-                continue
-            if other.end_s <= tx.start_s or other.start_s >= tx.end_s:
-                continue
-            offset = round((other.start_s - tx.start_s) * self.fs)
-            src_lo = max(0, -offset)
-            dst_lo = max(0, offset)
-            n = min(len(other.wave) - src_lo, len(samples) - dst_lo)
-            if n > 0:
-                samples[dst_lo : dst_lo + n] += other.wave.samples[src_lo : src_lo + n]
-        return md.Waveform(samples, self.fs)
+        others = [o for o in self.live if o is not tx and o.overlaps(tx)]
+        return ch.superpose(
+            [tx.wave] + [o.wave for o in others],
+            [0] + [round((o.start_s - tx.start_s) * self.fs) for o in others],
+            len(tx.wave))
 
-    def receive(self, now_s, tx_index, receiver_id):
-        tx = self.transmissions[tx_index]
+    def _retire(self):
+        """Drop transmissions that no pending reception can still need.
+
+        Later transmissions start no earlier than now, which is after every
+        completed transmission has ended, so only a live overlapping
+        transmission with receptions pending can still need its waveform.
+        """
+        pending = [tx for tx in self.live if tx.pending]
+        self.live = [tx for tx in self.live
+                     if tx.pending or any(p.overlaps(tx) for p in pending)]
+
+    def receive(self, now_s, tx: _Transmission, receiver_id):
         node = self.nodes[receiver_id]
         at_channel = self._channel_input(tx)
-        seed = self._rx_seed(tx_index, receiver_id)
+        seed = self._rx_seed(tx.index, receiver_id)
         propagated = ch.propagate(at_channel, self.channel_cfg, seed)
         conditioned = ch.condition(propagated, self.sc.front_end)
         offset = ch.delay_samples(self.channel_cfg, self.fs)
@@ -350,8 +365,11 @@ class _Sim:
             elif kind == "tx_done":
                 self.dispatch(time_s, self.nodes[data], nd.TxDone())
             elif kind == "rx_complete":
-                tx_index, receiver_id = data
-                self.receive(time_s, tx_index, receiver_id)
+                tx, receiver_id = data
+                self.receive(time_s, tx, receiver_id)
+                tx.pending -= 1
+                if not tx.pending:
+                    self._retire()
             elif kind == "timeout":
                 if data == self.master_poll_gen:
                     self.record(time_s, "master", "timeout")
@@ -382,6 +400,15 @@ class _Sim:
 
 def run_scenario(sc: Scenario) -> Report:
     return _Sim(sc).run()
+
+
+def run_and_dump_waveforms(sc: Scenario, out_dir) -> Report:
+    """Run a scenario, writing each transmitted waveform as it starts.
+
+    Transmission ``index`` from node ``sender`` goes to
+    ``out_dir/tx{index:04d}_{sender}.csv`` as two columns, time_s and volts.
+    """
+    return _Sim(sc, Path(out_dir)).run()
 
 
 def node_energy_traces(sc: Scenario) -> dict[str, pw.EnergyTrace]:

@@ -8,7 +8,6 @@ prepended by the modulator; the receiver is assumed symbol-synchronous.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 SUPPORTED_BIT_RATES = (4800, 9600, 115200)
+_CSV_BLOCK_ROWS = 1 << 16
 
 
 class InsufficientSamples(ValueError):
@@ -68,12 +68,17 @@ class Waveform:
         return len(self.samples)
 
     def to_csv(self, path) -> None:
-        """Two-column (time_s, volts) dump for plotting."""
+        """Two-column (time_s, volts) dump for plotting, values in repr form.
+
+        Rows are formatted a block at a time, so memory stays bounded for
+        long waveforms.
+        """
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_s", "volts"])
-            for i, v in enumerate(self.samples):
-                writer.writerow([i / self.sample_rate_hz, repr(float(v))])
+            fh.write("time_s,volts\r\n")
+            for lo in range(0, len(self), _CSV_BLOCK_ROWS):
+                volts = self.samples[lo : lo + _CSV_BLOCK_ROWS]
+                times = np.arange(lo, lo + len(volts)) / self.sample_rate_hz
+                fh.writelines(map("%r,%r\r\n".__mod__, zip(times.tolist(), volts.tolist())))
 
 
 def bytes_to_bits(data: bytes) -> list[int]:

@@ -86,6 +86,23 @@ class TestPropagate:
         out = ch.propagate(silence, cfg, seed=0)
         assert np.max(np.abs(out.samples)) == pytest.approx(0.5, rel=0.01)
 
+    @pytest.mark.parametrize("interference", [(), ((50e3, 0.5), (3e6, 0.1))])
+    @pytest.mark.parametrize("noise_sigma_v", [0.0, 0.05])
+    def test_bitwise_equal_to_reference_sum(self, interference, noise_sigma_v):
+        # Reference: signal, then each tone, then noise, added in that order.
+        cfg = ch.ChannelConfig(noise_sigma_v=noise_sigma_v, interference=interference)
+        wave = carrier_tone(cycles=30)
+        gain = ch.coupling_gain(cfg.turns)
+        d = ch.delay_samples(cfg, FS)
+        ref = np.zeros(len(wave) + d)
+        ref[d:] = wave.samples * gain
+        t = np.arange(len(ref)) / FS
+        for freq_hz, amplitude_v in interference:
+            ref += amplitude_v * np.sin(2 * math.pi * freq_hz * t)
+        if noise_sigma_v:
+            ref += np.random.default_rng(7).normal(0.0, noise_sigma_v, len(ref))
+        assert np.array_equal(ch.propagate(wave, cfg, seed=7).samples, ref)
+
 
 class TestCondition:
     def test_passband_gain_at_center(self):
@@ -121,6 +138,24 @@ class TestCondition:
             ch.condition(md.Waveform(np.zeros(16), 2e6), ch.FrontEndConfig())
 
 
+class TestFrontendCoefficients:
+    def test_cached_per_config_and_rate(self):
+        fe = ch.FrontEndConfig()
+        b, a = ch.frontend_coefficients(fe, FS)
+        again = ch.frontend_coefficients(ch.FrontEndConfig(), FS)
+        assert again[0] is b and again[1] is a
+        other = ch.frontend_coefficients(ch.FrontEndConfig(quality_factor=2.0), FS)
+        assert not np.array_equal(other[1], a)
+        assert ch.frontend_coefficients(fe, 2 * FS)[0] is not b
+
+    def test_shared_result_is_read_only(self):
+        b, a = ch.frontend_coefficients(ch.FrontEndConfig(), FS)
+        with pytest.raises(ValueError):
+            b[0] = 0.0
+        with pytest.raises(ValueError):
+            a[1] = 0.0
+
+
 class TestSuperpose:
     def test_single_waveform_identity(self):
         w = carrier_tone(cycles=5)
@@ -140,3 +175,23 @@ class TestSuperpose:
     def test_sample_rate_mismatch(self):
         with pytest.raises(ch.SampleRateMismatch):
             ch.superpose([md.Waveform(np.ones(4), FS), md.Waveform(np.ones(4), FS / 2)])
+
+    def test_offsets_place_each_waveform(self):
+        a = md.Waveform(np.ones(3), FS)
+        b = md.Waveform(np.full(2, 2.0), FS)
+        out = ch.superpose([a, b], [0, 4])
+        assert out.samples.tolist() == [1.0, 1.0, 1.0, 0.0, 2.0, 2.0]
+
+    def test_length_clips_both_ends(self):
+        base = md.Waveform(np.ones(5), FS)
+        early = md.Waveform(np.arange(1.0, 5.0), FS)  # starts two samples early
+        late = md.Waveform(np.full(4, 10.0), FS)  # runs past the end
+        out = ch.superpose([base, early, late], [0, -2, 3], length=5)
+        assert out.samples.tolist() == [4.0, 5.0, 1.0, 11.0, 11.0]
+
+    def test_waveform_outside_the_span_adds_nothing(self):
+        base = md.Waveform(np.ones(4), FS)
+        outside = md.Waveform(np.ones(2), FS)
+        for offset in (-2, -5, 4, 9):
+            out = ch.superpose([base, outside], [0, offset], length=4)
+            assert out.samples.tolist() == [1.0] * 4

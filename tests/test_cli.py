@@ -2,6 +2,7 @@ import json
 
 from click.testing import CliRunner
 
+from icsim import modem as md
 from icsim.cli import main
 
 SCENARIO = {
@@ -36,6 +37,14 @@ def test_run_dump_waveforms(tmp_path):
     assert result.exit_code == 0, result.output
     dumps = list(out.glob("tx*.csv"))
     assert len(dumps) == 2  # command and reply
+    timeline = [json.loads(line) for line in (out / "timeline.jsonl").read_text().splitlines()]
+    starts = [e for e in timeline if e["kind"] == "tx_start"]
+    cfg = md.ModemConfig(bit_rate_bps=SCENARIO["modem"]["bit_rate_bps"])
+    for index, entry in enumerate(starts):
+        lines = (out / f"tx{index:04d}_{entry['node']}.csv").read_text().splitlines()
+        assert lines[0] == "time_s,volts"
+        wave = md.modulate(md.bytes_to_bits(bytes.fromhex(entry["frame_hex"])), cfg)
+        assert len(lines) == len(wave) + 1
 
 
 def test_run_rejects_bad_config_with_exit_2(tmp_path):

@@ -74,6 +74,12 @@ class TestDecode:
         assert frame.address.octets == bytes([0x64, 0x49, 0x46, 0x68, 0x00, 0x53])
         assert frame.payload == bytes([0x12, 0x34])
 
+    @pytest.mark.parametrize("kind", list(fc.ErrorKind))
+    def test_error_message(self, kind):
+        err = fc.CodecError(kind, 7)
+        assert str(err) == f"{kind.value} at byte offset 7"
+        assert (err.kind, err.offset) == (kind, 7)
+
     def test_payload_flip_fails_sum_check(self):
         corrupted = bytearray(WORKED_WIRE)
         corrupted[8] = 0x13

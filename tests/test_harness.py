@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -93,6 +94,32 @@ class TestCollisions:
         def badness(report):
             return sum(s.decode_errors + s.timeouts for s in report.nodes.values())
         assert badness(collided) > badness(clean)
+
+
+class TestBoundedMemory:
+    @staticmethod
+    def peak_traced_bytes(sc):
+        # tracemalloc also sees numpy buffers, so kept waveforms would show.
+        tracemalloc.start()
+        try:
+            hs.run_scenario(sc)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_ten_times_longer_run_stays_flat(self):
+        short = self.peak_traced_bytes(scn.multi_point_scenario(polls_per_slave=20))
+        long = self.peak_traced_bytes(scn.multi_point_scenario(polls_per_slave=200))
+        # The report itself (timeline, energy traces) grows by about 5 kB per
+        # poll, 4 MB over the extra 900 polls.  A kept waveform pair costs
+        # about 350 kB per poll.
+        assert long - short < 8 * 2**20
+
+    def test_completed_transmissions_are_retired(self):
+        sim = hs._Sim(scn.multi_point_scenario(polls_per_slave=2))
+        sim.run()
+        assert sim.tx_count == 20
+        assert sim.live == []
 
 
 class TestEnergyConsistency:

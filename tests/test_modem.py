@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 
@@ -158,3 +159,17 @@ def test_waveform_csv_export(tmp_path):
     assert lines[0] == "time_s,volts"
     assert lines[1].startswith("0.0,1.0")
     assert lines[2].startswith("0.1,-0.5")
+
+
+def test_waveform_csv_matches_csv_writer(tmp_path):
+    # Reference: one csv.writer row per sample, as the export was first written.
+    fs = 23.38e6
+    wave = md.Waveform(np.random.default_rng(3).normal(0.0, 1e-3, 70_001), fs)
+    wave.to_csv(tmp_path / "wave.csv")
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time_s", "volts"])
+        for i, v in enumerate(wave.samples):
+            writer.writerow([i / fs, repr(float(v))])
+    assert (tmp_path / "wave.csv").read_bytes() == ref.read_bytes()
