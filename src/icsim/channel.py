@@ -137,7 +137,8 @@ def condition(wave: Waveform, fe: FrontEndConfig) -> Waveform:
     return Waveform(sps.lfilter(b, a, wave.samples), wave.sample_rate_hz)
 
 
-def superpose(waves: list[Waveform], offsets=None, length: int | None = None) -> Waveform:
+def superpose(waves: list[Waveform], offsets: list[int] | None = None,
+              length: int | None = None) -> Waveform:
     """Sample-wise sum of waveforms placed at per-waveform start offsets.
 
     ``offsets[k]`` is the output index of ``waves[k]``'s first sample (all
