@@ -68,6 +68,11 @@ def coupling_gain(turns: int) -> float:
         raise OutOfTable(f"no coupling measurement for turns={turns}") from None
 
 
+def channel_gain(cfg: ChannelConfig) -> float:
+    """Receive/transmit amplitude ratio: coil coupling times cable attenuation."""
+    return coupling_gain(cfg.turns) * math.exp(-cfg.attenuation_per_m * cfg.cable_length_m)
+
+
 def delay_samples(cfg: ChannelConfig, sample_rate_hz: float) -> int:
     return round(cfg.cable_length_m / cfg.propagation_speed_mps * sample_rate_hz)
 
@@ -76,7 +81,7 @@ def propagate(wave: Waveform, cfg: ChannelConfig, seed: int) -> Waveform:
     """Apply gain, attenuation, delay, interference tones and seeded noise."""
     if len(wave) == 0:
         return wave
-    gain = coupling_gain(cfg.turns) * math.exp(-cfg.attenuation_per_m * cfg.cable_length_m)
+    gain = channel_gain(cfg)
     d = delay_samples(cfg, wave.sample_rate_hz)
     n = len(wave) + d
     if cfg.noise_sigma_v > 0 and not cfg.interference:

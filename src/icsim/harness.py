@@ -14,8 +14,7 @@ from __future__ import annotations
 import csv
 import heapq
 import json
-import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +54,8 @@ class Scenario:
     def validate(self) -> None:
         if self.duration_s <= 0:
             raise ConfigInvalid("duration_s: must be positive")
+        if self.ebn0_db is not None and self.channel.noise_sigma_v > 0:
+            raise ConfigInvalid("channel.noise_sigma_v: only used when ebn0_db is null")
         seen = set()
         for i, spec in enumerate(self.slaves):
             if spec.address.octets in seen:
@@ -77,15 +78,9 @@ def derived_noise_sigma(sc: Scenario) -> float:
     """Channel noise std dev giving the scenario's Eb/N0 at the receive coil."""
     if sc.ebn0_db is None:
         return sc.channel.noise_sigma_v
-    rx_amplitude = (sc.modem.amplitude_v * ch.coupling_gain(sc.channel.turns)
-                    * math.exp(-sc.channel.attenuation_per_m * sc.channel.cable_length_m))
-    ebn0 = 10 ** (sc.ebn0_db / 10)
-    return rx_amplitude * math.sqrt(sc.modem.samples_per_bit / (4.0 * ebn0))
-
-
-def frame_airtime_s(n_bytes: int, cfg: md.ModemConfig) -> float:
-    symbols = 8 * n_bytes + 1  # data bits plus the reference symbol
-    return symbols * cfg.cycles_per_bit / cfg.carrier_hz
+    rx_amplitude = sc.modem.amplitude_v * ch.channel_gain(sc.channel)
+    return md.ebn0_to_noise_sigma(10 ** (sc.ebn0_db / 10),
+                                  replace(sc.modem, amplitude_v=rx_amplitude))
 
 
 # --- report -----------------------------------------------------------------
@@ -152,28 +147,23 @@ class _Transmission:
 class _Node:
     """Runtime wrapper: protocol state plus power/energy bookkeeping."""
 
-    def __init__(self, node_id, state, budget, mode, gating):
+    def __init__(self, node_id, state, budget, mode):
         self.id = node_id
         self.state = state
         self.budget = budget
         self.stats = NodeStats()
         self.power_mode = mode
-        self.gating = frozenset(gating)
         self.last_change_s = 0.0
         self.trace = pw.EnergyTrace()
 
     def _close_record(self, now_s):
         if now_s > self.last_change_s:
-            self.trace.append(self.power_mode, self.gating, now_s - self.last_change_s)
+            self.trace.append(self.power_mode, self.budget.gating, now_s - self.last_change_s)
             self.last_change_s = now_s
 
     def set_power_mode(self, now_s, mode):
         self._close_record(now_s)
         self.power_mode = mode
-
-    def set_gating(self, now_s, gating):
-        self._close_record(now_s)
-        self.gating = frozenset(gating)
 
     def finish(self, end_s):
         self._close_record(end_s)
@@ -184,29 +174,21 @@ class _Sim:
         sc.validate()
         self.sc = sc
         self.wave_dir = wave_dir
-        noise = derived_noise_sigma(sc)
-        self.channel_cfg = ch.ChannelConfig(
-            turns=sc.channel.turns,
-            cable_length_m=sc.channel.cable_length_m,
-            attenuation_per_m=sc.channel.attenuation_per_m,
-            noise_sigma_v=noise,
-            interference=sc.channel.interference,
-            propagation_speed_mps=sc.channel.propagation_speed_mps,
-        )
+        self.channel_cfg = replace(sc.channel, noise_sigma_v=derived_noise_sigma(sc))
         self.fs = sc.modem.sample_rate_hz
-        self.prop_delay_s = ch.delay_samples(self.channel_cfg, self.fs) / self.fs
+        self.delay = ch.delay_samples(self.channel_cfg, self.fs)
+        self.prop_delay_s = self.delay / self.fs
 
         cmd_len = fc.HEADER_LEN + len(nd.COMMAND_PAYLOAD) + fc.TRAILER_LEN
         timeout = nd.default_master_timeout_s(cmd_len, cmd_len, sc.modem) + 2 * self.prop_delay_s
         self.nodes: dict[str, _Node] = {
             "master": _Node("master", nd.MasterState(timeout_s=timeout),
-                            sc.master_budget, "RUN", pw.UNIT_NAMES)
+                            sc.master_budget, "RUN")
         }
         for i, spec in enumerate(sc.slaves):
             state = nd.SlaveState(address=spec.address, mode=spec.mode,
                                   temperature_c=spec.temperature_c)
-            self.nodes[f"slave{i + 1}"] = _Node(f"slave{i + 1}", state, spec.budget,
-                                                "STOP1", pw.UNIT_NAMES)
+            self.nodes[f"slave{i + 1}"] = _Node(f"slave{i + 1}", state, spec.budget, "STOP1")
 
         self.queue: list = []
         self.seq = 0
@@ -239,7 +221,7 @@ class _Sim:
         data = fc.encode_frame(frame)
         bits = md.bytes_to_bits(data)
         wave = md.modulate(bits, self.sc.modem)
-        end_s = now_s + frame_airtime_s(len(data), self.sc.modem)
+        end_s = now_s + md.frame_airtime_s(len(data), self.sc.modem)
         receivers = [node_id for node_id in self.nodes if node_id != sender]
         tx = _Transmission(self.tx_count, sender, data, bits, wave, now_s, end_s,
                            len(receivers))
@@ -278,8 +260,7 @@ class _Sim:
         seed = self._rx_seed(tx.index, receiver_id)
         propagated = ch.propagate(at_channel, self.channel_cfg, seed)
         conditioned = ch.condition(propagated, self.sc.front_end)
-        offset = ch.delay_samples(self.channel_cfg, self.fs)
-        rx_wave = md.Waveform(conditioned.samples[offset:], self.fs)
+        rx_wave = md.Waveform(conditioned.samples[self.delay:], self.fs)
         n_bits = 8 * len(tx.frame_bytes)
         try:
             bits = md.demodulate(rx_wave, self.sc.modem, n_bits)
@@ -330,8 +311,6 @@ class _Sim:
                 node.set_power_mode(t, action.mode)
                 kind = "wake" if action.mode == "RUN" and action.latency_s > 0 else "power_mode"
                 self.record(t, node.id, kind, mode=action.mode, latency_s=action.latency_s)
-            elif isinstance(action, nd.SetGating):
-                node.set_gating(t, action.enabled)
             elif isinstance(action, nd.TransmitFrame):
                 self.start_transmission(t, node.id, action.frame)
             elif isinstance(action, nd.StartTimer):
@@ -411,22 +390,15 @@ def run_and_dump_waveforms(sc: Scenario, out_dir) -> Report:
     return _Sim(sc, Path(out_dir)).run()
 
 
-def node_energy_traces(sc: Scenario) -> dict[str, pw.EnergyTrace]:
-    """Re-run a scenario and extract each node's raw energy trace."""
-    sim = _Sim(sc)
-    sim.run()
-    return {node_id: node.trace for node_id, node in sim.nodes.items()}
-
-
 # --- BER measurement ---------------------------------------------------------
 
 def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
                 chunk_bits: int = 2000) -> list[tuple[float, float]]:
     """Seeded Monte Carlo bit error rate over an Eb/N0 grid in dB.
 
-    Trials run in fixed-size chunks whose noise and data derive from
-    (seed, grid index, chunk index), so results are independent of chunking
-    and reproducible.
+    Trials run in chunks of ``chunk_bits`` whose noise and data derive from
+    (seed, grid index, chunk index), so results are reproducible for a given
+    seed and ``chunk_bits``; another chunk size draws other trials.
     """
     results = []
     for gi, ebn0_db in enumerate(ebn0_db_list):
@@ -464,19 +436,15 @@ def emit_report(report: Report, fmt: str, path) -> None:
                 json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
                 fh.write("\n")
         elif fmt == "csv":
+            # One table: node rows leave the link columns empty and vice versa.
+            columns = ["node", *(f.name for f in fields(NodeStats)),
+                       *(f.name for f in fields(LinkStats))]
             with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["node", "frames_sent", "frames_received", "decode_errors",
-                                 "address_filtered", "timeouts", "energy_uah", "energy_joules"])
+                writer = csv.DictWriter(fh, columns)
+                writer.writeheader()
                 for node_id in sorted(report.nodes):
-                    s = report.nodes[node_id]
-                    writer.writerow([node_id, s.frames_sent, s.frames_received, s.decode_errors,
-                                     s.address_filtered, s.timeouts,
-                                     repr(s.energy_uah), repr(s.energy_joules)])
-                link = report.link
-                writer.writerow(["link", link.physical_bits, link.bit_errors,
-                                 repr(link.measured_ber), repr(link.nominal_bps),
-                                 repr(link.effective_bps), "", ""])
+                    writer.writerow({"node": node_id, **asdict(report.nodes[node_id])})
+                writer.writerow({"node": "link", **asdict(report.link)})
         else:
             raise ValueError(f"unknown report format {fmt!r}")
     except OSError as err:

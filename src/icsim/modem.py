@@ -81,6 +81,11 @@ class Waveform:
                 fh.writelines(map("%r,%r\r\n".__mod__, zip(times.tolist(), volts.tolist())))
 
 
+def frame_airtime_s(n_bytes: int, cfg: ModemConfig) -> float:
+    """On-air time of an n-byte frame: its data bits plus the reference symbol."""
+    return (8 * n_bytes + 1) * cfg.cycles_per_bit / cfg.carrier_hz
+
+
 def bytes_to_bits(data: bytes) -> list[int]:
     """LSB-first expansion, eight bits per byte (serial-port order)."""
     return [(b >> i) & 1 for b in data for i in range(8)]

@@ -2,25 +2,23 @@
 
 Both machines are pure value transformers: ``step`` takes a state and an
 event and returns the successor state plus a list of actions for the
-simulation harness to execute (power transitions, gating changes, frame
-transmissions, reports).  A sleeping node whose address does not match an
-incoming frame stays exactly where it is.
+simulation harness to execute (power transitions, frame transmissions,
+reports).  A sleeping node whose address does not match an incoming frame
+stays exactly where it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .frame_codec import Address, Frame, address_matches
-from .power import MODE_TABLE, UNIT_NAMES, transition
+from .modem import frame_airtime_s
+from .power import MODE_TABLE, transition
 
 COMMAND_PAYLOAD = bytes([0x12, 0x34])  # data-acquisition request
 FUNCTION_TEST_PAYLOAD = bytes([0x00, 0xFF])
 REPLY_RELAY_DEPTH = 1
-
-STANDBY_GATING = frozenset(UNIT_NAMES)  # every unit idles at its static draw
-ACTIVE_GATING = frozenset(UNIT_NAMES)
 
 
 class OutOfRange(ValueError):
@@ -55,11 +53,6 @@ class SetPowerMode:
 
 
 @dataclass(frozen=True)
-class SetGating:
-    enabled: frozenset
-
-
-@dataclass(frozen=True)
 class TransmitFrame:
     frame: Frame
 
@@ -80,7 +73,7 @@ class Log:
     message: str
 
 
-Action = Union[SetPowerMode, SetGating, TransmitFrame, StartTimer, Report, Log]
+Action = Union[SetPowerMode, TransmitFrame, StartTimer, Report, Log]
 
 
 # --- events -----------------------------------------------------------------
@@ -92,11 +85,6 @@ class FrameReceived:
 
 @dataclass(frozen=True)
 class TxDone:
-    pass
-
-
-@dataclass(frozen=True)
-class Tick:
     pass
 
 
@@ -115,7 +103,7 @@ class Timeout:
 @dataclass(frozen=True)
 class SlaveState:
     address: Address
-    phase: str = "STANDBY"  # STANDBY | WAKE_CHECK | ACQUIRE | TRANSMIT
+    phase: str = "STANDBY"  # STANDBY | TRANSMIT
     mode: str = "function_test"  # function_test | sensor
     power_mode: str = "STOP1"
     temperature_c: float = 20.0
@@ -144,17 +132,10 @@ def slave_step(state: SlaveState, event) -> tuple[SlaveState, list[Action]]:
         latency, ok = transition(state.power_mode, "RUN")
         assert ok
         reply = Frame(REPLY_RELAY_DEPTH, state.address, slave_reply_payload(state))
-        actions = [
-            SetPowerMode("RUN", latency),
-            SetGating(ACTIVE_GATING),
-            TransmitFrame(reply),
-        ]
+        actions = [SetPowerMode("RUN", latency), TransmitFrame(reply)]
         return replace(state, phase="TRANSMIT", power_mode="RUN"), actions
     if state.phase == "TRANSMIT" and isinstance(event, TxDone):
-        actions = [
-            SetGating(STANDBY_GATING),
-            SetPowerMode("STOP1", 0.0),
-        ]
+        actions = [SetPowerMode("STOP1", 0.0)]
         return replace(state, phase="STANDBY", power_mode="STOP1"), actions
     return state, [Log(f"slave ignored {type(event).__name__} in {state.phase}")]
 
@@ -163,7 +144,7 @@ def slave_step(state: SlaveState, event) -> tuple[SlaveState, list[Action]]:
 
 @dataclass(frozen=True)
 class MasterState:
-    phase: str = "IDLE"  # IDLE | SEND_CMD | AWAIT_REPLY | RECEIVE | REPORT
+    phase: str = "IDLE"  # IDLE | AWAIT_REPLY
     pending_target: Optional[Address] = None
     timeout_s: float = 0.1
 
@@ -187,16 +168,13 @@ def master_step(state: MasterState, event) -> tuple[MasterState, list[Action]]:
     if state.phase == "AWAIT_REPLY" and isinstance(event, Timeout):
         report = Report(state.pending_target, None)
         return replace(state, phase="IDLE", pending_target=None), [report]
-    if isinstance(event, (TxDone, Tick)):
+    if isinstance(event, TxDone):
         return state, []
     return state, [Log(f"master ignored {type(event).__name__} in {state.phase}")]
 
 
 def default_master_timeout_s(cmd_bytes: int, reply_bytes: int, modem_cfg) -> float:
     """Twice the command airtime + wake latency + reply airtime."""
-    def airtime(n_bytes: int) -> float:
-        symbols = 8 * n_bytes + 1  # payload bits plus the reference symbol
-        return symbols * modem_cfg.cycles_per_bit / modem_cfg.carrier_hz
-
     wake = MODE_TABLE["STOP1"].wakeup_time_s
-    return 2.0 * (airtime(cmd_bytes) + wake + airtime(reply_bytes))
+    return 2.0 * (frame_airtime_s(cmd_bytes, modem_cfg) + wake
+                  + frame_airtime_s(reply_bytes, modem_cfg))

@@ -69,7 +69,7 @@ class UnitBudget:
             raise ValueError(f"unknown units in gating: {sorted(unknown)}")
 
     def current_ua(self, unit: str) -> float:
-        return getattr(self, f"{unit}_ua" if unit != "master" else "master_ua")
+        return getattr(self, f"{unit}_ua")
 
     def with_gating(self, enabled) -> "UnitBudget":
         return replace(self, gating=frozenset(enabled))

@@ -8,7 +8,7 @@ from . import channel as ch
 from . import frame_codec as fc
 from . import modem as md
 from . import power as pw
-from .harness import ConfigInvalid, Scenario, SlaveSpec, frame_airtime_s
+from .harness import ConfigInvalid, Scenario, SlaveSpec
 
 
 def _address(value, path: str) -> fc.Address:
@@ -104,7 +104,7 @@ MULTI_POINT_ADDRESSES = (
 def poll_spacing_s(modem: md.ModemConfig) -> float:
     """Conservative gap between consecutive polls: one full exchange, doubled."""
     frame_len = fc.HEADER_LEN + 2 + fc.TRAILER_LEN
-    exchange = 2 * frame_airtime_s(frame_len, modem) + pw.MODE_TABLE["STOP1"].wakeup_time_s
+    exchange = 2 * md.frame_airtime_s(frame_len, modem) + pw.MODE_TABLE["STOP1"].wakeup_time_s
     return 4.0 * exchange + 1e-4
 
 

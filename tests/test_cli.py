@@ -56,6 +56,15 @@ def test_run_rejects_bad_config_with_exit_2(tmp_path):
     assert "duration_s" in result.output
 
 
+def test_run_rejects_ignored_noise_knob_with_exit_2(tmp_path):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(dict(SCENARIO, channel={"noise_sigma_v": 5.0})))
+    result = CliRunner().invoke(main, ["run", "--scenario", str(scenario_path),
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "channel.noise_sigma_v" in result.output
+
+
 def test_ber_sweep_writes_csv(tmp_path):
     out = tmp_path / "ber.csv"
     result = CliRunner().invoke(main, ["ber-sweep", "--ebn0", "20,30",

@@ -44,9 +44,9 @@ class TestSlave:
         assert after.phase == "TRANSMIT"
         assert after.power_mode == "RUN"
         kinds = [type(a) for a in actions]
-        assert kinds == [nd.SetPowerMode, nd.SetGating, nd.TransmitFrame]
+        assert kinds == [nd.SetPowerMode, nd.TransmitFrame]
         assert actions[0] == nd.SetPowerMode("RUN", 7.8e-6)
-        reply = actions[2].frame
+        reply = actions[1].frame
         assert reply.relay_depth == 1
         assert reply.address == SLAVE_ADDR
         assert reply.payload == bytes([0x00, 0xFF])

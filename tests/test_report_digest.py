@@ -17,6 +17,7 @@ import pytest
 
 from icsim import frame_codec as fc
 from icsim import harness as hs
+from icsim import modem as md
 from icsim import nodes as nd
 from icsim import scenarios as scn
 
@@ -25,7 +26,7 @@ def collided_multi_point_scenario() -> hs.Scenario:
     """Ten polls per slave; three commands are hit halfway by another slave."""
     base = scn.multi_point_scenario(polls_per_slave=10)
     cmd_len = fc.HEADER_LEN + len(nd.COMMAND_PAYLOAD) + fc.TRAILER_LEN
-    half_command = hs.frame_airtime_s(cmd_len, base.modem) / 2
+    half_command = md.frame_airtime_s(cmd_len, base.modem) / 2
     injections = tuple(
         (base.poll_schedule[poll][0] + half_command, injector)
         for poll, injector in ((3, "slave1"), (17, "slave5"), (31, "slave3"))
