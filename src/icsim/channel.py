@@ -37,7 +37,7 @@ class ChannelConfig:
     cable_length_m: float = 700.0
     attenuation_per_m: float = 0.0  # nepers/m on amplitude
     noise_sigma_v: float = 0.0
-    interference: tuple = ()  # (freq_hz, amplitude_v) tones
+    interference: tuple[tuple[float, float], ...] = ()  # (freq_hz, amplitude_v) tones
     propagation_speed_mps: float = 2e8
 
     def __post_init__(self):

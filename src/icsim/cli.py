@@ -22,7 +22,8 @@ def main():
 @main.command()
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--seed", type=int, default=None, help="Override the scenario seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override the scenario seed.")
 @click.option("--dump-waveforms", is_flag=True, help="Dump transmitted waveforms as CSV.")
 def run(scenario_path, out_dir, seed, dump_waveforms):
     """Execute a scenario file and write report.json, report.csv, timeline.jsonl."""
@@ -45,7 +46,7 @@ def run(scenario_path, out_dir, seed, dump_waveforms):
 
 @main.command("ber-sweep")
 @click.option("--ebn0", required=True, help="Comma-separated Eb/N0 grid in dB.")
-@click.option("--bits", type=int, default=100_000, show_default=True)
+@click.option("--bits", type=click.IntRange(min=1), default=100_000, show_default=True)
 @click.option("--rate", type=click.Choice([str(r) for r in md.SUPPORTED_BIT_RATES]),
               default="115200", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 ADDRESS_LEN = 6
 HEADER_LEN = 1 + ADDRESS_LEN + 1  # relay depth + address + length byte
@@ -56,10 +55,6 @@ class Address:
     def __post_init__(self):
         if len(self.octets) != ADDRESS_LEN:
             raise ValueError(f"address must be {ADDRESS_LEN} bytes, got {len(self.octets)}")
-
-    @classmethod
-    def from_ints(cls, values: Iterable[int]) -> "Address":
-        return cls(bytes(values))
 
     def hex(self) -> str:
         return " ".join(f"{b:02x}" for b in self.octets)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import heapq
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -28,6 +29,13 @@ from . import power as pw
 
 class ConfigInvalid(ValueError):
     """Scenario validation failure; message carries the offending field path."""
+
+
+# A reception is held in memory whole, as float64 samples: 2**24 is 128 MiB,
+# 31 times a 4800 bps frame at the default 16 samples per cycle.
+MAX_RECEPTION_SAMPLES = 2**24
+# Bytes in every frame sent: commands and replies both carry two payload bytes.
+FRAME_LEN = fc.HEADER_LEN + len(nd.COMMAND_PAYLOAD) + fc.TRAILER_LEN
 
 
 @dataclass(frozen=True)
@@ -45,17 +53,35 @@ class Scenario:
     modem: md.ModemConfig = md.ModemConfig()
     channel: ch.ChannelConfig = ch.ChannelConfig()
     front_end: ch.FrontEndConfig = ch.FrontEndConfig()
-    slaves: tuple = ()
-    poll_schedule: tuple = ()  # (time_s, Address)
-    collision_injections: tuple = ()  # (time_s, node id)
+    slaves: tuple[SlaveSpec, ...] = ()
+    poll_schedule: tuple[tuple[float, fc.Address], ...] = ()  # (time_s, Address)
+    collision_injections: tuple[tuple[float, str], ...] = ()  # (time_s, node id)
     ebn0_db: float | None = 20.0  # None disables derived channel noise
     master_budget: pw.UnitBudget = pw.UnitBudget()
 
     def validate(self) -> None:
-        if self.duration_s <= 0:
+        if not self.duration_s > 0:
             raise ConfigInvalid("duration_s: must be positive")
+        if self.seed < 0:
+            raise ConfigInvalid("seed: must be nonnegative")
+        if self.ebn0_db is not None and not -300 <= self.ebn0_db <= 300:
+            # Keeps 10 ** (ebn0_db / 10) a positive finite float.
+            raise ConfigInvalid("ebn0_db: outside [-300, 300] dB")
         if self.ebn0_db is not None and self.channel.noise_sigma_v > 0:
             raise ConfigInvalid("channel.noise_sigma_v: only used when ebn0_db is null")
+        if not self.front_end.center_hz < self.modem.sample_rate_hz / 2:
+            raise ConfigInvalid("front_end.center_hz: must be below half the sample rate")
+        frame_samples = (8 * FRAME_LEN + 1) * self.modem.samples_per_bit
+        if frame_samples > MAX_RECEPTION_SAMPLES:
+            raise ConfigInvalid(f"modem: a frame of {frame_samples} samples is over "
+                                f"the limit of {MAX_RECEPTION_SAMPLES}")
+        try:
+            delay = ch.delay_samples(self.channel, self.modem.sample_rate_hz)
+        except OverflowError:
+            delay = math.inf
+        if delay > MAX_RECEPTION_SAMPLES:
+            raise ConfigInvalid(f"channel: a propagation delay of {delay} samples is over "
+                                f"the limit of {MAX_RECEPTION_SAMPLES}")
         seen = set()
         for i, spec in enumerate(self.slaves):
             if spec.address.octets in seen:
@@ -63,6 +89,11 @@ class Scenario:
             seen.add(spec.address.octets)
             if spec.mode not in ("function_test", "sensor"):
                 raise ConfigInvalid(f"slaves[{i}].mode: unknown mode {spec.mode!r}")
+            if spec.mode == "sensor":
+                try:
+                    nd.encode_temperature(spec.temperature_c)
+                except nd.OutOfRange as err:
+                    raise ConfigInvalid(f"slaves[{i}].temperature_c: {err}") from err
         for i, (t, _) in enumerate(self.poll_schedule):
             if not 0 <= t <= self.duration_s:
                 raise ConfigInvalid(f"poll_schedule[{i}].time_s: outside duration")
@@ -179,8 +210,7 @@ class _Sim:
         self.delay = ch.delay_samples(self.channel_cfg, self.fs)
         self.prop_delay_s = self.delay / self.fs
 
-        cmd_len = fc.HEADER_LEN + len(nd.COMMAND_PAYLOAD) + fc.TRAILER_LEN
-        timeout = nd.default_master_timeout_s(cmd_len, cmd_len, sc.modem) + 2 * self.prop_delay_s
+        timeout = nd.default_master_timeout_s(FRAME_LEN, FRAME_LEN, sc.modem) + 2 * self.prop_delay_s
         self.nodes: dict[str, _Node] = {
             "master": _Node("master", nd.MasterState(timeout_s=timeout),
                             sc.master_budget, "RUN")
@@ -400,6 +430,8 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
     (seed, grid index, chunk index), so results are reproducible for a given
     seed and ``chunk_bits``; another chunk size draws other trials.
     """
+    if n_bits < 1:
+        raise ValueError("n_bits must be at least 1")
     results = []
     for gi, ebn0_db in enumerate(ebn0_db_list):
         ebn0 = 10 ** (ebn0_db / 10)

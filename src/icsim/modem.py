@@ -32,8 +32,12 @@ class ModemConfig:
     def __post_init__(self):
         if self.samples_per_cycle < 3:
             raise ValueError("samples_per_cycle must be at least 3")
-        if self.bit_rate_bps <= 0:
-            raise ValueError("bit_rate_bps must be positive")
+        if self.carrier_hz <= 0 or self.amplitude_v < 0:
+            raise ValueError("carrier_hz must be positive and amplitude_v nonnegative")
+        if not 0 < self.bit_rate_bps <= self.carrier_hz:
+            raise ValueError("bit_rate_bps must be positive and at most carrier_hz")
+        if not math.isfinite(self.sample_rate_hz):
+            raise ValueError("carrier_hz * samples_per_cycle must be finite")
 
     @property
     def sample_rate_hz(self) -> float:

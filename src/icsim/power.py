@@ -59,7 +59,7 @@ class UnitBudget:
     signal_processing_ua: float = 300.0
     power_conversion_ua: float = 180.0
     master_ua: float = 50.0
-    gating: frozenset = frozenset(UNIT_NAMES)  # names of enabled units
+    gating: frozenset[str] = frozenset(UNIT_NAMES)  # names of enabled units
 
     def __post_init__(self):
         if min(self.carrier_ua, self.signal_processing_ua, self.power_conversion_ua, self.master_ua) < 0:

@@ -2,90 +2,91 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import types
+import typing
 
 from . import channel as ch
 from . import frame_codec as fc
 from . import modem as md
 from . import power as pw
-from .harness import ConfigInvalid, Scenario, SlaveSpec
+from .harness import FRAME_LEN, ConfigInvalid, Scenario, SlaveSpec
 
 
-def _address(value, path: str) -> fc.Address:
+def _load(tp, value, path: str):
+    """Build a ``tp`` from decoded JSON; the dataclass annotations are the schema.
+
+    ``path`` names ``value`` in the ConfigInvalid raised for anything malformed.
+    """
     try:
+        return _convert(tp, value, path)
+    except ConfigInvalid:
+        raise
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigInvalid(f"{path or 'scenario'}: {err}") from err
+
+
+def _convert(tp, value, path: str):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _convert(tp, value, path)
+    if tp is fc.Address:
         if isinstance(value, str):
             return fc.Address(bytes.fromhex(value.replace(" ", "")))
-        return fc.Address(bytes(value))
-    except (ValueError, TypeError) as err:
-        raise ConfigInvalid(f"{path}: {err}") from err
-
-
-def _budget(d: dict, path: str) -> pw.UnitBudget:
-    try:
-        gating = frozenset(d.get("gating", pw.UNIT_NAMES))
-        return pw.UnitBudget(
-            carrier_ua=d.get("carrier_ua", 130.0),
-            signal_processing_ua=d.get("signal_processing_ua", 300.0),
-            power_conversion_ua=d.get("power_conversion_ua", 180.0),
-            master_ua=d.get("master_ua", 50.0),
-            gating=gating,
-        )
-    except ValueError as err:
-        raise ConfigInvalid(f"{path}: {err}") from err
+        return fc.Address(bytes(_load(tuple[int, ...], value, path)))
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise TypeError(f"expected an object, got {type(value).__name__}")
+        prefix = f"{path}." if path else ""
+        hints = typing.get_type_hints(tp)
+        for f in dataclasses.fields(tp):
+            if f.name not in value and f.default is dataclasses.MISSING:
+                raise ConfigInvalid(f"{prefix}{f.name}: missing")
+        for key in value:
+            if key not in hints:
+                name = key if str(key).isidentifier() else repr(key)
+                raise ConfigInvalid(f"{prefix}{name}: unknown key")
+        return tp(**{k: _load(hints[k], v, prefix + k) for k, v in value.items()})
+    if origin in (tuple, frozenset):
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {type(value).__name__}")
+        if origin is frozenset or args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ValueError(f"expected {len(args)} items, got {len(value)}")
+        return origin(_load(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
+    if tp is float:
+        if type(value) not in (int, float):
+            raise TypeError(f"expected a number, got {type(value).__name__}")
+        if not math.isfinite(value := float(value)):
+            raise ValueError("must be finite")
+        return value
+    if tp in (int, str):
+        if type(value) is not tp:
+            raise TypeError(f"expected {tp.__name__}, got {type(value).__name__}")
+        return value
+    raise NotImplementedError(f"{path}: no loader for {tp!r}")
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    try:
-        modem = md.ModemConfig(**d.get("modem", {}))
-    except (TypeError, ValueError) as err:
-        raise ConfigInvalid(f"modem: {err}") from err
-    try:
-        chd = dict(d.get("channel", {}))
-        if "interference" in chd:
-            chd["interference"] = tuple(tuple(tone) for tone in chd["interference"])
-        channel = ch.ChannelConfig(**chd)
-    except (TypeError, ValueError) as err:
-        raise ConfigInvalid(f"channel: {err}") from err
-    try:
-        front_end = ch.FrontEndConfig(**d.get("front_end", {}))
-    except (TypeError, ValueError) as err:
-        raise ConfigInvalid(f"front_end: {err}") from err
-
-    slaves = []
-    for i, s in enumerate(d.get("slaves", [])):
-        slaves.append(SlaveSpec(
-            address=_address(s.get("address"), f"slaves[{i}].address"),
-            mode=s.get("mode", "function_test"),
-            temperature_c=s.get("temperature_c", 20.0),
-            budget=_budget(s.get("budget", {}), f"slaves[{i}].budget"),
-        ))
-    schedule = tuple(
-        (float(t), _address(a, f"poll_schedule[{i}]"))
-        for i, (t, a) in enumerate(d.get("poll_schedule", []))
-    )
-    injections = tuple((float(t), str(n)) for t, n in d.get("collision_injections", []))
-
-    if "duration_s" not in d:
-        raise ConfigInvalid("duration_s: missing")
-    sc = Scenario(
-        duration_s=float(d["duration_s"]),
-        seed=int(d.get("seed", 0)),
-        modem=modem,
-        channel=channel,
-        front_end=front_end,
-        slaves=tuple(slaves),
-        poll_schedule=schedule,
-        collision_injections=injections,
-        ebn0_db=d.get("ebn0_db", 20.0),
-        master_budget=_budget(d.get("master_budget", {}), "master_budget"),
-    )
+    """Build and validate a Scenario; ConfigInvalid names the field at fault."""
+    sc = _load(Scenario, d, "")
     sc.validate()
     return sc
 
 
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
-        return scenario_from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
+            raise ConfigInvalid(f"{path}: unreadable JSON: {err}") from err
+    return scenario_from_dict(d)
 
 
 # --- canned laboratory setups ------------------------------------------------
@@ -103,8 +104,7 @@ MULTI_POINT_ADDRESSES = (
 
 def poll_spacing_s(modem: md.ModemConfig) -> float:
     """Conservative gap between consecutive polls: one full exchange, doubled."""
-    frame_len = fc.HEADER_LEN + 2 + fc.TRAILER_LEN
-    exchange = 2 * md.frame_airtime_s(frame_len, modem) + pw.MODE_TABLE["STOP1"].wakeup_time_s
+    exchange = 2 * md.frame_airtime_s(FRAME_LEN, modem) + pw.MODE_TABLE["STOP1"].wakeup_time_s
     return 4.0 * exchange + 1e-4
 
 

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from icsim import modem as md
@@ -88,3 +89,28 @@ def test_seed_override_changes_report(tmp_path):
         assert result.exit_code == 0, result.output
         outputs.append((out / "timeline.jsonl").read_text())
     assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize("text", [json.dumps(SCENARIO)[:40], "[" * 10**5 + "]" * 10**5])
+def test_run_rejects_unreadable_json_with_exit_2(tmp_path, text):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(text)
+    result = CliRunner().invoke(main, ["run", "--scenario", str(scenario_path),
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "unreadable JSON" in result.output
+
+
+def test_run_rejects_negative_seed_override_with_exit_2(tmp_path):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(SCENARIO))
+    result = CliRunner().invoke(main, ["run", "--scenario", str(scenario_path),
+                                       "--out", str(tmp_path / "out"), "--seed", "-1"])
+    assert result.exit_code == 2
+
+
+def test_ber_sweep_rejects_zero_bits_with_exit_2(tmp_path):
+    result = CliRunner().invoke(main, ["ber-sweep", "--ebn0", "5", "--bits", "0",
+                                       "--out", str(tmp_path / "ber.csv")])
+    assert result.exit_code == 2
+    assert "--bits" in result.output

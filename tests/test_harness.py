@@ -1,9 +1,17 @@
+import copy
 import csv
 import json
+import math
+import re
 import tracemalloc
 from dataclasses import asdict, replace
+from functools import reduce
+from operator import getitem
 
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icsim import channel as ch
 from icsim import frame_codec as fc
@@ -11,6 +19,7 @@ from icsim import harness as hs
 from icsim import modem as md
 from icsim import power as pw
 from icsim import scenarios as scn
+from icsim.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +219,10 @@ class TestMeasureBer:
         (_, ber), = hs.measure_ber(cfg, [30.0], 20_000, seed=5)
         assert ber == 0.0
 
+    def test_rejects_zero_bits(self):
+        with pytest.raises(ValueError, match="n_bits"):
+            hs.measure_ber(md.ModemConfig(), [6.0], 0, seed=5)
+
 
 class TestReportIo:
     def test_json_round_trip(self, single_point_report, tmp_path):
@@ -245,6 +258,56 @@ class TestReportIo:
     def test_unwritable_destination(self, single_point_report, tmp_path):
         with pytest.raises(hs.IoFailure):
             hs.emit_report(single_point_report, "json", tmp_path / "no" / "dir.json")
+
+
+ADDRESS = "64 49 46 68 00 53"
+VALID_FILE = {"duration_s": 0.05, "slaves": [{"address": ADDRESS}],
+              "poll_schedule": [[0.01, ADDRESS]]}
+# Every scenario key set, so that each one can be mutated.
+FULL_SCENARIO = {
+    "duration_s": 0.05,
+    "seed": 3,
+    "modem": {"carrier_hz": 1.67e6, "samples_per_cycle": 16, "bit_rate_bps": 115200,
+              "amplitude_v": 12.0},
+    "channel": {"turns": 4, "cable_length_m": 700.0, "attenuation_per_m": 0.0,
+                "noise_sigma_v": 0.0, "interference": [[1e5, 0.01]],
+                "propagation_speed_mps": 2e8},
+    "front_end": {"center_hz": 1.67e6, "passband_gain": 3.0, "quality_factor": 1.0},
+    "slaves": [{"address": ADDRESS, "mode": "sensor", "temperature_c": 21.5,
+                "budget": {"carrier_ua": 130.0, "signal_processing_ua": 300.0,
+                           "power_conversion_ua": 180.0, "master_ua": 50.0,
+                           "gating": ["master", "carrier"]}},
+               {"address": [0x89, 0x47, 0x46, 0x68, 0x00, 0x53]}],
+    "poll_schedule": [[0.01, ADDRESS], [0.03, "89 47 46 68 00 53"]],
+    "collision_injections": [[0.02, "slave2"]],
+    "ebn0_db": 20.0,
+    "master_budget": {"master_ua": 50.0},
+}
+
+
+def _paths(node, path=()):
+    """Key paths to every value nested in a decoded JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+MUTABLE_PATHS = list(_paths(FULL_SCENARIO))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10)
+
+
+def loads_or_config_invalid(d):
+    """A decoded scenario either builds a runnable simulation or names a bad field."""
+    try:
+        sc = scn.scenario_from_dict(d)
+    except hs.ConfigInvalid as err:
+        assert re.match(r".+?: ", str(err), re.S), str(err)
+        return
+    hs._Sim(sc)
 
 
 class TestScenarioFiles:
@@ -294,3 +357,86 @@ class TestScenarioFiles:
         }))
         sc = scn.load_scenario(path)
         assert sc.duration_s == 0.2
+
+    def test_json_integers_load_as_floats(self):
+        sc = scn.scenario_from_dict({"duration_s": 1, "ebn0_db": 12,
+                                     "channel": {"cable_length_m": 700}})
+        assert (sc.duration_s, sc.ebn0_db, sc.channel.cable_length_m) == (1.0, 12.0, 700.0)
+        assert type(sc.duration_s) is type(sc.ebn0_db) is float
+
+    # Wrong types, unknown keys and values a run cannot use: each names its field.
+    @pytest.mark.parametrize("edit, path", [
+        ({"slaves": [5]}, "slaves[0]"),
+        ({"slaves": [{"address": ADDRESS, "budget": 5}]}, "slaves[0].budget"),
+        ({"master_budget": []}, "master_budget"),
+        ({"ebn0_db": "20"}, "ebn0_db"),
+        ({"duration_s": "0.05"}, "duration_s"),
+        ({"poll_schedule": [["0.01", ADDRESS]]}, "poll_schedule[0][0]"),
+        ({"slaves": [{"address": ADDRESS, "budget": {"gating": "master"}}]},
+         "slaves[0].budget.gating"),
+        ({"ebno_db": 3}, "ebno_db"),
+        ({"slaves": [{"address": ADDRESS, "budget": {"carrier_uA": 0}}]},
+         "slaves[0].budget.carrier_uA"),
+        ({"collision_injections": [[0.02]]}, "collision_injections[0]"),
+        ({"seed": 1.5}, "seed"),
+        ({"slaves": [{"address": 6}]}, "slaves[0].address"),
+        ({"channel": {"turns": 4.0}}, "channel.turns"),
+        ({"modem": {"amplitude_v": -12.0}}, "modem"),
+        ({"channel": {"propagation_speed_mps": 1e-300}}, "channel"),
+        ({"modem": {"samples_per_cycle": 10**6}}, "modem"),
+        ({"front_end": {"center_hz": 2e7}}, "front_end.center_hz"),
+        ([], "scenario"),
+    ])
+    def test_malformed_scenario_names_its_path(self, edit, path, tmp_path):
+        d = dict(VALID_FILE, **edit) if isinstance(edit, dict) else edit
+        with pytest.raises(hs.ConfigInvalid, match=f"^{re.escape(path)}: "):
+            scn.scenario_from_dict(d)
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(d))
+        result = CliRunner().invoke(main, ["run", "--scenario", str(scenario_path),
+                                           "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert f"config error: {path}: " in result.output
+
+    def test_full_scenario_runs(self):
+        report = hs.run_scenario(scn.scenario_from_dict(FULL_SCENARIO))
+        assert report.nodes["master"].frames_sent == 2
+        assert report.nodes["slave1"].frames_sent == 1
+
+    @given(JSON_VALUES)
+    @settings(max_examples=100)
+    def test_any_json_value_loads_or_is_config_invalid(self, d):
+        loads_or_config_invalid(d)
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_one_key_mutation_loads_or_is_config_invalid(self, data):
+        d = copy.deepcopy(FULL_SCENARIO)
+        path = data.draw(st.sampled_from(MUTABLE_PATHS))
+        parent, key = reduce(getitem, path[:-1], d), path[-1]
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "delete":
+            del parent[key]
+        else:
+            if action == "add" and isinstance(parent, dict):
+                key = data.draw(st.text(max_size=8))
+            parent[key] = data.draw(JSON_VALUES)
+        loads_or_config_invalid(d)
+
+
+class TestValidate:
+    """Values of the right type that would crash the run are rejected up front."""
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda sc: replace(sc, slaves=(replace(sc.slaves[0], temperature_c=150.0),)),
+         "slaves[0].temperature_c"),
+        (lambda sc: replace(sc, seed=-1), "seed"),
+        (lambda sc: replace(sc, ebn0_db=4000.0), "ebn0_db"),
+        (lambda sc: replace(sc, duration_s=math.nan), "duration_s"),
+    ])
+    def test_rejected_before_the_run(self, edit, path):
+        sc = scn.multi_point_scenario(polls_per_slave=1)
+        sc = replace(sc, slaves=sc.slaves[:1], poll_schedule=sc.poll_schedule[:1])
+        hs._Sim(sc)
+        with pytest.raises(hs.ConfigInvalid, match=f"^{re.escape(path)}: "):
+            hs._Sim(edit(sc))

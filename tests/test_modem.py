@@ -146,6 +146,18 @@ def test_monte_carlo_ber_tracks_theory():
     assert bers == sorted(bers, reverse=True)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"carrier_hz": 0.0},
+    {"amplitude_v": -1.0},
+    {"bit_rate_bps": 0},
+    {"bit_rate_bps": 2_000_000},  # above the 1.67 MHz carrier: one cycle per bit regardless
+    {"carrier_hz": 1e308},  # sample rate overflows to inf
+])
+def test_config_rejects_unusable_values(kwargs):
+    with pytest.raises(ValueError):
+        md.ModemConfig(**kwargs)
+
+
 def test_waveform_rejects_bad_sample_rate():
     with pytest.raises(ValueError):
         md.Waveform(np.zeros(4), 0.0)
