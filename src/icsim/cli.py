@@ -49,12 +49,14 @@ def run(scenario_path, out_dir, seed, dump_waveforms):
 @click.option("--bits", type=click.IntRange(min=1), default=100_000, show_default=True)
 @click.option("--rate", type=click.Choice([str(r) for r in md.SUPPORTED_BIT_RATES]),
               default="115200", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def ber_sweep(ebn0, bits, rate, seed, out_path):
     """Monte Carlo BER versus Eb/N0, written as CSV."""
     try:
         grid = [float(x) for x in ebn0.split(",")]
+        for ebn0_db in grid:
+            hs.check_ebn0_db(ebn0_db, "--ebn0")
         cfg = md.ModemConfig(bit_rate_bps=int(rate))
     except ValueError as err:
         click.echo(f"config error: {err}", err=True)

@@ -1,10 +1,11 @@
 """Deterministic discrete-event simulation of the full polling link.
 
 Every transmission is carried at waveform level: framed, modulated,
-superposed with any overlapping transmission, pushed through the coupled
-channel and front end, then demodulated and decoded at every other node.
-Silent intervals generate no samples, and a waveform is dropped once no
-pending reception can need it, so run memory does not grow with run length.
+superposed with every transmission that overlaps it, pushed through the
+coupled channel and front end, then demodulated and decoded at every other
+node.  Silent intervals generate no samples, and a waveform is held only
+while its transmission or one overlapping it is on air or awaiting
+reception, so run memory does not grow with run length.
 A run is a pure function of the Scenario, seed included, so identical
 scenarios produce byte-identical reports.
 """
@@ -15,7 +16,7 @@ import csv
 import heapq
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,12 @@ class ConfigInvalid(ValueError):
 MAX_RECEPTION_SAMPLES = 2**24
 # Bytes in every frame sent: commands and replies both carry two payload bytes.
 FRAME_LEN = fc.HEADER_LEN + len(nd.COMMAND_PAYLOAD) + fc.TRAILER_LEN
+
+
+def check_ebn0_db(ebn0_db: float, path: str) -> None:
+    """Reject an Eb/N0 whose linear value 10 ** (ebn0_db / 10) is not a positive finite float."""
+    if not -300 <= ebn0_db <= 300:
+        raise ConfigInvalid(f"{path}: {ebn0_db!r} dB is outside [-300, 300] dB")
 
 
 @dataclass(frozen=True)
@@ -64,9 +71,8 @@ class Scenario:
             raise ConfigInvalid("duration_s: must be positive")
         if self.seed < 0:
             raise ConfigInvalid("seed: must be nonnegative")
-        if self.ebn0_db is not None and not -300 <= self.ebn0_db <= 300:
-            # Keeps 10 ** (ebn0_db / 10) a positive finite float.
-            raise ConfigInvalid("ebn0_db: outside [-300, 300] dB")
+        if self.ebn0_db is not None:
+            check_ebn0_db(self.ebn0_db, "ebn0_db")
         if self.ebn0_db is not None and self.channel.noise_sigma_v > 0:
             raise ConfigInvalid("channel.noise_sigma_v: only used when ebn0_db is null")
         if not self.front_end.center_hz < self.modem.sample_rate_hz / 2:
@@ -160,7 +166,7 @@ class Report:
 
 # --- simulation internals ---------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class _Transmission:
     index: int
     sender: str
@@ -169,10 +175,9 @@ class _Transmission:
     wave: md.Waveform
     start_s: float
     end_s: float
-    pending: int  # receptions not yet complete
-
-    def overlaps(self, other: "_Transmission") -> bool:
-        return other.start_s < self.end_s and self.start_s < other.end_s
+    # (sample offset from start_s, waveform) of each overlapping transmission,
+    # in index order.
+    overlapping: list = field(default_factory=list)
 
 
 class _Node:
@@ -223,8 +228,10 @@ class _Sim:
         self.queue: list = []
         self.seq = 0
         self.tx_count = 0
-        # Transmissions a pending reception may still need, in index order.
-        self.live: list[_Transmission] = []
+        # Transmissions whose tx_done has not run, in index order.  A reply
+        # starts a wake latency after it is scheduled, so a transmission
+        # scheduled later may start earlier: only tx_done retires one.
+        self.on_air: list[_Transmission] = []
         self.timeline: list = []
         self.link = LinkStats(nominal_bps=float(sc.modem.bit_rate_bps),
                               effective_bps=sc.modem.effective_bit_rate_bps)
@@ -252,61 +259,42 @@ class _Sim:
         bits = md.bytes_to_bits(data)
         wave = md.modulate(bits, self.sc.modem)
         end_s = now_s + md.frame_airtime_s(len(data), self.sc.modem)
-        receivers = [node_id for node_id in self.nodes if node_id != sender]
-        tx = _Transmission(self.tx_count, sender, data, bits, wave, now_s, end_s,
-                           len(receivers))
+        tx = _Transmission(self.tx_count, sender, data, bits, wave, now_s, end_s)
         self.tx_count += 1
-        self.live.append(tx)
+        for o in self.on_air:
+            if o.start_s < end_s and now_s < o.end_s:
+                tx.overlapping.append((round((o.start_s - now_s) * self.fs), o.wave))
+                o.overlapping.append((round((now_s - o.start_s) * self.fs), wave))
+        self.on_air.append(tx)
         if self.wave_dir is not None:
             wave.to_csv(self.wave_dir / f"tx{tx.index:04d}_{sender}.csv")
         self.nodes[sender].stats.frames_sent += 1
         self.record(now_s, sender, "tx_start", frame_hex=data.hex(" "))
-        self.push(end_s, "tx_done", sender)
-        for node_id in receivers:
-            self.push(end_s + self.prop_delay_s, "rx_complete", (tx, node_id))
+        self.push(end_s, "tx_done", tx)
+        self.push(end_s + self.prop_delay_s, "rx_complete", tx)
 
-    def _channel_input(self, tx: _Transmission) -> md.Waveform:
-        """The sender's waveform plus overlapping portions of concurrent ones."""
-        others = [o for o in self.live if o is not tx and o.overlaps(tx)]
-        return ch.superpose(
-            [tx.wave] + [o.wave for o in others],
-            [0] + [round((o.start_s - tx.start_s) * self.fs) for o in others],
-            len(tx.wave))
-
-    def _retire(self):
-        """Drop transmissions that no pending reception can still need.
-
-        Later transmissions start no earlier than now, which is after every
-        completed transmission has ended, so only a live overlapping
-        transmission with receptions pending can still need its waveform.
-        """
-        pending = [tx for tx in self.live if tx.pending]
-        self.live = [tx for tx in self.live
-                     if tx.pending or any(p.overlaps(tx) for p in pending)]
-
-    def receive(self, now_s, tx: _Transmission, receiver_id):
-        node = self.nodes[receiver_id]
-        at_channel = self._channel_input(tx)
-        seed = self._rx_seed(tx.index, receiver_id)
-        propagated = ch.propagate(at_channel, self.channel_cfg, seed)
-        conditioned = ch.condition(propagated, self.sc.front_end)
-        rx_wave = md.Waveform(conditioned.samples[self.delay:], self.fs)
+    def receive(self, now_s, tx: _Transmission):
+        """Demodulate and decode a transmission at every node but its sender."""
+        offsets, waves = zip((0, tx.wave), *tx.overlapping)
+        at_channel = ch.superpose(waves, offsets, len(tx.wave))
         n_bits = 8 * len(tx.frame_bytes)
-        try:
+        for node in self.nodes.values():
+            if node.id == tx.sender:
+                continue
+            seed = self._rx_seed(tx.index, node.id)
+            propagated = ch.propagate(at_channel, self.channel_cfg, seed)
+            conditioned = ch.condition(propagated, self.sc.front_end)
+            rx_wave = md.Waveform(conditioned.samples[self.delay:], self.fs)
             bits = md.demodulate(rx_wave, self.sc.modem, n_bits)
-        except md.InsufficientSamples:
-            node.stats.decode_errors += 1
-            self.record(now_s, receiver_id, "decode_error", reason="short waveform")
-            return
-        self.link.physical_bits += n_bits
-        self.link.bit_errors += sum(a != b for a, b in zip(bits, tx.bits))
-        try:
-            frame = fc.decode_frame(md.bits_to_bytes(bits))
-        except fc.CodecError as err:
-            node.stats.decode_errors += 1
-            self.record(now_s, receiver_id, "decode_error", reason=err.kind.value)
-            return
-        self.deliver(now_s, node, frame)
+            self.link.physical_bits += n_bits
+            self.link.bit_errors += sum(a != b for a, b in zip(bits, tx.bits))
+            try:
+                frame = fc.decode_frame(md.bits_to_bytes(bits))
+            except fc.CodecError as err:
+                node.stats.decode_errors += 1
+                self.record(now_s, node.id, "decode_error", reason=err.kind.value)
+                continue
+            self.deliver(now_s, node, frame)
 
     # -- protocol glue --
 
@@ -372,13 +360,10 @@ class _Sim:
                 self.record(time_s, "master", "poll", target=data.hex())
                 self.dispatch(time_s, self.nodes["master"], nd.PollRequest(data))
             elif kind == "tx_done":
-                self.dispatch(time_s, self.nodes[data], nd.TxDone())
+                self.on_air.remove(data)
+                self.dispatch(time_s, self.nodes[data.sender], nd.TxDone())
             elif kind == "rx_complete":
-                tx, receiver_id = data
-                self.receive(time_s, tx, receiver_id)
-                tx.pending -= 1
-                if not tx.pending:
-                    self._retire()
+                self.receive(time_s, data)
             elif kind == "timeout":
                 if data == self.master_poll_gen:
                     self.record(time_s, "master", "timeout")
@@ -432,6 +417,8 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
     """
     if n_bits < 1:
         raise ValueError("n_bits must be at least 1")
+    if chunk_bits < 1:
+        raise ValueError("chunk_bits must be at least 1")
     results = []
     for gi, ebn0_db in enumerate(ebn0_db_list):
         ebn0 = 10 ** (ebn0_db / 10)

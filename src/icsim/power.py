@@ -9,6 +9,7 @@ currents whose default sum is the 660 uA standby budget.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 UNIT_NAMES = ("carrier", "signal_processing", "power_conversion", "master")
@@ -160,4 +161,6 @@ def battery_life(capacity_mah: float, duty, budget: UnitBudget | None = None,
         current = modes[mode].mcu_current_ua
         current += sum(budget.current_ua(u) for u in UNIT_NAMES if u in frozenset(gating))
         avg_ua += frac * current
+    if avg_ua == 0:
+        return math.inf
     return capacity_mah / (avg_ua * 1e-3)

@@ -114,3 +114,17 @@ def test_ber_sweep_rejects_zero_bits_with_exit_2(tmp_path):
                                        "--out", str(tmp_path / "ber.csv")])
     assert result.exit_code == 2
     assert "--bits" in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--ebn0", "4000"], "config error: --ebn0: 4000.0 dB is outside"),
+    (["--ebn0", "5,nan"], "config error: --ebn0: nan dB is outside"),
+    (["--ebn0", "inf"], "config error: --ebn0: inf dB is outside"),
+    (["--ebn0", "5", "--seed", "-1"], "--seed"),
+])
+def test_ber_sweep_rejects_unusable_input_with_exit_2(tmp_path, args, message):
+    out = tmp_path / "ber.csv"
+    result = CliRunner().invoke(main, ["ber-sweep", *args, "--bits", "100", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not out.exists()

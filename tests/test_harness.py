@@ -65,6 +65,22 @@ class TestRunScenario:
         assert "13 07" in payloads  # 19.7 C
         assert "18 08" in payloads  # 24.8 C
 
+    @pytest.mark.parametrize("bit_rate_bps", [9600, 115200])
+    @pytest.mark.parametrize("quality_factor", [0.3, 1.0, 20.0])
+    @pytest.mark.parametrize("cable_length_m", [0.0, 700.0, 10_000.0])
+    @pytest.mark.parametrize("turns", [2, 4, 8])
+    def test_noiseless_link_is_error_free(self, turns, cable_length_m, quality_factor,
+                                          bit_rate_bps):
+        # Pins the delay slice, the reception length and the front-end
+        # transient against symbol timing across the link's physical range.
+        sc = scn.single_point_scenario(bit_rate_bps=bit_rate_bps, ebn0_db=None)
+        sc = replace(sc, channel=ch.ChannelConfig(turns=turns, cable_length_m=cable_length_m),
+                     front_end=replace(sc.front_end, quality_factor=quality_factor))
+        report = hs.run_scenario(sc)
+        assert all(s.decode_errors == 0 and s.timeouts == 0 for s in report.nodes.values())
+        assert report.link.physical_bits > 0 and report.link.bit_errors == 0
+        assert reported_payloads(report) == ["00 ff"]
+
     def test_invalid_scenario_reports_field_path(self):
         sc = scn.multi_point_scenario(polls_per_slave=1)
         dup = replace(sc, slaves=(sc.slaves[0], sc.slaves[0]))
@@ -106,6 +122,36 @@ class TestCollisions:
             return sum(s.decode_errors + s.timeouts for s in report.nodes.values())
         assert badness(collided) > badness(clean)
 
+    def test_late_reply_still_sees_every_overlap(self, monkeypatch):
+        modem = md.ModemConfig()
+        fs, airtime = modem.sample_rate_hz, md.frame_airtime_s(hs.FRAME_LEN, modem)
+        zeros, t0 = fc.Address(bytes(6)), 1e-3
+        # The master repeats its command to slave1 190 samples late, which
+        # slave1 still decodes.  slave1's reply leaves standby 7.8 us after
+        # the command ends, so it is scheduled before slave2 starts, 15
+        # samples after the command ends, yet starts after the repeat ends.
+        # The repeat and slave2's frame overlap all the same.
+        sc = hs.Scenario(
+            duration_s=0.01, ebn0_db=None, channel=ch.ChannelConfig(cable_length_m=0.0),
+            slaves=(hs.SlaveSpec(zeros), hs.SlaveSpec(scn.MULTI_POINT_ADDRESSES[0])),
+            poll_schedule=((t0, zeros),),
+            collision_injections=((t0 + 190.2 / fs, "master"),
+                                  (t0 + airtime + 15.2 / fs, "slave2")))
+        superposed = []
+        real = ch.superpose
+        def spy(waves, offsets, length):
+            superposed.append(list(offsets))
+            return real(waves, offsets, length)
+        monkeypatch.setattr(ch, "superpose", spy)
+        report = hs.run_scenario(sc)
+        assert report.nodes["slave1"].frames_sent == 1
+        # One superposition per transmission, in order of reception: the
+        # command, its repeat, slave2's frame and slave1's reply.
+        assert [len(offsets) for offsets in superposed] == [2, 3, 3, 2]
+        assert superposed[0] == [0, 190] and superposed[1][:2] == [0, -190]
+        assert superposed[1][2] == -superposed[2][1]
+        assert superposed[2][2] == -superposed[3][1]
+
 
 class TestBoundedMemory:
     @staticmethod
@@ -130,7 +176,7 @@ class TestBoundedMemory:
         sim = hs._Sim(scn.multi_point_scenario(polls_per_slave=2))
         sim.run()
         assert sim.tx_count == 20
-        assert sim.live == []
+        assert sim.on_air == []
 
 
 class TestEnergyConsistency:
@@ -219,9 +265,12 @@ class TestMeasureBer:
         (_, ber), = hs.measure_ber(cfg, [30.0], 20_000, seed=5)
         assert ber == 0.0
 
-    def test_rejects_zero_bits(self):
-        with pytest.raises(ValueError, match="n_bits"):
-            hs.measure_ber(md.ModemConfig(), [6.0], 0, seed=5)
+    @pytest.mark.parametrize("n_bits, chunk_bits, name",
+                             [(0, 2000, "n_bits"), (1000, 0, "chunk_bits")],
+                             ids=["n_bits", "chunk_bits"])
+    def test_rejects_zero_bits(self, n_bits, chunk_bits, name):
+        with pytest.raises(ValueError, match=name):
+            hs.measure_ber(md.ModemConfig(), [6.0], n_bits, seed=5, chunk_bits=chunk_bits)
 
 
 class TestReportIo:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -104,6 +105,10 @@ class TestBatteryLife:
     def test_full_run_at_12ma(self):
         hours = pw.battery_life(1000.0, [("RUN", (), 1.0)])
         assert hours == pytest.approx(1000.0 / 12.0, rel=1e-6)
+
+    def test_no_current_lasts_forever(self):
+        hours = pw.battery_life(1000.0, [("STOP1", (), 1.0)], modes=pw.STANDBY_BUDGET_MODES)
+        assert hours == math.inf
 
     def test_fraction_sum_enforced(self):
         with pytest.raises(pw.FractionSumInvalid):
