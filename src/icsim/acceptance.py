@@ -114,7 +114,7 @@ def criterion_4_modem_fidelity():
         while remaining:
             n = min(1000, remaining)
             bits = [rng.randrange(2) for _ in range(n)]
-            if md.demodulate(md.modulate(bits, cfg), cfg, n) != bits:
+            if md.demodulate(md.modulate(bits, cfg), cfg, n).tolist() != bits:
                 return False, f"noiseless round trip failed at {rate} bps"
             remaining -= n
     cfg = md.ModemConfig(bit_rate_bps=115200)

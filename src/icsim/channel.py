@@ -127,13 +127,6 @@ def _bilinear(b: tuple, a: tuple, sample_rate_hz: float) -> tuple[np.ndarray, np
     return bz, az
 
 
-def frontend_response(fe: FrontEndConfig, freq_hz: float, sample_rate_hz: float) -> float:
-    """Magnitude of the discretized front end at a single frequency."""
-    b, a = frontend_coefficients(fe, sample_rate_hz)
-    _, h = sps.freqz(b, a, worN=[2 * math.pi * freq_hz / sample_rate_hz])
-    return float(abs(h[0]))
-
-
 def condition(wave: Waveform, fe: FrontEndConfig) -> Waveform:
     """Band-pass filter and amplify the received waveform."""
     if len(wave) == 0:

@@ -14,6 +14,11 @@ from . import modem as md
 from .scenarios import load_scenario
 
 
+def io_error(err: OSError):
+    click.echo(f"io error: {err}", err=True)
+    sys.exit(1)
+
+
 @click.group()
 def main():
     """Underwater inductive-coupling power-carrier link simulator."""
@@ -36,11 +41,14 @@ def run(scenario_path, out_dir, seed, dump_waveforms):
         click.echo(f"config error: {err}", err=True)
         sys.exit(2)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report = hs.run_and_dump_waveforms(sc, out) if dump_waveforms else hs.run_scenario(sc)
-    hs.emit_report(report, "json", out / "report.json")
-    hs.emit_report(report, "csv", out / "report.csv")
-    hs.emit_timeline(report, out / "timeline.jsonl")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        report = hs.run_and_dump_waveforms(sc, out) if dump_waveforms else hs.run_scenario(sc)
+        hs.emit_report(report, "json", out / "report.json")
+        hs.emit_report(report, "csv", out / "report.csv")
+        hs.emit_timeline(report, out / "timeline.jsonl")
+    except OSError as err:
+        io_error(err)
     click.echo(f"wrote report.json, report.csv, timeline.jsonl to {out}")
 
 
@@ -61,13 +69,17 @@ def ber_sweep(ebn0, bits, rate, seed, out_path):
     except ValueError as err:
         click.echo(f"config error: {err}", err=True)
         sys.exit(2)
-    results = hs.measure_ber(cfg, grid, bits, seed)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ebn0_db", "measured_ber", "theoretical_ber"])
-        for ebn0_db, ber in results:
-            writer.writerow([ebn0_db, repr(ber),
-                             repr(md.theoretical_dpsk_ber(10 ** (ebn0_db / 10)))])
+    # Opened before the sweep, so an unwritable path fails at once.
+    try:
+        with open(out_path, "w", newline="") as fh:
+            results = hs.measure_ber(cfg, grid, bits, seed)
+            writer = csv.writer(fh)
+            writer.writerow(["ebn0_db", "measured_ber", "theoretical_ber"])
+            for ebn0_db, ber in results:
+                writer.writerow([ebn0_db, repr(ber),
+                                 repr(md.theoretical_dpsk_ber(10 ** (ebn0_db / 10)))])
+    except OSError as err:
+        io_error(err)
     for ebn0_db, ber in results:
         click.echo(f"{ebn0_db:6.2f} dB  BER {ber:.3e}")
 

@@ -171,7 +171,7 @@ class _Transmission:
     index: int
     sender: str
     frame_bytes: bytes
-    bits: list
+    bits: np.ndarray
     wave: md.Waveform
     start_s: float
     end_s: float
@@ -287,7 +287,7 @@ class _Sim:
             rx_wave = md.Waveform(conditioned.samples[self.delay:], self.fs)
             bits = md.demodulate(rx_wave, self.sc.modem, n_bits)
             self.link.physical_bits += n_bits
-            self.link.bit_errors += sum(a != b for a, b in zip(bits, tx.bits))
+            self.link.bit_errors += int(np.count_nonzero(bits != tx.bits))
             try:
                 frame = fc.decode_frame(md.bits_to_bytes(bits))
             except fc.CodecError as err:
@@ -429,12 +429,12 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
         while done < n_bits:
             n = min(chunk_bits, n_bits - done)
             rng = np.random.default_rng(np.random.SeedSequence([seed, gi, ci]))
-            bits = rng.integers(0, 2, n).tolist()
+            bits = rng.integers(0, 2, n)
             wave = md.modulate(bits, cfg)
             noisy = md.Waveform(wave.samples + rng.normal(0.0, sigma, len(wave)),
                                 wave.sample_rate_hz)
             out = md.demodulate(noisy, cfg, n)
-            errors += sum(a != b for a, b in zip(bits, out))
+            errors += int(np.count_nonzero(bits != out))
             done += n
             ci += 1
         results.append((float(ebn0_db), errors / n_bits))

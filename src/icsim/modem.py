@@ -1,16 +1,17 @@
 """Sampled-waveform DPSK modulator and differential-detection demodulator.
 
-Symbols occupy an integer number of carrier cycles, so a bit value of 1
-(a pi phase step) negates the waveform exactly and the delay-and-multiply
-detection statistic carries no residual carrier term.  A reference symbol is
-prepended by the modulator; the receiver is assumed symbol-synchronous.
+Symbols occupy an integer number of carrier cycles, so every symbol is
+exactly plus or minus one carrier template: a bit value of 1 (a pi phase
+step) negates the waveform exactly and the delay-and-multiply detection
+statistic carries no residual carrier term.  A reference symbol is prepended
+by the modulator; the receiver is assumed symbol-synchronous.  Bits travel
+as uint8 numpy arrays, LSB first within each byte.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -90,38 +91,36 @@ def frame_airtime_s(n_bytes: int, cfg: ModemConfig) -> float:
     return (8 * n_bytes + 1) * cfg.cycles_per_bit / cfg.carrier_hz
 
 
-def bytes_to_bits(data: bytes) -> list[int]:
-    """LSB-first expansion, eight bits per byte (serial-port order)."""
-    return [(b >> i) & 1 for b in data for i in range(8)]
+def bytes_to_bits(data: bytes) -> np.ndarray:
+    """LSB-first expansion, eight uint8 bits per byte (serial-port order)."""
+    return np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
 
 
-def bits_to_bytes(bits: Sequence[int]) -> bytes:
+def bits_to_bytes(bits) -> bytes:
     if len(bits) % 8:
         raise ValueError("bit count must be a multiple of 8")
-    out = bytearray()
-    for k in range(0, len(bits), 8):
-        out.append(sum(bit << i for i, bit in enumerate(bits[k : k + 8])))
-    return bytes(out)
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
-def diff_encode(bits: Sequence[int]) -> np.ndarray:
-    """Per-symbol absolute phases: reference 0, then +pi for each 1 bit."""
-    phases = np.zeros(len(bits) + 1)
-    phases[1:] = np.cumsum(np.asarray(bits) * math.pi)
-    return np.mod(phases, 2 * math.pi)
+def _symbol_phase(cfg: ModemConfig) -> np.ndarray:
+    """Carrier phase at each sample of one symbol, starting at 0."""
+    return 2 * math.pi * np.arange(cfg.samples_per_bit) / cfg.samples_per_cycle
 
 
-def modulate(bits: Sequence[int], cfg: ModemConfig) -> Waveform:
-    phases = diff_encode(bits)
-    spb = cfg.samples_per_bit
-    n = np.arange(len(phases) * spb)
-    phase_per_sample = np.repeat(phases, spb)
-    samples = cfg.amplitude_v * np.cos(2 * math.pi * n / cfg.samples_per_cycle + phase_per_sample)
-    return Waveform(samples, cfg.sample_rate_hz)
+def modulate(bits, cfg: ModemConfig) -> Waveform:
+    """The reference symbol, then one symbol per bit, each +/- one template.
+
+    A 1 bit negates the template relative to the previous symbol, so the sign
+    of symbol k is the parity of the first k bits.
+    """
+    template = cfg.amplitude_v * np.cos(_symbol_phase(cfg))
+    parity = np.cumsum(np.asarray(bits, dtype=np.int64)) & 1
+    sign = 1 - 2 * np.concatenate(([0], parity))
+    return Waveform((sign[:, None] * template).ravel(), cfg.sample_rate_hz)
 
 
-def demodulate(wave: Waveform, cfg: ModemConfig, n_bits: int) -> list[int]:
-    """Differential detection over whole symbols.
+def demodulate(wave: Waveform, cfg: ModemConfig, n_bits: int) -> np.ndarray:
+    """Differential detection over whole symbols, returning uint8 bits.
 
     Each symbol is first correlated against the carrier quadratures, which
     rejects out-of-band noise; the statistic for symbol k >= 1 is then the
@@ -134,11 +133,11 @@ def demodulate(wave: Waveform, cfg: ModemConfig, n_bits: int) -> list[int]:
     if len(wave) < needed:
         raise InsufficientSamples(f"need {needed} samples, got {len(wave)}")
     sym = wave.samples[:needed].reshape(n_bits + 1, spb)
-    angle = 2 * math.pi * np.arange(spb) / cfg.samples_per_cycle
-    in_phase = sym @ np.cos(angle)
-    quadrature = sym @ np.sin(angle)
+    phase = _symbol_phase(cfg)
+    in_phase = sym @ np.cos(phase)
+    quadrature = sym @ np.sin(phase)
     stats = in_phase[1:] * in_phase[:-1] + quadrature[1:] * quadrature[:-1]
-    return [1 if s < 0 else 0 for s in stats]
+    return (stats < 0).view(np.uint8)
 
 
 def theoretical_dpsk_ber(ebn0_linear: float) -> float:

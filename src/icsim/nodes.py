@@ -25,23 +25,12 @@ class OutOfRange(ValueError):
     pass
 
 
-class InvalidDecimalDigit(ValueError):
-    pass
-
-
 def encode_temperature(celsius: float) -> tuple[int, int]:
     """(integer part, first decimal digit) as two binary octets."""
     if not 0.0 <= celsius < 100.0:
         raise OutOfRange(f"temperature {celsius} outside [0, 100)")
     tenths = round(celsius * 10)
     return tenths // 10, tenths % 10
-
-
-def decode_temperature(b: tuple[int, int]) -> float:
-    integer_c, decimal_c = b
-    if not 0 <= decimal_c <= 9:
-        raise InvalidDecimalDigit(f"decimal digit {decimal_c} out of range")
-    return integer_c + decimal_c / 10.0
 
 
 # --- actions emitted toward the harness -------------------------------------

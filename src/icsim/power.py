@@ -8,7 +8,6 @@ currents whose default sum is the 660 uA standby budget.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
@@ -39,8 +38,6 @@ MODE_TABLE: dict[str, PowerMode] = {
     "STOP1": PowerMode("STOP1", 566.0, 7.8e-6),
     "SHUTDOWN": PowerMode("SHUTDOWN", 0.23, 306e-6),
 }
-
-LOW_POWER_MODES = frozenset(MODE_TABLE) - {"RUN"}
 
 # Accounting table for the 660 uA standby budget: there the controller's
 # share is the 50 uA master-unit line, so STOP1 contributes no separate MCU
@@ -96,24 +93,6 @@ class EnergyTrace:
 
     def append(self, mode: str, gating, duration_s: float) -> None:
         self.records.append(TraceRecord(mode, frozenset(gating), duration_s))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["mode", "gating_bitmask", "duration_s"])
-            for rec in self.records:
-                mask = sum(1 << i for i, u in enumerate(UNIT_NAMES) if u in rec.gating)
-                writer.writerow([rec.mode, mask, repr(rec.duration_s)])
-
-    @classmethod
-    def from_csv(cls, path, supply_v: float = 3.7) -> "EnergyTrace":
-        trace = cls(supply_v=supply_v)
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                mask = int(row["gating_bitmask"])
-                gating = {u for i, u in enumerate(UNIT_NAMES) if mask & (1 << i)}
-                trace.append(row["mode"], gating, float(row["duration_s"]))
-        return trace
 
 
 def standby_current(budget: UnitBudget) -> float:

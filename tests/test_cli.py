@@ -128,3 +128,21 @@ def test_ber_sweep_rejects_unusable_input_with_exit_2(tmp_path, args, message):
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert not out.exists()
+
+
+def test_run_unwritable_out_is_an_io_error_with_exit_1(tmp_path):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(SCENARIO))
+    result = CliRunner().invoke(main, ["run", "--scenario", str(scenario_path),
+                                       "--out", str(scenario_path / "sub")])
+    assert result.exit_code == 1
+    assert "io error" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_ber_sweep_unwritable_out_is_an_io_error_with_exit_1(tmp_path):
+    result = CliRunner().invoke(main, ["ber-sweep", "--ebn0", "5", "--bits", "100",
+                                       "--out", str(tmp_path / "missing" / "ber.csv")])
+    assert result.exit_code == 1
+    assert "io error" in result.output
+    assert isinstance(result.exception, SystemExit)

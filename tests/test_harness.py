@@ -101,6 +101,26 @@ class TestDeterminism:
         assert a.link.physical_bits == b.link.physical_bits
 
 
+class TestAmplitudeScaling:
+    # A power-of-two amplitude scale with Eb/N0 fixed scales every sample, the
+    # noise sigma and every detection statistic exactly, so nothing reported
+    # may change: this guards the symbol template and the bit path against a
+    # silent reordering of their floating-point operations.
+    @pytest.mark.parametrize("make_scenario", [
+        lambda: scn.single_point_scenario(bit_rate_bps=9600, ebn0_db=4.0),
+        lambda: scn.multi_point_scenario(polls_per_slave=4, ebn0_db=4.0),
+    ], ids=["single_point_9600", "multi_point_4"])
+    @pytest.mark.parametrize("amplitude_v", [6.0, 24.0, 48.0, 3 * 2**-10])
+    def test_report_is_byte_identical(self, make_scenario, amplitude_v):
+        sc = make_scenario()
+        assert sc.modem.amplitude_v == 12.0
+        ref = hs.run_scenario(sc)
+        scaled = hs.run_scenario(replace(sc, modem=replace(sc.modem, amplitude_v=amplitude_v)))
+        assert ref.link.bit_errors > 0
+        dump = lambda r: json.dumps(r.to_dict(), indent=2, sort_keys=True)
+        assert dump(scaled) == dump(ref)
+
+
 class TestConservation:
     def test_every_transmission_accounted_for(self, multi_point_small):
         report = hs.run_scenario(multi_point_small)

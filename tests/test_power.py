@@ -32,12 +32,12 @@ class TestTransition:
         assert pw.transition("RUN", "RUN") == (0.0, True)
 
     def test_run_reaches_every_low_power_mode(self):
-        for mode in pw.LOW_POWER_MODES:
+        for mode in set(pw.MODE_TABLE) - {"RUN"}:
             latency, allowed = pw.transition("RUN", mode)
             assert allowed and latency == 0.0
 
     def test_low_power_to_low_power_disallowed(self):
-        for a, b in itertools.permutations(pw.LOW_POWER_MODES, 2):
+        for a, b in itertools.permutations(set(pw.MODE_TABLE) - {"RUN"}, 2):
             _, allowed = pw.transition(a, b)
             assert not allowed
 
@@ -119,16 +119,6 @@ class TestBatteryLife:
         base = pw.battery_life(1000.0, duty, pw.UnitBudget())
         hungrier = pw.battery_life(1000.0, duty, pw.UnitBudget(carrier_ua=200.0))
         assert hungrier < base
-
-
-def test_trace_csv_round_trip(tmp_path):
-    trace = pw.EnergyTrace()
-    trace.append("RUN", set(pw.UNIT_NAMES), 1.25)
-    trace.append("STOP1", {"master"}, 3600.0)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    back = pw.EnergyTrace.from_csv(path)
-    assert back.records == trace.records
 
 
 def test_mode_table_values():
