@@ -73,6 +73,10 @@ class Scenario:
             raise ConfigInvalid("seed: must be nonnegative")
         if self.ebn0_db is not None:
             check_ebn0_db(self.ebn0_db, "ebn0_db")
+            try:
+                derived_noise_sigma(self)
+            except ValueError as err:
+                raise ConfigInvalid(f"ebn0_db: at the receiver, {err}") from err
         if self.ebn0_db is not None and self.channel.noise_sigma_v > 0:
             raise ConfigInvalid("channel.noise_sigma_v: only used when ebn0_db is null")
         if not self.front_end.center_hz < self.modem.sample_rate_hz / 2:

@@ -10,6 +10,7 @@ as uint8 numpy arrays, LSB first within each byte.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,9 +103,22 @@ def bits_to_bytes(bits) -> bytes:
     return np.packbits(bits, bitorder="little").tobytes()
 
 
-def _symbol_phase(cfg: ModemConfig) -> np.ndarray:
-    """Carrier phase at each sample of one symbol, starting at 0."""
-    return 2 * math.pi * np.arange(cfg.samples_per_bit) / cfg.samples_per_cycle
+@functools.lru_cache
+def _carrier(samples_per_bit: int, samples_per_cycle: int) -> np.ndarray:
+    """Memoised (2, spb) basis: cos and sin of the carrier phase over one
+    symbol, starting at phase 0; every caller shares the read-only result."""
+    phase = 2 * math.pi * np.arange(samples_per_bit) / samples_per_cycle
+    basis = np.stack((np.cos(phase), np.sin(phase)))
+    basis.flags.writeable = False
+    return basis
+
+
+def _correlate(symbols: np.ndarray, cfg: ModemConfig) -> np.ndarray:
+    """(2, n) in-phase and quadrature correlations of n rows of spb samples.
+
+    einsum, unlike matmul, never calls BLAS, so no BLAS helper thread runs.
+    """
+    return np.einsum("kj,ij->ki", _carrier(cfg.samples_per_bit, cfg.samples_per_cycle), symbols)
 
 
 def modulate(bits, cfg: ModemConfig) -> Waveform:
@@ -113,7 +127,7 @@ def modulate(bits, cfg: ModemConfig) -> Waveform:
     A 1 bit negates the template relative to the previous symbol, so the sign
     of symbol k is the parity of the first k bits.
     """
-    template = cfg.amplitude_v * np.cos(_symbol_phase(cfg))
+    template = cfg.amplitude_v * _carrier(cfg.samples_per_bit, cfg.samples_per_cycle)[0]
     parity = np.cumsum(np.asarray(bits, dtype=np.int64)) & 1
     sign = 1 - 2 * np.concatenate(([0], parity))
     return Waveform((sign[:, None] * template).ravel(), cfg.sample_rate_hz)
@@ -127,15 +141,16 @@ def demodulate(wave: Waveform, cfg: ModemConfig, n_bits: int) -> np.ndarray:
     product with the previous symbol's correlation.  A negative value means
     the phase stepped by pi (bit 1).  For in-band components this equals the
     plain sample-wise delayed product up to a positive scale.
+
+    Both quadratures come from one einsum pass over the samples, which never
+    calls BLAS: no BLAS helper thread runs, so CPU time tracks wall time
+    whatever OPENBLAS_NUM_THREADS is.
     """
     spb = cfg.samples_per_bit
     needed = (n_bits + 1) * spb
     if len(wave) < needed:
         raise InsufficientSamples(f"need {needed} samples, got {len(wave)}")
-    sym = wave.samples[:needed].reshape(n_bits + 1, spb)
-    phase = _symbol_phase(cfg)
-    in_phase = sym @ np.cos(phase)
-    quadrature = sym @ np.sin(phase)
+    in_phase, quadrature = _correlate(wave.samples[:needed].reshape(n_bits + 1, spb), cfg)
     stats = in_phase[1:] * in_phase[:-1] + quadrature[1:] * quadrature[:-1]
     return (stats < 0).view(np.uint8)
 
@@ -150,8 +165,16 @@ def ebn0_to_noise_sigma(ebn0_linear: float, cfg: ModemConfig) -> float:
 
     With n samples per bit at amplitude A the bit energy is n*A^2/2 and the
     delay-and-multiply detector sees one-sided density 2*sigma^2, giving
-    sigma = A * sqrt(n / (4 * Eb/N0)).
+    sigma = A * sqrt(n / (4 * Eb/N0)).  No noise level realizes an Eb/N0 for
+    a signal of 0 V, and a sigma of 0 or inf would not realize it either, so
+    those raise ValueError.
     """
     if ebn0_linear <= 0:
         raise ValueError("ebn0_linear must be positive")
-    return cfg.amplitude_v * math.sqrt(cfg.samples_per_bit / (4.0 * ebn0_linear))
+    if cfg.amplitude_v <= 0:
+        raise ValueError(f"signal amplitude {cfg.amplitude_v!r} V must be positive "
+                         "to set an Eb/N0")
+    sigma = cfg.amplitude_v * math.sqrt(cfg.samples_per_bit / (4.0 * ebn0_linear))
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"noise sigma {sigma!r} V for this Eb/N0 is not a positive finite float")
+    return sigma

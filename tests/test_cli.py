@@ -66,6 +66,15 @@ def test_run_rejects_ignored_noise_knob_with_exit_2(tmp_path):
     assert "channel.noise_sigma_v" in result.output
 
 
+def test_run_rejects_ebn0_on_a_zero_volt_signal_with_exit_2(tmp_path):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(dict(SCENARIO, modem={"amplitude_v": 0.0})))
+    result = CliRunner().invoke(main, ["run", "--scenario", str(scenario_path),
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "ebn0_db" in result.output
+
+
 def test_ber_sweep_writes_csv(tmp_path):
     out = tmp_path / "ber.csv"
     result = CliRunner().invoke(main, ["ber-sweep", "--ebn0", "20,30",

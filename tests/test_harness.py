@@ -272,6 +272,17 @@ class TestDerivedNoiseSigma:
                      channel=ch.ChannelConfig(noise_sigma_v=0.03))
         assert hs.derived_noise_sigma(sc) == 0.03
 
+    # A 0 V received signal: set directly, or by exp(-2.0 * 700) underflowing.
+    @pytest.mark.parametrize("key, value", [("modem", {"amplitude_v": 0}),
+                                            ("channel", {"attenuation_per_m": 2.0})],
+                             ids=["amplitude", "attenuation"])
+    def test_zero_received_amplitude_with_ebn0_is_config_invalid(self, key, value):
+        d = dict(VALID_FILE, **{key: value})
+        with pytest.raises(hs.ConfigInvalid, match="ebn0_db: .*amplitude 0.0 V must be positive"):
+            scn.scenario_from_dict(d)
+        # Without a requested Eb/N0 the silent link is a valid scenario.
+        assert scn.scenario_from_dict(dict(d, ebn0_db=None)).ebn0_db is None
+
 
 class TestMeasureBer:
     def test_deterministic(self):
@@ -284,6 +295,10 @@ class TestMeasureBer:
         cfg = md.ModemConfig()
         (_, ber), = hs.measure_ber(cfg, [30.0], 20_000, seed=5)
         assert ber == 0.0
+
+    def test_rejects_zero_amplitude(self):
+        with pytest.raises(ValueError, match="amplitude 0.0 V must be positive"):
+            hs.measure_ber(md.ModemConfig(amplitude_v=0.0), [6.0], 1000, seed=5)
 
     @pytest.mark.parametrize("n_bits, chunk_bits, name",
                              [(0, 2000, "n_bits"), (1000, 0, "chunk_bits")],

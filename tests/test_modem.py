@@ -62,6 +62,13 @@ class TestModulate:
         sign = 1 - 2 * (np.cumsum(np.concatenate(([0], bits))) % 2)
         assert np.array_equal(symbols, sign[:, None] * template)
 
+    @pytest.mark.parametrize("rate", md.SUPPORTED_BIT_RATES)
+    def test_template_is_the_cached_cos_row(self, rate):
+        cfg = md.ModemConfig(bit_rate_bps=rate, amplitude_v=7.5)
+        spb = cfg.samples_per_bit
+        template = md._carrier(spb, cfg.samples_per_cycle)[0] * cfg.amplitude_v
+        assert np.array_equal(md.modulate([], cfg).samples, template)
+
     def test_peak_bounded_and_first_sample_at_amplitude(self):
         cfg = md.ModemConfig()
         rng = random.Random(5)
@@ -104,6 +111,30 @@ class TestDemodulate:
             scaled = md.Waveform(scale * wave.samples, wave.sample_rate_hz)
             assert md.demodulate(scaled, cfg, len(bits)).tolist() == bits
 
+    @pytest.mark.parametrize("ebn0_db", [0.0, 2.0, 4.0])
+    @pytest.mark.parametrize("rate, samples_per_cycle",
+                             [(rate, 16) for rate in md.SUPPORTED_BIT_RATES] + [(4800, 40)])
+    def test_correlator_matches_the_dot_product_reference(self, rate, samples_per_cycle, ebn0_db):
+        cfg = md.ModemConfig(bit_rate_bps=rate, samples_per_cycle=samples_per_cycle)
+        spb = cfg.samples_per_bit
+        n_bits = 96
+        rng = np.random.default_rng([rate, samples_per_cycle, int(ebn0_db)])
+        wave = md.modulate(rng.integers(0, 2, n_bits), cfg)
+        sigma = md.ebn0_to_noise_sigma(10 ** (ebn0_db / 10), cfg)
+        noisy = md.Waveform(wave.samples + rng.normal(0.0, sigma, len(wave)), wave.sample_rate_hz)
+        sym = noisy.samples.reshape(n_bits + 1, spb)
+        # Reference: one dot product per quadrature, as demodulate once did.
+        phase = 2 * math.pi * np.arange(spb) / samples_per_cycle
+        basis = (np.cos(phase), np.sin(phase))
+        i_ref, q_ref = (sym @ row for row in basis)
+        stats = i_ref[1:] * i_ref[:-1] + q_ref[1:] * q_ref[:-1]
+        assert np.array_equal(md.demodulate(noisy, cfg, n_bits), (stats < 0).view(np.uint8))
+        # Each correlation lies within 1e-12 * |symbol| * |basis row| of the exact sum.
+        for row, corr in zip(basis, md._correlate(sym, cfg)):
+            for i in range(n_bits + 1):
+                exact = math.fsum(sym[i] * row)
+                assert abs(corr[i] - exact) <= 1e-12 * np.linalg.norm(sym[i]) * np.linalg.norm(row)
+
     def test_insufficient_samples(self):
         cfg = md.ModemConfig()
         wave = md.modulate([1, 0], cfg)
@@ -137,6 +168,25 @@ class TestNoiseSigma:
     def test_rejects_nonpositive_ebn0(self):
         with pytest.raises(ValueError):
             md.ebn0_to_noise_sigma(0.0, md.ModemConfig())
+
+    def test_rejects_zero_amplitude(self):
+        with pytest.raises(ValueError, match="amplitude 0.0 V must be positive"):
+            md.ebn0_to_noise_sigma(10.0, md.ModemConfig(amplitude_v=0.0))
+
+    @pytest.mark.parametrize("amplitude_v, ebn0_linear, sigma",
+                             [(5e-324, 1e30, "0.0"), (1e308, 1e-30, "inf")])
+    def test_rejects_a_sigma_that_cannot_realize_the_eb_n0(self, amplitude_v, ebn0_linear, sigma):
+        with pytest.raises(ValueError, match=f"noise sigma {sigma} V"):
+            md.ebn0_to_noise_sigma(ebn0_linear, md.ModemConfig(amplitude_v=amplitude_v))
+
+
+def test_carrier_basis_is_cached_and_read_only():
+    basis = md._carrier(224, 16)
+    assert md._carrier(224, 16) is basis
+    assert basis.shape == (2, 224)
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        basis[0, 0] = 0.0
 
 
 def test_monte_carlo_ber_tracks_theory():
