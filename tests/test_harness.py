@@ -3,11 +3,14 @@ import csv
 import json
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from dataclasses import asdict, replace
 from functools import reduce
 from operator import getitem
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -284,6 +287,31 @@ class TestDerivedNoiseSigma:
         assert scn.scenario_from_dict(dict(d, ebn0_db=None)).ebn0_db is None
 
 
+def _serial_measure_ber(cfg, ebn0_db_list, n_bits, seed, chunk_bits=2000):
+    """The serial sweep measure_ber must reproduce bit for bit: each chunk's
+    bits and noise drawn, modulated, received and counted in turn."""
+    results = []
+    for gi, ebn0_db in enumerate(ebn0_db_list):
+        ebn0 = 10 ** (ebn0_db / 10)
+        sigma = md.ebn0_to_noise_sigma(ebn0, cfg)
+        errors = 0
+        done = 0
+        ci = 0
+        while done < n_bits:
+            n = min(chunk_bits, n_bits - done)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, gi, ci]))
+            bits = rng.integers(0, 2, n)
+            wave = md.modulate(bits, cfg)
+            noisy = md.Waveform(wave.samples + rng.normal(0.0, sigma, len(wave)),
+                                wave.sample_rate_hz)
+            out = md.demodulate(noisy, cfg, n)
+            errors += int(np.count_nonzero(bits != out))
+            done += n
+            ci += 1
+        results.append((float(ebn0_db), errors / n_bits))
+    return results
+
+
 class TestMeasureBer:
     def test_deterministic(self):
         cfg = md.ModemConfig()
@@ -306,6 +334,89 @@ class TestMeasureBer:
     def test_rejects_zero_bits(self, n_bits, chunk_bits, name):
         with pytest.raises(ValueError, match=name):
             hs.measure_ber(md.ModemConfig(), [6.0], n_bits, seed=5, chunk_bits=chunk_bits)
+
+    # A single bit, one whole chunk, a short last chunk, and more chunks than
+    # there are noise buffers.
+    @pytest.mark.parametrize("n_bits, chunk_bits", [(1, 2000), (2000, 2000), (4001, 2000),
+                                                    (9000, 700)])
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_equals_the_serial_sweep(self, n_bits, chunk_bits, seed):
+        cfg, grid = md.ModemConfig(), [3.0, 6.0, 9.0]
+        ref = _serial_measure_ber(cfg, grid, n_bits, seed, chunk_bits)
+        assert hs.measure_ber(cfg, grid, n_bits, seed, chunk_bits) == ref
+        # The longer cases count errors at 3 dB, so equality is not vacuous.
+        assert n_bits < 4001 or ref[0][1] > 0
+
+    def test_equals_the_serial_sweep_at_4800_bps(self):
+        cfg = md.ModemConfig(bit_rate_bps=4800)
+        ref = _serial_measure_ber(cfg, [2.0, 4.0], 250, seed=3, chunk_bits=100)
+        assert hs.measure_ber(cfg, [2.0, 4.0], 250, seed=3, chunk_bits=100) == ref
+        assert ref[0][1] > 0
+
+    def test_memory_does_not_grow_with_the_bit_count(self):
+        cfg = md.ModemConfig()
+        assert cfg.samples_per_bit == 224
+
+        def peak_traced_bytes(chunks):
+            tracemalloc.start()
+            try:
+                hs.measure_ber(cfg, [6.0], chunks * 2000, seed=5, chunk_bits=2000)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak_traced_bytes(10), peak_traced_bytes(40)
+        assert abs(long - short) <= 0.1 * short
+        # The noise buffers, one per drawing thread plus one, and one
+        # modulated chunk, with room for one more chunk-sized temporary.
+        chunk_bytes = 2001 * 224 * 8
+        assert max(short, long) <= (hs._draw_threads() + 3) * chunk_bytes
+
+
+class TestMeasureBerThreads:
+    """The noise draws run on worker threads; everything else stays on the main thread."""
+
+    CFG = md.ModemConfig()
+
+    def test_more_threads_than_cores_equal_the_serial_sweep(self, monkeypatch):
+        monkeypatch.setattr(hs, "_draw_threads", lambda: 8)
+        grid = [3.0, 6.0, 9.0]
+        ref = _serial_measure_ber(self.CFG, grid, 60_000, seed=13)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = hs.measure_ber(self.CFG, grid, 60_000, seed=13)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == ref
+
+    def test_modem_runs_only_on_the_main_thread(self, monkeypatch):
+        callers = []
+        for name in ("modulate", "demodulate"):
+            def record(*args, _real=getattr(md, name), **kwargs):
+                callers.append(threading.current_thread())
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(md, name, record)
+        hs.measure_ber(self.CFG, [3.0, 6.0], 9000, seed=5, chunk_bits=700)
+        assert len(callers) == 2 * 2 * 13
+        assert set(callers) == {threading.main_thread()}
+
+    def test_a_failed_chunk_raises_and_shuts_the_pool_down(self, monkeypatch):
+        calls = []
+        real = md.demodulate
+
+        def fail_third(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("third chunk")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(md, "demodulate", fail_third)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="third chunk"):
+            hs.measure_ber(self.CFG, [6.0], 20_000, seed=5)
+        assert len(calls) == 3
+        assert threading.active_count() == threads_before
 
 
 class TestReportIo:
