@@ -19,6 +19,7 @@ from icsim import frame_codec as fc
 from icsim import harness as hs
 from icsim import modem as md
 from icsim import nodes as nd
+from icsim import power as pw
 from icsim import scenarios as scn
 
 
@@ -34,11 +35,23 @@ def collided_multi_point_scenario() -> hs.Scenario:
     return replace(base, collision_injections=injections)
 
 
+def gated_multi_point_scenario() -> hs.Scenario:
+    """Ten polls per slave on the paper's 530 uA budget: every slave's carrier
+    is gated off, and the master counts only its own unit."""
+    base = scn.multi_point_scenario(polls_per_slave=10)
+    slave_budget = pw.UnitBudget().with_gating(
+        {"signal_processing", "power_conversion", "master"})
+    slaves = tuple(replace(spec, budget=slave_budget) for spec in base.slaves)
+    return replace(base, slaves=slaves,
+                   master_budget=pw.UnitBudget().with_gating({"master"}))
+
+
 SCENARIOS = {
     "single_point_9600": lambda: scn.single_point_scenario(bit_rate_bps=9600),
     "single_point_115200": lambda: scn.single_point_scenario(bit_rate_bps=115200),
     "multi_point": scn.multi_point_scenario,
     "multi_point_collided": collided_multi_point_scenario,
+    "multi_point_gated": gated_multi_point_scenario,
 }
 
 DIGESTS = {
@@ -50,6 +63,8 @@ DIGESTS = {
         "a0e645ebbeecd934b2be8f78c44b97ce168697b5854ae6a81de71cb55845e5a8",
     "multi_point_collided":
         "602b3bfd1c499d2e73ef66b4afc7e177399ba36b5b8531be25f636b2e6e53f01",
+    "multi_point_gated":
+        "fa9acb34a19dc14f8f9729e9e952162da9c57ca6f77521ea3f0df7f7c9194c2a",
 }
 
 
