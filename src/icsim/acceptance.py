@@ -195,7 +195,7 @@ def criterion_7_address_isolation():
             continue
         if node.state.phase != "STANDBY" or node.power_mode != "STOP1":
             return False, f"{node_id} left standby"
-        modes = {rec.mode for rec in node.trace.records}
+        modes = {rec.mode for rec in node.trace}
         if modes != {"STOP1"}:
             return False, f"{node_id} changed power mode: {sorted(modes)}"
         if node.stats.frames_received or node.stats.decode_errors:
@@ -225,17 +225,12 @@ def criterion_8_power_budget():
 
 def criterion_9_energy_accounting():
     """1 h STOP1 MCU-only = 566 uAh; concatenation is additive."""
-    budget = pw.UnitBudget()
-    trace = pw.EnergyTrace()
-    trace.append("STOP1", set(), 3600.0)
-    uah, _ = pw.charge_consumed(trace, budget)
+    budget = pw.UnitBudget(gating=frozenset())
+    uah, _ = pw.charge_consumed([pw.TraceRecord("STOP1", 3600.0)], budget)
     if abs(uah - 566.0) > 1e-9 * 566.0:
         return False, f"STOP1 hour yields {uah} uAh, expected 566"
-    split = pw.EnergyTrace()
-    split.append("RUN", set(), 3600.0)
-    split.append("RUN", set(), 3600.0)
-    joined = pw.EnergyTrace()
-    joined.append("RUN", set(), 7200.0)
+    split = [pw.TraceRecord("RUN", 3600.0), pw.TraceRecord("RUN", 3600.0)]
+    joined = [pw.TraceRecord("RUN", 7200.0)]
     a, _ = pw.charge_consumed(split, budget)
     b, _ = pw.charge_consumed(joined, budget)
     if abs(a - b) > 1e-9 * b or abs(a - 24000.0) > 1e-9 * 24000.0:

@@ -198,11 +198,11 @@ class _Node:
         self.stats = NodeStats()
         self.power_mode = mode
         self.last_change_s = 0.0
-        self.trace = pw.EnergyTrace()
+        self.trace: list[pw.TraceRecord] = []
 
     def _close_record(self, now_s):
         if now_s > self.last_change_s:
-            self.trace.append(self.power_mode, self.budget.gating, now_s - self.last_change_s)
+            self.trace.append(pw.TraceRecord(self.power_mode, now_s - self.last_change_s))
             self.last_change_s = now_s
 
     def set_power_mode(self, now_s, mode):
@@ -334,6 +334,8 @@ class _Sim:
         for action in actions:
             if isinstance(action, nd.SetPowerMode):
                 t = now_s + action.latency_s
+                if t > self.sc.duration_s:
+                    return  # this action and the ones after it fall after the run
                 node.set_power_mode(t, action.mode)
                 kind = "wake" if action.mode == "RUN" and action.latency_s > 0 else "power_mode"
                 self.record(t, node.id, kind, mode=action.mode, latency_s=action.latency_s)

@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from .frame_codec import Address, Frame, address_matches
 from .modem import frame_airtime_s
-from .power import MODE_TABLE, transition
+from .power import MODE_TABLE
 
 COMMAND_PAYLOAD = bytes([0x12, 0x34])  # data-acquisition request
 FUNCTION_TEST_PAYLOAD = bytes([0x00, 0xFF])
@@ -92,14 +92,9 @@ class Timeout:
 @dataclass(frozen=True)
 class SlaveState:
     address: Address
-    phase: str = "STANDBY"  # STANDBY | TRANSMIT
+    phase: str = "STANDBY"  # STANDBY (asleep in STOP1) | TRANSMIT (in RUN)
     mode: str = "function_test"  # function_test | sensor
-    power_mode: str = "STOP1"
     temperature_c: float = 20.0
-
-    def __post_init__(self):
-        if self.phase == "STANDBY" and self.power_mode != "STOP1":
-            raise ValueError("a standby slave must be in STOP1")
 
 
 def slave_reply_payload(state: SlaveState) -> bytes:
@@ -118,14 +113,11 @@ def slave_step(state: SlaveState, event) -> tuple[SlaveState, list[Action]]:
     if state.phase == "STANDBY" and isinstance(event, FrameReceived):
         if not address_matches(event.frame.address, state.address):
             return state, []  # stay asleep, no power change
-        latency, ok = transition(state.power_mode, "RUN")
-        assert ok
         reply = Frame(REPLY_RELAY_DEPTH, state.address, slave_reply_payload(state))
-        actions = [SetPowerMode("RUN", latency), TransmitFrame(reply)]
-        return replace(state, phase="TRANSMIT", power_mode="RUN"), actions
+        wake = SetPowerMode("RUN", MODE_TABLE["STOP1"].wakeup_time_s)
+        return replace(state, phase="TRANSMIT"), [wake, TransmitFrame(reply)]
     if state.phase == "TRANSMIT" and isinstance(event, TxDone):
-        actions = [SetPowerMode("STOP1", 0.0)]
-        return replace(state, phase="STANDBY", power_mode="STOP1"), actions
+        return replace(state, phase="STANDBY"), [SetPowerMode("STOP1", 0.0)]
     return state, [Log(f"slave ignored {type(event).__name__} in {state.phase}")]
 
 

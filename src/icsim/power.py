@@ -8,14 +8,10 @@ currents whose default sum is the 660 uA standby budget.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 UNIT_NAMES = ("carrier", "signal_processing", "power_conversion", "master")
-
-
-class FractionSumInvalid(ValueError):
-    pass
+SUPPLY_V = 3.7
 
 
 @dataclass(frozen=True)
@@ -75,8 +71,9 @@ class UnitBudget:
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """A stretch of time a node spent in one power mode."""
+
     mode: str
-    gating: frozenset
     duration_s: float
 
     def __post_init__(self):
@@ -86,60 +83,21 @@ class TraceRecord:
             raise ValueError("duration must be nonnegative")
 
 
-@dataclass
-class EnergyTrace:
-    records: list = field(default_factory=list)
-    supply_v: float = 3.7
-
-    def append(self, mode: str, gating, duration_s: float) -> None:
-        self.records.append(TraceRecord(mode, frozenset(gating), duration_s))
-
-
 def standby_current(budget: UnitBudget) -> float:
     """Total static current in uA of the enabled units."""
     return sum(budget.current_ua(u) for u in UNIT_NAMES if u in budget.gating)
 
 
-def transition(current: str, target: str) -> tuple[float, bool]:
-    """Wake latency in seconds and whether the mode change is allowed.
+def charge_consumed(trace: list[TraceRecord], budget: UnitBudget,
+                    modes=MODE_TABLE) -> tuple[float, float]:
+    """Accumulated (microamp-hours, joules) over a trace at SUPPLY_V.
 
-    Low-power modes can only be entered from and left to RUN; waking costs
-    the source mode's measured latency.
+    In each record the node draws its mode's MCU current plus the static
+    current of the budget's enabled units, which hold for the whole trace.
     """
-    if current not in MODE_TABLE or target not in MODE_TABLE:
-        raise ValueError("unknown power mode name")
-    if current == target:
-        return (0.0, True) if current == "RUN" else (0.0, False)
-    if current == "RUN":
-        return 0.0, True
-    if target == "RUN":
-        return MODE_TABLE[current].wakeup_time_s, True
-    return 0.0, False
-
-
-def charge_consumed(trace: EnergyTrace, budget: UnitBudget, modes=MODE_TABLE) -> tuple[float, float]:
-    """Accumulated (microamp-hours, joules) over a trace."""
+    units = standby_current(budget)
     uah = 0.0
-    for rec in trace.records:
-        current = modes[rec.mode].mcu_current_ua
-        current += sum(budget.current_ua(u) for u in UNIT_NAMES if u in rec.gating)
-        uah += current * rec.duration_s / 3600.0
-    joules = uah * 3600.0 * trace.supply_v * 1e-6
+    for rec in trace:
+        uah += (modes[rec.mode].mcu_current_ua + units) * rec.duration_s / 3600.0
+    joules = uah * 3600.0 * SUPPLY_V * 1e-6
     return uah, joules
-
-
-def battery_life(capacity_mah: float, duty, budget: UnitBudget | None = None,
-                 modes=MODE_TABLE) -> float:
-    """Runtime in hours for a duty cycle of (mode, gating, fraction) entries."""
-    budget = budget or UnitBudget()
-    fractions = sum(frac for _, _, frac in duty)
-    if abs(fractions - 1.0) > 1e-9:
-        raise FractionSumInvalid(f"duty fractions sum to {fractions}, expected 1")
-    avg_ua = 0.0
-    for mode, gating, frac in duty:
-        current = modes[mode].mcu_current_ua
-        current += sum(budget.current_ua(u) for u in UNIT_NAMES if u in frozenset(gating))
-        avg_ua += frac * current
-    if avg_ua == 0:
-        return math.inf
-    return capacity_mah / (avg_ua * 1e-3)

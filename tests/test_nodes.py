@@ -33,7 +33,6 @@ class TestSlave:
         state = nd.SlaveState(address=SLAVE_ADDR)
         after, actions = nd.slave_step(state, nd.FrameReceived(command_frame()))
         assert after.phase == "TRANSMIT"
-        assert after.power_mode == "RUN"
         kinds = [type(a) for a in actions]
         assert kinds == [nd.SetPowerMode, nd.TransmitFrame]
         assert actions[0] == nd.SetPowerMode("RUN", 7.8e-6)
@@ -67,10 +66,6 @@ class TestSlave:
         after, actions = nd.slave_step(state, nd.TxDone())
         assert after == state
         assert len(actions) == 1 and isinstance(actions[0], nd.Log)
-
-    def test_standby_requires_stop1(self):
-        with pytest.raises(ValueError):
-            nd.SlaveState(address=SLAVE_ADDR, phase="STANDBY", power_mode="RUN")
 
 
 class TestMaster:

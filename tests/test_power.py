@@ -1,6 +1,3 @@
-import itertools
-import math
-
 import pytest
 
 from icsim import power as pw
@@ -22,103 +19,38 @@ class TestStandbyCurrent:
             pw.UnitBudget(gating=frozenset({"flux_capacitor"}))
 
 
-class TestTransition:
-    def test_table_latencies(self):
-        assert pw.transition("STOP1", "RUN") == (7.8e-6, True)
-        assert pw.transition("LPRUN", "RUN") == (64e-6, True)
-        assert pw.transition("SHUTDOWN", "RUN") == (306e-6, True)
-
-    def test_run_to_run_is_free(self):
-        assert pw.transition("RUN", "RUN") == (0.0, True)
-
-    def test_run_reaches_every_low_power_mode(self):
-        for mode in set(pw.MODE_TABLE) - {"RUN"}:
-            latency, allowed = pw.transition("RUN", mode)
-            assert allowed and latency == 0.0
-
-    def test_low_power_to_low_power_disallowed(self):
-        for a, b in itertools.permutations(set(pw.MODE_TABLE) - {"RUN"}, 2):
-            _, allowed = pw.transition(a, b)
-            assert not allowed
-
-    def test_every_mode_can_wake_into_run(self):
-        for mode in pw.MODE_TABLE:
-            latency, allowed = pw.transition(mode, "RUN")
-            assert allowed
-            assert latency == pw.MODE_TABLE[mode].wakeup_time_s
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            pw.transition("RUN", "HIBERNATE")
+MCU_ONLY = pw.UnitBudget(gating=frozenset())
 
 
 class TestChargeConsumed:
     def test_stop1_hour_mcu_only(self):
-        trace = pw.EnergyTrace()
-        trace.append("STOP1", set(), 3600.0)
-        uah, joules = pw.charge_consumed(trace, pw.UnitBudget())
+        uah, joules = pw.charge_consumed([pw.TraceRecord("STOP1", 3600.0)], MCU_ONLY)
         assert uah == pytest.approx(566.0, rel=1e-9)
         assert joules == pytest.approx(566.0 * 3600 * 3.7 * 1e-6, rel=1e-9)
 
     def test_empty_trace(self):
-        assert pw.charge_consumed(pw.EnergyTrace(), pw.UnitBudget()) == (0.0, 0.0)
+        assert pw.charge_consumed([], pw.UnitBudget()) == (0.0, 0.0)
 
     def test_additive_over_concatenation(self):
-        budget = pw.UnitBudget()
-        split = pw.EnergyTrace()
-        split.append("RUN", set(), 3600.0)
-        split.append("RUN", set(), 3600.0)
-        joined = pw.EnergyTrace()
-        joined.append("RUN", set(), 7200.0)
-        assert pw.charge_consumed(split, budget)[0] == pytest.approx(24_000.0, rel=1e-9)
-        assert pw.charge_consumed(split, budget) == pw.charge_consumed(joined, budget)
+        split = [pw.TraceRecord("RUN", 3600.0), pw.TraceRecord("RUN", 3600.0)]
+        joined = [pw.TraceRecord("RUN", 7200.0)]
+        assert pw.charge_consumed(split, MCU_ONLY)[0] == pytest.approx(24_000.0, rel=1e-9)
+        assert pw.charge_consumed(split, MCU_ONLY) == pw.charge_consumed(joined, MCU_ONLY)
 
     def test_order_independent(self):
         budget = pw.UnitBudget()
-        a = pw.EnergyTrace()
-        a.append("RUN", set(pw.UNIT_NAMES), 10.0)
-        a.append("STOP1", set(), 20.0)
-        b = pw.EnergyTrace()
-        b.append("STOP1", set(), 20.0)
-        b.append("RUN", set(pw.UNIT_NAMES), 10.0)
+        a = [pw.TraceRecord("RUN", 10.0), pw.TraceRecord("STOP1", 20.0)]
+        b = [pw.TraceRecord("STOP1", 20.0), pw.TraceRecord("RUN", 10.0)]
         assert pw.charge_consumed(a, budget) == pytest.approx(pw.charge_consumed(b, budget))
 
     def test_gated_units_counted_per_record(self):
-        trace = pw.EnergyTrace()
-        trace.append("STOP1", set(pw.UNIT_NAMES), 3600.0)
-        uah, _ = pw.charge_consumed(trace, pw.UnitBudget())
+        uah, _ = pw.charge_consumed([pw.TraceRecord("STOP1", 3600.0)], pw.UnitBudget())
         assert uah == pytest.approx(566.0 + 660.0, rel=1e-9)
 
     def test_standby_budget_modes_exclude_stop1_mcu(self):
-        trace = pw.EnergyTrace()
-        trace.append("STOP1", set(pw.UNIT_NAMES), 3600.0)
+        trace = [pw.TraceRecord("STOP1", 3600.0)]
         uah, _ = pw.charge_consumed(trace, pw.UnitBudget(), pw.STANDBY_BUDGET_MODES)
         assert uah == pytest.approx(660.0, rel=1e-9)
-
-
-class TestBatteryLife:
-    def test_full_standby_at_660(self):
-        duty = [("STOP1", pw.UNIT_NAMES, 1.0)]
-        hours = pw.battery_life(1000.0, duty, modes=pw.STANDBY_BUDGET_MODES)
-        assert hours == pytest.approx(1000.0 / 0.660, rel=1e-6)
-
-    def test_full_run_at_12ma(self):
-        hours = pw.battery_life(1000.0, [("RUN", (), 1.0)])
-        assert hours == pytest.approx(1000.0 / 12.0, rel=1e-6)
-
-    def test_no_current_lasts_forever(self):
-        hours = pw.battery_life(1000.0, [("STOP1", (), 1.0)], modes=pw.STANDBY_BUDGET_MODES)
-        assert hours == math.inf
-
-    def test_fraction_sum_enforced(self):
-        with pytest.raises(pw.FractionSumInvalid):
-            pw.battery_life(1000.0, [("RUN", (), 0.9)])
-
-    def test_monotone_decreasing_in_currents(self):
-        duty = [("STOP1", pw.UNIT_NAMES, 1.0)]
-        base = pw.battery_life(1000.0, duty, pw.UnitBudget())
-        hungrier = pw.battery_life(1000.0, duty, pw.UnitBudget(carrier_ua=200.0))
-        assert hungrier < base
 
 
 def test_mode_table_values():
