@@ -3,7 +3,7 @@ telemetry link: frame codec, DPSK modem, coupled channel with receive front
 end, master/slave polling protocol and power/energy accounting."""
 
 from .frame_codec import Address, CodecError, ErrorKind, Frame, address_matches, compute_checks, decode_frame, encode_frame
-from .modem import ModemConfig, Waveform, bytes_to_bits, bits_to_bytes, demodulate, ebn0_to_noise_sigma, modulate, theoretical_dpsk_ber
+from .modem import ModemConfig, bytes_to_bits, bits_to_bytes, demodulate, ebn0_to_noise_sigma, modulate, theoretical_dpsk_ber
 from .channel import ChannelConfig, FrontEndConfig, condition, coupling_gain, propagate, superpose
 from .power import PowerMode, TraceRecord, UnitBudget, charge_consumed, standby_current
 from .nodes import MasterState, SlaveState, encode_temperature, master_step, slave_step

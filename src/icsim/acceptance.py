@@ -90,15 +90,12 @@ def criterion_3_channel_calibration():
     """12 V tone at 4 turns: 0.392 V pre-front-end, 1.176 V after gain 3."""
     cfg = md.ModemConfig()
     n = 400 * cfg.samples_per_cycle
-    tone = md.Waveform(12.0 * np.cos(2 * math.pi * np.arange(n) / cfg.samples_per_cycle),
-                       cfg.sample_rate_hz)
-    channel_cfg = ch.ChannelConfig(turns=4)
-    out = ch.propagate(tone, channel_cfg, seed=0)
-    raw = _tail_amplitude(out.samples)
+    tone = 12.0 * np.cos(2 * math.pi * np.arange(n) / cfg.samples_per_cycle)
+    out = ch.propagate(tone, ch.ChannelConfig(turns=4), cfg.sample_rate_hz, seed=0)
+    raw = _tail_amplitude(out)
     if abs(raw - 0.392) > 0.005 * 0.392:
         return False, f"pre-front-end amplitude {raw:.5f} V not 0.392 V +-0.5%"
-    conditioned = ch.condition(out, ch.FrontEndConfig())
-    amplified = _tail_amplitude(conditioned.samples)
+    amplified = _tail_amplitude(ch.condition(out, ch.FrontEndConfig(), cfg.sample_rate_hz))
     if abs(amplified - 1.176) > 0.02 * 1.176:
         return False, f"post-front-end amplitude {amplified:.5f} V not 1.176 V +-2%"
     return True, f"raw {raw:.4f} V, conditioned {amplified:.4f} V"

@@ -4,7 +4,9 @@ The channel is linear: a measured coupling gain per coil-turn count, an
 optional exponential cable attenuation, a whole-sample propagation delay,
 plus additive interference tones and seeded Gaussian noise.  The front end
 is a single biquad band-pass (bilinear transform, prewarped at the center
-frequency) with a configurable passband gain.
+frequency) with a configurable passband gain.  Samples are 1-D float64
+arrays; the functions that depend on time take the sample rate as an
+argument, which in a run is always ``ModemConfig.sample_rate_hz``.
 """
 
 from __future__ import annotations
@@ -16,18 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sps
 
-from .modem import Waveform
-
 # Measured receive amplitude in mV for a 12.0 V transmit tone, by coil turns.
 _COUPLING_TABLE_MV = {2: 264.0, 3: 284.0, 4: 392.0, 5: 308.0, 6: 296.0, 7: 296.0, 8: 260.0}
 _TX_REFERENCE_MV = 12000.0
 
 
 class OutOfTable(ValueError):
-    pass
-
-
-class SampleRateMismatch(ValueError):
     pass
 
 
@@ -77,29 +73,30 @@ def delay_samples(cfg: ChannelConfig, sample_rate_hz: float) -> int:
     return round(cfg.cable_length_m / cfg.propagation_speed_mps * sample_rate_hz)
 
 
-def propagate(wave: Waveform, cfg: ChannelConfig, seed: int) -> Waveform:
+def propagate(samples: np.ndarray, cfg: ChannelConfig, sample_rate_hz: float,
+              seed: int) -> np.ndarray:
     """Apply gain, attenuation, delay, interference tones and seeded noise."""
-    if len(wave) == 0:
-        return wave
+    if len(samples) == 0:
+        return samples
     gain = channel_gain(cfg)
-    d = delay_samples(cfg, wave.sample_rate_hz)
-    n = len(wave) + d
+    d = delay_samples(cfg, sample_rate_hz)
+    n = len(samples) + d
     if cfg.noise_sigma_v > 0 and not cfg.interference:
         # Noise drawn first into the output is bitwise the same sum as noise
         # added last: normal(0, s) is s * standard_normal and a + b == b + a.
         out = np.random.default_rng(seed).standard_normal(n)
         out *= cfg.noise_sigma_v
-        out[d:] += wave.samples * gain
-        return Waveform(out, wave.sample_rate_hz)
+        out[d:] += samples * gain
+        return out
     out = np.zeros(n)
-    np.multiply(wave.samples, gain, out=out[d:])
+    np.multiply(samples, gain, out=out[d:])
     if cfg.interference:
-        t = np.arange(n) / wave.sample_rate_hz
+        t = np.arange(n) / sample_rate_hz
         for freq_hz, amplitude_v in cfg.interference:
             out += amplitude_v * np.sin(2 * math.pi * freq_hz * t)
     if cfg.noise_sigma_v > 0:
         out += np.random.default_rng(seed).normal(0.0, cfg.noise_sigma_v, n)
-    return Waveform(out, wave.sample_rate_hz)
+    return out
 
 
 def frontend_coefficients(fe: FrontEndConfig, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
@@ -127,38 +124,26 @@ def _bilinear(b: tuple, a: tuple, sample_rate_hz: float) -> tuple[np.ndarray, np
     return bz, az
 
 
-def condition(wave: Waveform, fe: FrontEndConfig) -> Waveform:
-    """Band-pass filter and amplify the received waveform."""
-    if len(wave) == 0:
-        return wave
-    b, a = frontend_coefficients(fe, wave.sample_rate_hz)
-    return Waveform(sps.lfilter(b, a, wave.samples), wave.sample_rate_hz)
+def condition(samples: np.ndarray, fe: FrontEndConfig, sample_rate_hz: float) -> np.ndarray:
+    """Band-pass filter and amplify the received samples."""
+    if len(samples) == 0:
+        return samples
+    b, a = frontend_coefficients(fe, sample_rate_hz)
+    return sps.lfilter(b, a, samples)
 
 
-def superpose(waves: list[Waveform], offsets: list[int] | None = None,
-              length: int | None = None) -> Waveform:
-    """Sample-wise sum of waveforms placed at per-waveform start offsets.
+def superpose(waves: list[np.ndarray], offsets: list[int], length: int) -> np.ndarray:
+    """Sample-wise sum over ``[0, length)`` of waveforms placed at start offsets.
 
-    ``offsets[k]`` is the output index of ``waves[k]``'s first sample (all
-    zero by default).  The output covers ``[0, length)``, by default up to the
-    furthest waveform end; samples outside it are dropped and gaps are zero.
-    Waveforms are added in list order, so the floating-point sum is
-    reproducible.
+    ``offsets[k]`` is the output index of ``waves[k]``'s first sample;
+    samples outside the span are dropped and gaps are zero.  The waves are
+    added in list order, so the floating-point sum is reproducible.
     """
-    if not waves:
-        raise ValueError("superpose needs at least one waveform")
-    rate = waves[0].sample_rate_hz
-    if any(w.sample_rate_hz != rate for w in waves):
-        raise SampleRateMismatch("all waveforms must share one sample rate")
-    if offsets is None:
-        offsets = [0] * len(waves)
-    if length is None:
-        length = max(0, max(off + len(w) for w, off in zip(waves, offsets)))
     out = np.zeros(length)
     for w, off in zip(waves, offsets):
         src_lo = max(0, -off)
         dst_lo = max(0, off)
         n = min(len(w) - src_lo, length - dst_lo)
         if n > 0:
-            out[dst_lo : dst_lo + n] += w.samples[src_lo : src_lo + n]
-    return Waveform(out, rate)
+            out[dst_lo : dst_lo + n] += w[src_lo : src_lo + n]
+    return out

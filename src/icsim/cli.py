@@ -25,7 +25,8 @@ def main():
 
 
 @main.command()
-@click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
+@click.option("--scenario", "scenario_path", required=True,
+              type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Override the scenario seed.")

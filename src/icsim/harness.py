@@ -180,7 +180,7 @@ class _Transmission:
     sender: str
     frame_bytes: bytes
     bits: np.ndarray
-    wave: md.Waveform
+    wave: np.ndarray
     start_s: float
     end_s: float
     # (sample offset from start_s, waveform) of each overlapping transmission,
@@ -275,7 +275,7 @@ class _Sim:
                 o.overlapping.append((round((now_s - o.start_s) * self.fs), wave))
         self.on_air.append(tx)
         if self.wave_dir is not None:
-            wave.to_csv(self.wave_dir / f"tx{tx.index:04d}_{sender}.csv")
+            write_waveform_csv(wave, self.fs, self.wave_dir / f"tx{tx.index:04d}_{sender}.csv")
         self.nodes[sender].stats.frames_sent += 1
         self.record(now_s, sender, "tx_start", frame_hex=data.hex(" "))
         self.push(end_s, "tx_done", tx)
@@ -290,10 +290,9 @@ class _Sim:
             if node.id == tx.sender:
                 continue
             seed = self._rx_seed(tx.index, node.id)
-            propagated = ch.propagate(at_channel, self.channel_cfg, seed)
-            conditioned = ch.condition(propagated, self.sc.front_end)
-            rx_wave = md.Waveform(conditioned.samples[self.delay:], self.fs)
-            bits = md.demodulate(rx_wave, self.sc.modem, n_bits)
+            propagated = ch.propagate(at_channel, self.channel_cfg, self.fs, seed)
+            conditioned = ch.condition(propagated, self.sc.front_end, self.fs)
+            bits = md.demodulate(conditioned[self.delay:], self.sc.modem, n_bits)
             self.link.physical_bits += n_bits
             self.link.bit_errors += int(np.count_nonzero(bits != tx.bits))
             try:
@@ -477,8 +476,8 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
         bits = drawn.result()
         # sigma * standard_normal is what normal(0, sigma) draws, and addition
         # commutes, so this is signal + normal(0, sigma) bit for bit.
-        noise += md.modulate(bits, cfg).samples
-        out = md.demodulate(md.Waveform(noise, cfg.sample_rate_hz), cfg, n)
+        noise += md.modulate(bits, cfg)
+        out = md.demodulate(noise, cfg, n)
         errors[gi] += int(np.count_nonzero(bits != out))
 
     with ThreadPoolExecutor(threads) as pool:
@@ -499,6 +498,23 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
 
 class IoFailure(OSError):
     pass
+
+
+_CSV_BLOCK_ROWS = 1 << 16
+
+
+def write_waveform_csv(samples: np.ndarray, sample_rate_hz: float, path) -> None:
+    """Two-column (time_s, volts) dump for plotting, values in repr form.
+
+    Rows are formatted a block at a time, so memory stays bounded for long
+    waveforms.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write("time_s,volts\r\n")
+        for lo in range(0, len(samples), _CSV_BLOCK_ROWS):
+            volts = samples[lo : lo + _CSV_BLOCK_ROWS]
+            times = np.arange(lo, lo + len(volts)) / sample_rate_hz
+            fh.writelines(map("%r,%r\r\n".__mod__, zip(times.tolist(), volts.tolist())))
 
 
 def emit_report(report: Report, fmt: str, path) -> None:

@@ -5,7 +5,8 @@ exactly plus or minus one carrier template: a bit value of 1 (a pi phase
 step) negates the waveform exactly and the delay-and-multiply detection
 statistic carries no residual carrier term.  A reference symbol is prepended
 by the modulator; the receiver is assumed symbol-synchronous.  Bits travel
-as uint8 numpy arrays, LSB first within each byte.
+as uint8 numpy arrays, LSB first within each byte; samples travel as 1-D
+float64 arrays at ``ModemConfig.sample_rate_hz``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SUPPORTED_BIT_RATES = (4800, 9600, 115200)
-_CSV_BLOCK_ROWS = 1 << 16
 
 
 class InsufficientSamples(ValueError):
@@ -60,33 +60,6 @@ class ModemConfig:
         return self.carrier_hz / self.cycles_per_bit
 
 
-@dataclass(frozen=True)
-class Waveform:
-    samples: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def to_csv(self, path) -> None:
-        """Two-column (time_s, volts) dump for plotting, values in repr form.
-
-        Rows are formatted a block at a time, so memory stays bounded for
-        long waveforms.
-        """
-        with open(path, "w", newline="") as fh:
-            fh.write("time_s,volts\r\n")
-            for lo in range(0, len(self), _CSV_BLOCK_ROWS):
-                volts = self.samples[lo : lo + _CSV_BLOCK_ROWS]
-                times = np.arange(lo, lo + len(volts)) / self.sample_rate_hz
-                fh.writelines(map("%r,%r\r\n".__mod__, zip(times.tolist(), volts.tolist())))
-
-
 def frame_airtime_s(n_bytes: int, cfg: ModemConfig) -> float:
     """On-air time of an n-byte frame: its data bits plus the reference symbol."""
     return (8 * n_bytes + 1) * cfg.cycles_per_bit / cfg.carrier_hz
@@ -121,7 +94,7 @@ def _correlate(symbols: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     return np.einsum("kj,ij->ki", _carrier(cfg.samples_per_bit, cfg.samples_per_cycle), symbols)
 
 
-def modulate(bits, cfg: ModemConfig) -> Waveform:
+def modulate(bits, cfg: ModemConfig) -> np.ndarray:
     """The reference symbol, then one symbol per bit, each +/- one template.
 
     A 1 bit negates the template relative to the previous symbol, so the sign
@@ -130,17 +103,19 @@ def modulate(bits, cfg: ModemConfig) -> Waveform:
     template = cfg.amplitude_v * _carrier(cfg.samples_per_bit, cfg.samples_per_cycle)[0]
     parity = np.cumsum(np.asarray(bits, dtype=np.int64)) & 1
     sign = 1 - 2 * np.concatenate(([0], parity))
-    return Waveform((sign[:, None] * template).ravel(), cfg.sample_rate_hz)
+    return (sign[:, None] * template).ravel()
 
 
-def demodulate(wave: Waveform, cfg: ModemConfig, n_bits: int) -> np.ndarray:
+def demodulate(samples: np.ndarray, cfg: ModemConfig, n_bits: int) -> np.ndarray:
     """Differential detection over whole symbols, returning uint8 bits.
 
     Each symbol is first correlated against the carrier quadratures, which
     rejects out-of-band noise; the statistic for symbol k >= 1 is then the
     product with the previous symbol's correlation.  A negative value means
     the phase stepped by pi (bit 1).  For in-band components this equals the
-    plain sample-wise delayed product up to a positive scale.
+    plain sample-wise delayed product up to a positive scale.  The
+    correlations are first scaled by a power of two, which is exact, so that
+    a faint signal's products do not underflow to 0.
 
     Both quadratures come from one einsum pass over the samples, which never
     calls BLAS: no BLAS helper thread runs, so CPU time tracks wall time
@@ -148,9 +123,13 @@ def demodulate(wave: Waveform, cfg: ModemConfig, n_bits: int) -> np.ndarray:
     """
     spb = cfg.samples_per_bit
     needed = (n_bits + 1) * spb
-    if len(wave) < needed:
-        raise InsufficientSamples(f"need {needed} samples, got {len(wave)}")
-    in_phase, quadrature = _correlate(wave.samples[:needed].reshape(n_bits + 1, spb), cfg)
+    if len(samples) < needed:
+        raise InsufficientSamples(f"need {needed} samples, got {len(samples)}")
+    iq = _correlate(samples[:needed].reshape(n_bits + 1, spb), cfg)
+    peak = np.max(np.abs(iq))
+    if peak > 0:
+        iq = np.ldexp(iq, -np.frexp(peak)[1])
+    in_phase, quadrature = iq
     stats = in_phase[1:] * in_phase[:-1] + quadrature[1:] * quadrature[:-1]
     return (stats < 0).view(np.uint8)
 

@@ -46,6 +46,15 @@ def test_run_dump_waveforms(tmp_path):
         assert lines[0] == "time_s,volts"
         wave = md.modulate(md.bytes_to_bits(bytes.fromhex(entry["frame_hex"])), cfg)
         assert len(lines) == len(wave) + 1
+        volts = [float(line.split(",")[1]) for line in lines[1:]]
+        assert volts == wave.tolist()
+
+
+def test_run_rejects_a_directory_as_scenario_with_exit_2(tmp_path):
+    result = CliRunner().invoke(main, ["run", "--scenario", str(tmp_path),
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "is a directory" in result.output
 
 
 def test_run_rejects_bad_config_with_exit_2(tmp_path):

@@ -113,7 +113,7 @@ class TestAmplitudeScaling:
         lambda: scn.single_point_scenario(bit_rate_bps=9600, ebn0_db=4.0),
         lambda: scn.multi_point_scenario(polls_per_slave=4, ebn0_db=4.0),
     ], ids=["single_point_9600", "multi_point_4"])
-    @pytest.mark.parametrize("amplitude_v", [6.0, 24.0, 48.0, 3 * 2**-10])
+    @pytest.mark.parametrize("amplitude_v", [6.0, 24.0, 48.0, 3 * 2**-10, 3 * 2**-566])
     def test_report_is_byte_identical(self, make_scenario, amplitude_v):
         sc = make_scenario()
         assert sc.modem.amplitude_v == 12.0
@@ -315,9 +315,7 @@ def _serial_measure_ber(cfg, ebn0_db_list, n_bits, seed, chunk_bits=2000):
             rng = np.random.default_rng(np.random.SeedSequence([seed, gi, ci]))
             bits = rng.integers(0, 2, n)
             wave = md.modulate(bits, cfg)
-            noisy = md.Waveform(wave.samples + rng.normal(0.0, sigma, len(wave)),
-                                wave.sample_rate_hz)
-            out = md.demodulate(noisy, cfg, n)
+            out = md.demodulate(wave + rng.normal(0.0, sigma, len(wave)), cfg, n)
             errors += int(np.count_nonzero(bits != out))
             done += n
             ci += 1
@@ -331,6 +329,15 @@ class TestMeasureBer:
         a = hs.measure_ber(cfg, [6.0], 20_000, seed=5)
         b = hs.measure_ber(cfg, [6.0], 20_000, seed=5)
         assert a == b
+
+    def test_pinned_results(self):
+        # Recorded values: the serial reference shares modulate and
+        # demodulate with measure_ber, so only literals catch a change that
+        # flips decisions.
+        assert hs.measure_ber(md.ModemConfig(), [3.0, 6.0], 20_000, seed=5) == [
+            (3.0, 0.06625), (6.0, 0.01155)]
+        assert hs.measure_ber(md.ModemConfig(bit_rate_bps=4800), [2.0], 2_000, seed=3,
+                              chunk_bits=700) == [(2.0, 0.0995)]
 
     def test_high_snr_is_error_free(self):
         cfg = md.ModemConfig()
@@ -466,6 +473,27 @@ class TestReportIo:
     def test_unwritable_destination(self, single_point_report, tmp_path):
         with pytest.raises(hs.IoFailure):
             hs.emit_report(single_point_report, "json", tmp_path / "no" / "dir.json")
+
+    def test_waveform_csv_export(self, tmp_path):
+        path = tmp_path / "wave.csv"
+        hs.write_waveform_csv(np.array([1.0, -0.5]), 10.0, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "time_s,volts"
+        assert lines[1].startswith("0.0,1.0")
+        assert lines[2].startswith("0.1,-0.5")
+
+    def test_waveform_csv_matches_csv_writer(self, tmp_path):
+        # Reference: one csv.writer row per sample, as the export was first written.
+        fs = 23.38e6
+        samples = np.random.default_rng(3).normal(0.0, 1e-3, 70_001)
+        hs.write_waveform_csv(samples, fs, tmp_path / "wave.csv")
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["time_s", "volts"])
+            for i, v in enumerate(samples):
+                writer.writerow([i / fs, repr(float(v))])
+        assert (tmp_path / "wave.csv").read_bytes() == ref.read_bytes()
 
 
 ADDRESS = "64 49 46 68 00 53"
