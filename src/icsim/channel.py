@@ -73,30 +73,50 @@ def delay_samples(cfg: ChannelConfig, sample_rate_hz: float) -> int:
     return round(cfg.cable_length_m / cfg.propagation_speed_mps * sample_rate_hz)
 
 
+def channel_noise(cfg: ChannelConfig, n: int, seed: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The seeded noise of one reception: n samples of N(0, noise_sigma_v).
+
+    Written into ``out`` when given.  numpy releases the interpreter lock
+    while it draws and scales, so receptions can draw on worker threads.
+    """
+    noise = np.random.default_rng(seed).standard_normal(n, out=out)
+    noise *= cfg.noise_sigma_v
+    return noise
+
+
 def propagate(samples: np.ndarray, cfg: ChannelConfig, sample_rate_hz: float,
-              seed: int) -> np.ndarray:
-    """Apply gain, attenuation, delay, interference tones and seeded noise."""
+              seed: int, noise: np.ndarray | None = None) -> np.ndarray:
+    """Apply gain, attenuation, delay, interference tones and seeded noise.
+
+    ``noise``, when given, must be ``channel_noise(cfg, len(samples) + delay,
+    seed)`` drawn ahead by the caller; the result is written into it and
+    returned.
+    """
     if len(samples) == 0:
         return samples
     gain = channel_gain(cfg)
     d = delay_samples(cfg, sample_rate_hz)
     n = len(samples) + d
-    if cfg.noise_sigma_v > 0 and not cfg.interference:
-        # Noise drawn first into the output is bitwise the same sum as noise
-        # added last: normal(0, s) is s * standard_normal and a + b == b + a.
-        out = np.random.default_rng(seed).standard_normal(n)
-        out *= cfg.noise_sigma_v
-        out[d:] += samples * gain
-        return out
+    if noise is None and cfg.noise_sigma_v > 0:
+        noise = channel_noise(cfg, n, seed)
+    elif noise is not None and len(noise) != n:
+        raise ValueError(f"a noise buffer of {len(noise)} samples for a reception of {n}")
+    # Noise drawn first is bitwise the same sum as noise added last:
+    # normal(0, s) is s * standard_normal and a + b == b + a.
+    if noise is not None and not cfg.interference:
+        noise[d:] += samples * gain
+        return noise
     out = np.zeros(n)
     np.multiply(samples, gain, out=out[d:])
     if cfg.interference:
         t = np.arange(n) / sample_rate_hz
         for freq_hz, amplitude_v in cfg.interference:
             out += amplitude_v * np.sin(2 * math.pi * freq_hz * t)
-    if cfg.noise_sigma_v > 0:
-        out += np.random.default_rng(seed).normal(0.0, cfg.noise_sigma_v, n)
-    return out
+    if noise is None:
+        return out
+    noise += out
+    return noise
 
 
 def frontend_coefficients(fe: FrontEndConfig, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:

@@ -6,12 +6,16 @@ coupled channel and front end, then demodulated and decoded at every other
 node.  Silent intervals generate no samples, and a waveform is held only
 while its transmission or one overlapping it is on air or awaiting
 reception, so run memory does not grow with run length.
+Channel noise for receptions of at least 2**16 samples is drawn ahead on
+up to 4 threads; everything else runs on the calling thread in node order,
+so reports are bitwise those of a serial run.
 A run is a pure function of the Scenario, seed included, so identical
 scenarios produce byte-identical reports.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import heapq
 import itertools
@@ -37,7 +41,11 @@ class ConfigInvalid(ValueError):
 
 
 # A reception is held in memory whole, as float64 samples: 2**24 is 128 MiB,
-# 31 times a 4800 bps frame at the default 16 samples per cycle.
+# 31 times a 4800 bps frame at the default 16 samples per cycle.  The frame
+# and the propagation delay are each checked against it, so a reception, the
+# frame plus the delay, can reach 2**25 samples.  The noise drawn ahead of
+# the reception in use is capped at 2**24 samples, so the noise ring holds
+# at most 2**25 samples (256 MiB).
 MAX_RECEPTION_SAMPLES = 2**24
 # Bytes in every frame sent: commands and replies both carry two payload bytes.
 FRAME_LEN = fc.HEADER_LEN + len(nd.COMMAND_PAYLOAD) + fc.TRAILER_LEN
@@ -85,7 +93,7 @@ class Scenario:
             raise ConfigInvalid("channel.noise_sigma_v: only used when ebn0_db is null")
         if not self.front_end.center_hz < self.modem.sample_rate_hz / 2:
             raise ConfigInvalid("front_end.center_hz: must be below half the sample rate")
-        frame_samples = (8 * FRAME_LEN + 1) * self.modem.samples_per_bit
+        frame_samples = _frame_samples(self.modem)
         if frame_samples > MAX_RECEPTION_SAMPLES:
             raise ConfigInvalid(f"modem: a frame of {frame_samples} samples is over "
                                 f"the limit of {MAX_RECEPTION_SAMPLES}")
@@ -117,6 +125,11 @@ class Scenario:
                 raise ConfigInvalid(f"collision_injections[{i}].node: unknown id {node_id!r}")
             if not 0 <= t <= self.duration_s:
                 raise ConfigInvalid(f"collision_injections[{i}].time_s: outside duration")
+
+
+def _frame_samples(cfg: md.ModemConfig) -> int:
+    """Samples in every modulated frame: the reference symbol and 8 * FRAME_LEN bits."""
+    return (8 * FRAME_LEN + 1) * cfg.samples_per_bit
 
 
 def derived_noise_sigma(sc: Scenario) -> float:
@@ -222,6 +235,8 @@ class _Sim:
         self.fs = sc.modem.sample_rate_hz
         self.delay = ch.delay_samples(self.channel_cfg, self.fs)
         self.prop_delay_s = self.delay / self.fs
+        # Every frame is FRAME_LEN bytes, so every reception is this long.
+        self.ring = _draw_ring(_frame_samples(sc.modem) + self.delay)
 
         timeout = nd.default_master_timeout_s(FRAME_LEN, FRAME_LEN, sc.modem) + 2 * self.prop_delay_s
         self.nodes: dict[str, _Node] = {
@@ -260,6 +275,10 @@ class _Sim:
         key = [self.sc.seed, tx_index, *receiver.encode()]
         return int(np.random.SeedSequence(key).generate_state(1)[0])
 
+    def _draw_noise(self, seed, buffer):
+        """One receiver's channel noise, drawn into buffer, on a worker thread when drawn ahead."""
+        return ch.channel_noise(self.channel_cfg, len(buffer), seed, buffer)
+
     # -- transmissions --
 
     def start_transmission(self, now_s, sender, frame: fc.Frame):
@@ -286,11 +305,15 @@ class _Sim:
         offsets, waves = zip((0, tx.wave), *tx.overlapping)
         at_channel = ch.superpose(waves, offsets, len(tx.wave))
         n_bits = 8 * len(tx.frame_bytes)
-        for node in self.nodes.values():
-            if node.id == tx.sender:
-                continue
-            seed = self._rx_seed(tx.index, node.id)
-            propagated = ch.propagate(at_channel, self.channel_cfg, self.fs, seed)
+        receivers = [node for node in self.nodes.values() if node.id != tx.sender]
+        seeds = [self._rx_seed(tx.index, node.id) for node in receivers]
+        if self.channel_cfg.noise_sigma_v > 0:
+            noises = _draw_ahead(self.pool, self._draw_noise, seeds, self.ring)
+        else:
+            noises = itertools.repeat(None)
+        # zip takes the next receiver first, so it stops with no draw pending.
+        for node, seed, noise in zip(receivers, seeds, noises):
+            propagated = ch.propagate(at_channel, self.channel_cfg, self.fs, seed, noise)
             conditioned = ch.condition(propagated, self.sc.front_end, self.fs)
             bits = md.demodulate(conditioned[self.delay:], self.sc.modem, n_bits)
             self.link.physical_bits += n_bits
@@ -361,32 +384,33 @@ class _Sim:
         for t, node_id in self.sc.collision_injections:
             self.push(t, "injection", node_id)
 
-        while self.queue:
-            time_s, _, kind, data = heapq.heappop(self.queue)
-            if time_s > self.sc.duration_s:
-                break
-            if kind == "poll":
-                self.record(time_s, "master", "poll", target=data.hex())
-                self.dispatch(time_s, self.nodes["master"], nd.PollRequest(data))
-            elif kind == "tx_done":
-                self.on_air.remove(data)
-                self.dispatch(time_s, self.nodes[data.sender], nd.TxDone())
-            elif kind == "rx_complete":
-                self.receive(time_s, data)
-            elif kind == "timeout":
-                if data == self.master_poll_gen:
-                    self.record(time_s, "master", "timeout")
-                    self.dispatch(time_s, self.nodes["master"], nd.Timeout())
-            elif kind == "injection":
-                node = self.nodes[data]
-                if data == "master":
-                    frame = fc.Frame(nd.REPLY_RELAY_DEPTH,
-                                     fc.Address(bytes(6)), nd.COMMAND_PAYLOAD)
-                else:
-                    frame = fc.Frame(nd.REPLY_RELAY_DEPTH, node.state.address,
-                                     nd.slave_reply_payload(node.state))
-                self.record(time_s, data, "injection")
-                self.start_transmission(time_s, data, frame)
+        with _draw_pool(self.ring) as self.pool:
+            while self.queue:
+                time_s, _, kind, data = heapq.heappop(self.queue)
+                if time_s > self.sc.duration_s:
+                    break
+                if kind == "poll":
+                    self.record(time_s, "master", "poll", target=data.hex())
+                    self.dispatch(time_s, self.nodes["master"], nd.PollRequest(data))
+                elif kind == "tx_done":
+                    self.on_air.remove(data)
+                    self.dispatch(time_s, self.nodes[data.sender], nd.TxDone())
+                elif kind == "rx_complete":
+                    self.receive(time_s, data)
+                elif kind == "timeout":
+                    if data == self.master_poll_gen:
+                        self.record(time_s, "master", "timeout")
+                        self.dispatch(time_s, self.nodes["master"], nd.Timeout())
+                elif kind == "injection":
+                    node = self.nodes[data]
+                    if data == "master":
+                        frame = fc.Frame(nd.REPLY_RELAY_DEPTH,
+                                         fc.Address(bytes(6)), nd.COMMAND_PAYLOAD)
+                    else:
+                        frame = fc.Frame(nd.REPLY_RELAY_DEPTH, node.state.address,
+                                         nd.slave_reply_payload(node.state))
+                    self.record(time_s, data, "injection")
+                    self.start_transmission(time_s, data, frame)
 
         for node in self.nodes.values():
             node.finish(self.sc.duration_s)
@@ -414,13 +438,22 @@ def run_and_dump_waveforms(sc: Scenario, out_dir) -> Report:
     return _Sim(sc, Path(out_dir)).run()
 
 
-# --- BER measurement ---------------------------------------------------------
+# --- noise drawn ahead ---------------------------------------------------------
+
+# Draws shorter than this run inline on the calling thread.  Drawing ahead
+# the 5,000 draws of 21,822 samples (about 0.35 ms each) in the benchmark's
+# 500 polls at 115200 bps saved no wall time on 2 cores and added about 1 s
+# of CPU time, 0.2 ms per handoff.  Draws at 9600 and 4800 bps are 12 and 25
+# times longer, and drawing them ahead pays.
+_AHEAD_MIN_SAMPLES = 1 << 16
+
 
 def _draw_threads() -> int:
-    """Threads drawing measure_ber's noise: the usable cores, at most 4.
+    """Threads drawing noise ahead: the usable cores, at most 4.
 
-    The main thread's serial share, about a quarter of a chunk's CPU, caps
-    the speed-up near 4x, so more threads would only hold more buffers.
+    In measure_ber the main thread's serial share, about a quarter of a
+    chunk's CPU, caps the speed-up near 4x, so more threads would only hold
+    more buffers.
     """
     try:
         cores = len(os.sched_getaffinity(0))
@@ -429,19 +462,46 @@ def _draw_threads() -> int:
     return min(cores, 4)
 
 
-def _chunk_draws(seed: int, gi: int, ci: int, n: int, noise: np.ndarray,
-                 sigma: float) -> np.ndarray:
-    """Draw one chunk's n data bits, returned, and its noise, written into noise.
+def _draw_ring(n: int) -> list[np.ndarray]:
+    """Noise buffers of n samples for _draw_ahead.
 
-    numpy releases the interpreter lock while it fills and scales noise, so
-    chunks draw in parallel on worker threads.
+    One per drawing thread and one for the draw in use, with at most
+    MAX_RECEPTION_SAMPLES samples drawn ahead; a single buffer when a draw
+    of n samples is too short to pay for a thread handoff.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, gi, ci]))
-    bits = rng.integers(0, 2, n)
-    rng.standard_normal(out=noise)
-    noise *= sigma
-    return bits
+    ahead = min(_draw_threads(), MAX_RECEPTION_SAMPLES // n) if n >= _AHEAD_MIN_SAMPLES else 0
+    return [np.empty(n) for _ in range(1 + ahead)]
 
+
+def _draw_pool(ring: list[np.ndarray]):
+    """A pool of one thread per buffer of ring but one; for a ring of one, no pool (None)."""
+    return ThreadPoolExecutor(len(ring) - 1) if len(ring) > 1 else contextlib.nullcontext()
+
+
+def _draw_ahead(pool, draw, jobs, ring):
+    """Yield ``draw(job, buffer)`` for each job in order, drawing ahead on pool.
+
+    Jobs take ring's buffers in turn, and len(ring) - 1 draws run ahead of
+    the one in use.  A buffer is drawn into again only after the result
+    drawn into it has been yielded and the next one asked for, so a consumer
+    may use each result until it asks for the next.  With one buffer every
+    draw runs inline on the calling thread.
+    """
+    if len(ring) == 1:
+        for job in jobs:
+            yield draw(job, ring[0])
+        return
+    buffers = itertools.cycle(ring)
+    pending = deque()
+    for job in jobs:
+        pending.append(pool.submit(draw, job, next(buffers)))
+        if len(pending) == len(ring):
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+# --- BER measurement ---------------------------------------------------------
 
 def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
                 chunk_bits: int = 2000) -> list[tuple[float, float]]:
@@ -451,10 +511,11 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
     (seed, grid index, chunk index), so results are reproducible for a given
     seed and ``chunk_bits``; another chunk size draws other trials.
 
-    Noise is drawn on up to 4 threads into ``threads + 1`` reused chunk
-    buffers, so memory does not grow with ``n_bits``.  Modulation and
-    detection stay on the calling thread, chunk by chunk in order, and the
-    results are bitwise those of drawing and receiving each chunk in turn.
+    Chunks of at least 2**16 samples are drawn ahead on up to 4 threads, into
+    one more reused chunk buffer than there are threads, so memory does not
+    grow with ``n_bits``.  Modulation and detection stay on the calling thread, chunk
+    by chunk in order, and the results are bitwise those of drawing and
+    receiving each chunk in turn.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be at least 1")
@@ -463,34 +524,27 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
     grid = list(ebn0_db_list)
     sigmas = [md.ebn0_to_noise_sigma(10 ** (ebn0_db / 10), cfg) for ebn0_db in grid]
     spb = cfg.samples_per_bit
-    threads = _draw_threads()
-    # One buffer per drawing thread and one for the chunk being received; a
-    # buffer is drawn into again only after its chunk has been received.
-    ring = [np.empty((min(chunk_bits, n_bits) + 1) * spb) for _ in range(threads + 1)]
-    buffers = itertools.cycle(ring)
-    pending = deque()
+    ring = _draw_ring((min(chunk_bits, n_bits) + 1) * spb)
+    jobs = ((gi, ci, min(chunk_bits, n_bits - done))
+            for gi in range(len(grid)) for ci, done in enumerate(range(0, n_bits, chunk_bits)))
     errors = [0] * len(grid)
 
-    def receive_oldest():
-        gi, n, noise, drawn = pending.popleft()
-        bits = drawn.result()
-        # sigma * standard_normal is what normal(0, sigma) draws, and addition
-        # commutes, so this is signal + normal(0, sigma) bit for bit.
-        noise += md.modulate(bits, cfg)
-        out = md.demodulate(noise, cfg, n)
-        errors[gi] += int(np.count_nonzero(bits != out))
+    def draw(job, buffer):
+        """One chunk's n data bits and its noise, drawn into buffer."""
+        gi, ci, n = job
+        rng = np.random.default_rng(np.random.SeedSequence([seed, gi, ci]))
+        bits = rng.integers(0, 2, n)
+        noise = rng.standard_normal(out=buffer[:(n + 1) * spb])
+        noise *= sigmas[gi]
+        return gi, bits, noise
 
-    with ThreadPoolExecutor(threads) as pool:
-        for gi, sigma in enumerate(sigmas):
-            for ci, done in enumerate(range(0, n_bits, chunk_bits)):
-                if len(pending) == len(ring):
-                    receive_oldest()
-                n = min(chunk_bits, n_bits - done)
-                noise = next(buffers)[:(n + 1) * spb]
-                pending.append((gi, n, noise,
-                                pool.submit(_chunk_draws, seed, gi, ci, n, noise, sigma)))
-        while pending:
-            receive_oldest()
+    with _draw_pool(ring) as pool:
+        for gi, bits, noise in _draw_ahead(pool, draw, jobs, ring):
+            # sigma * standard_normal is what normal(0, sigma) draws, and
+            # addition commutes, so this is signal + normal(0, sigma) bit for bit.
+            noise += md.modulate(bits, cfg)
+            out = md.demodulate(noise, cfg, len(bits))
+            errors[gi] += int(np.count_nonzero(bits != out))
     return [(float(ebn0_db), e / n_bits) for ebn0_db, e in zip(grid, errors)]
 
 

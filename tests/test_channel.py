@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,6 +99,34 @@ class TestPropagate:
         if noise_sigma_v:
             ref += np.random.default_rng(7).normal(0.0, noise_sigma_v, len(ref))
         assert np.array_equal(ch.propagate(wave, cfg, FS, seed=7), ref)
+
+
+class TestNoiseDrawnAhead:
+    CFG = ch.ChannelConfig(noise_sigma_v=0.05)
+
+    @pytest.mark.parametrize("interference", [(), ((50e3, 0.5), (3e6, 0.1))])
+    def test_handed_buffer_gives_the_own_draw(self, interference):
+        cfg = replace(self.CFG, interference=interference)
+        wave = carrier_tone(cycles=30)
+        noise = ch.channel_noise(cfg, len(wave) + ch.delay_samples(cfg, FS), 7)
+        out = ch.propagate(wave, cfg, FS, seed=7, noise=noise)
+        assert out is noise
+        assert np.array_equal(out, ch.propagate(wave, cfg, FS, seed=7))
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_length_buffer_rejected(self, extra):
+        wave = carrier_tone(cycles=30)
+        n = len(wave) + ch.delay_samples(self.CFG, FS) + extra
+        with pytest.raises(ValueError, match="noise buffer"):
+            ch.propagate(wave, self.CFG, FS, seed=7, noise=ch.channel_noise(self.CFG, n, 7))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_equals_the_normal_draw(self, seed):
+        ref = np.random.default_rng(seed).normal(0.0, self.CFG.noise_sigma_v, 5000)
+        assert np.array_equal(ch.channel_noise(self.CFG, 5000, seed), ref)
+        out = np.empty(5000)
+        assert ch.channel_noise(self.CFG, 5000, seed, out) is out
+        assert np.array_equal(out, ref)
 
 
 class TestCondition:

@@ -1,5 +1,6 @@
 import copy
 import csv
+import itertools
 import json
 import math
 import re
@@ -437,6 +438,80 @@ class TestMeasureBerThreads:
             hs.measure_ber(self.CFG, [6.0], 20_000, seed=5)
         assert len(calls) == 3
         assert threading.active_count() == threads_before
+
+
+def collided_4800_scenario() -> hs.Scenario:
+    """Two polls of five slaves at 4800 bps, slave3 cutting into the first
+    command halfway.  At 6 dB about one bit in a hundred is wrong, so a noise
+    buffer overwritten before its reception ends would change the report."""
+    base = scn.multi_point_scenario(polls_per_slave=1, bit_rate_bps=4800, ebn0_db=6.0)
+    half_command = md.frame_airtime_s(hs.FRAME_LEN, base.modem) / 2
+    return replace(base, poll_schedule=base.poll_schedule[:2],
+                   collision_injections=((base.poll_schedule[0][0] + half_command, "slave3"),))
+
+
+class TestReceiveThreads:
+    """Long receptions draw their noise on worker threads; everything else
+    stays on the main thread."""
+
+    @pytest.mark.parametrize("make_scenario, min_bit_errors", [
+        (lambda: scn.single_point_scenario(bit_rate_bps=9600), 0),
+        (collided_4800_scenario, 1),
+    ], ids=["single_point_9600", "collided_4800"])
+    def test_more_threads_than_cores_equal_the_serial_run(self, make_scenario, min_bit_errors,
+                                                         monkeypatch, tmp_path):
+        sc = make_scenario()
+
+        def report_bytes(name):
+            hs.emit_report(hs.run_scenario(sc), "json", tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        monkeypatch.setattr(hs, "_draw_threads", lambda: 8)
+        assert len(hs._Sim(sc).ring) == 9
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = report_bytes("threaded.json")
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(hs, "_AHEAD_MIN_SAMPLES", 2 * hs.MAX_RECEPTION_SAMPLES + 1)
+        assert len(hs._Sim(sc).ring) == 1
+        assert threaded == report_bytes("serial.json")
+        assert json.loads(threaded)["link"]["bit_errors"] >= min_bit_errors
+
+    def test_only_the_draw_leaves_the_main_thread(self, monkeypatch):
+        callers = {}
+        for module, name in ((ch, "propagate"), (ch, "condition"), (md, "demodulate"),
+                             (fc, "decode_frame"), (hs._Sim, "deliver"),
+                             (ch, "channel_noise")):
+            def record(*args, _real=getattr(module, name), _name=name, **kwargs):
+                callers.setdefault(_name, []).append(threading.current_thread())
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, record)
+        report = hs.run_scenario(scn.single_point_scenario(bit_rate_bps=9600))
+        assert report.nodes["master"].frames_received == 1
+        drawers = callers.pop("channel_noise")
+        assert len(drawers) == 2 and threading.main_thread() not in drawers
+        assert sorted(callers) == ["condition", "decode_frame", "deliver", "demodulate",
+                                   "propagate"]
+        assert {t for ts in callers.values() for t in ts} == {threading.main_thread()}
+
+    def test_a_failed_draw_raises_and_shuts_the_pool_down(self, monkeypatch):
+        calls = itertools.count(1)
+        real = ch.channel_noise
+
+        def fail_third(*args, **kwargs):
+            if next(calls) == 3:
+                raise RuntimeError("third draw")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ch, "channel_noise", fail_third)
+        threads_before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="third draw"):
+            hs.run_scenario(collided_4800_scenario())
+        # The first reception's five draws, and none after it.
+        assert next(calls) <= 6
+        assert set(threading.enumerate()) == threads_before
 
 
 class TestReportIo:
