@@ -1,8 +1,10 @@
 """Inductive-coupling channel and receive front end.
 
 The channel is linear: a measured coupling gain per coil-turn count, an
-optional exponential cable attenuation, a whole-sample propagation delay,
-plus additive interference tones and seeded Gaussian noise.  The front end
+optional exponential cable attenuation, a whole-sample propagation delay
+and additive interference tones, all in ``propagate``, which draws nothing.
+Every node hears that one noiseless signal plus its own seeded Gaussian
+noise, ``channel_noise``: a reception is the two summed.  The front end
 is a single biquad band-pass (bilinear transform, prewarped at the center
 frequency) with a configurable passband gain.  Samples are 1-D float64
 arrays; the functions that depend on time take the sample rate as an
@@ -85,38 +87,22 @@ def channel_noise(cfg: ChannelConfig, n: int, seed: int,
     return noise
 
 
-def propagate(samples: np.ndarray, cfg: ChannelConfig, sample_rate_hz: float,
-              seed: int, noise: np.ndarray | None = None) -> np.ndarray:
-    """Apply gain, attenuation, delay, interference tones and seeded noise.
+def propagate(samples: np.ndarray, cfg: ChannelConfig, sample_rate_hz: float) -> np.ndarray:
+    """The noiseless channel: gain, attenuation, delay and interference tones.
 
-    ``noise``, when given, must be ``channel_noise(cfg, len(samples) + delay,
-    seed)`` drawn ahead by the caller; the result is written into it and
-    returned.
+    Every receiver hears this same signal; a reception adds its own
+    ``channel_noise`` to it.
     """
     if len(samples) == 0:
         return samples
-    gain = channel_gain(cfg)
     d = delay_samples(cfg, sample_rate_hz)
-    n = len(samples) + d
-    if noise is None and cfg.noise_sigma_v > 0:
-        noise = channel_noise(cfg, n, seed)
-    elif noise is not None and len(noise) != n:
-        raise ValueError(f"a noise buffer of {len(noise)} samples for a reception of {n}")
-    # Noise drawn first is bitwise the same sum as noise added last:
-    # normal(0, s) is s * standard_normal and a + b == b + a.
-    if noise is not None and not cfg.interference:
-        noise[d:] += samples * gain
-        return noise
-    out = np.zeros(n)
-    np.multiply(samples, gain, out=out[d:])
+    out = np.zeros(len(samples) + d)
+    np.multiply(samples, channel_gain(cfg), out=out[d:])
     if cfg.interference:
-        t = np.arange(n) / sample_rate_hz
+        t = np.arange(len(out)) / sample_rate_hz
         for freq_hz, amplitude_v in cfg.interference:
             out += amplitude_v * np.sin(2 * math.pi * freq_hz * t)
-    if noise is None:
-        return out
-    noise += out
-    return noise
+    return out
 
 
 def frontend_coefficients(fe: FrontEndConfig, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,11 @@ def io_error(err: OSError):
     sys.exit(1)
 
 
+def config_error(err: ValueError):
+    click.echo(f"config error: {err}", err=True)
+    sys.exit(2)
+
+
 @click.group()
 def main():
     """Underwater inductive-coupling power-carrier link simulator."""
@@ -39,8 +44,7 @@ def run(scenario_path, out_dir, seed, dump_waveforms):
             from dataclasses import replace
             sc = replace(sc, seed=seed)
     except hs.ConfigInvalid as err:
-        click.echo(f"config error: {err}", err=True)
-        sys.exit(2)
+        config_error(err)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -48,6 +52,8 @@ def run(scenario_path, out_dir, seed, dump_waveforms):
         hs.emit_report(report, "json", out / "report.json")
         hs.emit_report(report, "csv", out / "report.csv")
         hs.emit_timeline(report, out / "timeline.jsonl")
+    except hs.ConfigInvalid as err:
+        config_error(err)
     except OSError as err:
         io_error(err)
     click.echo(f"wrote report.json, report.csv, timeline.jsonl to {out}")
@@ -68,8 +74,7 @@ def ber_sweep(ebn0, bits, rate, seed, out_path):
             hs.check_ebn0_db(ebn0_db, "--ebn0")
         cfg = md.ModemConfig(bit_rate_bps=int(rate))
     except ValueError as err:
-        click.echo(f"config error: {err}", err=True)
-        sys.exit(2)
+        config_error(err)
     # Opened before the sweep, so an unwritable path fails at once.
     try:
         with open(out_path, "w", newline="") as fh:

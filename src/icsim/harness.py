@@ -1,14 +1,14 @@
 """Deterministic discrete-event simulation of the full polling link.
 
 Every transmission is carried at waveform level: framed, modulated,
-superposed with every transmission that overlaps it, pushed through the
-coupled channel and front end, then demodulated and decoded at every other
-node.  Silent intervals generate no samples, and a waveform is held only
-while its transmission or one overlapping it is on air or awaiting
-reception, so run memory does not grow with run length.
-Channel noise for receptions of at least 2**16 samples is drawn ahead on
-up to 4 threads; everything else runs on the calling thread in node order,
-so reports are bitwise those of a serial run.
+superposed with every transmission that overlaps it and pushed once through
+the noiseless channel; every other node adds its own noise, then conditions,
+demodulates and decodes it.  Silent intervals generate no samples, and a
+waveform is held only while its transmission or one overlapping it is on
+air or awaiting reception, so run memory does not grow with run length.
+Receptions of at least 2**16 samples draw their noise, and add the signal,
+ahead on up to 4 threads; everything else runs on the calling thread in
+node order, so reports are bitwise those of a serial run.
 A run is a pure function of the Scenario, seed included, so identical
 scenarios produce byte-identical reports.
 """
@@ -191,7 +191,6 @@ class Report:
 class _Transmission:
     index: int
     sender: str
-    frame_bytes: bytes
     bits: np.ndarray
     wave: np.ndarray
     start_s: float
@@ -275,10 +274,6 @@ class _Sim:
         key = [self.sc.seed, tx_index, *receiver.encode()]
         return int(np.random.SeedSequence(key).generate_state(1)[0])
 
-    def _draw_noise(self, seed, buffer):
-        """One receiver's channel noise, drawn into buffer, on a worker thread when drawn ahead."""
-        return ch.channel_noise(self.channel_cfg, len(buffer), seed, buffer)
-
     # -- transmissions --
 
     def start_transmission(self, now_s, sender, frame: fc.Frame):
@@ -286,7 +281,7 @@ class _Sim:
         bits = md.bytes_to_bits(data)
         wave = md.modulate(bits, self.sc.modem)
         end_s = now_s + md.frame_airtime_s(len(data), self.sc.modem)
-        tx = _Transmission(self.tx_count, sender, data, bits, wave, now_s, end_s)
+        tx = _Transmission(self.tx_count, sender, bits, wave, now_s, end_s)
         self.tx_count += 1
         for o in self.on_air:
             if o.start_s < end_s and now_s < o.end_s:
@@ -303,19 +298,32 @@ class _Sim:
     def receive(self, now_s, tx: _Transmission):
         """Demodulate and decode a transmission at every node but its sender."""
         offsets, waves = zip((0, tx.wave), *tx.overlapping)
-        at_channel = ch.superpose(waves, offsets, len(tx.wave))
-        n_bits = 8 * len(tx.frame_bytes)
+        propagated = ch.propagate(ch.superpose(waves, offsets, len(tx.wave)),
+                                  self.channel_cfg, self.fs)
+        n_bits = len(tx.bits)
         receivers = [node for node in self.nodes.values() if node.id != tx.sender]
-        seeds = [self._rx_seed(tx.index, node.id) for node in receivers]
         if self.channel_cfg.noise_sigma_v > 0:
-            noises = _draw_ahead(self.pool, self._draw_noise, seeds, self.ring)
+            def draw(seed, buffer):
+                """One receiver's noise, drawn into buffer, plus the channel's signal."""
+                received = ch.channel_noise(self.channel_cfg, len(buffer), seed, buffer)
+                # Addition commutes, so this is signal + noise bit for bit.
+                received += propagated
+                return received
+
+            seeds = [self._rx_seed(tx.index, node.id) for node in receivers]
+            receptions = _draw_ahead(self.pool, draw, seeds, self.ring)
         else:
-            noises = itertools.repeat(None)
+            receptions = itertools.repeat(propagated)
         # zip takes the next receiver first, so it stops with no draw pending.
-        for node, seed, noise in zip(receivers, seeds, noises):
-            propagated = ch.propagate(at_channel, self.channel_cfg, self.fs, seed, noise)
-            conditioned = ch.condition(propagated, self.sc.front_end, self.fs)
-            bits = md.demodulate(conditioned[self.delay:], self.sc.modem, n_bits)
+        for node, received in zip(receivers, receptions):
+            conditioned = ch.condition(received, self.sc.front_end, self.fs)
+            try:
+                bits = md.demodulate(conditioned[self.delay:], self.sc.modem, n_bits)
+            except md.NonFiniteSignal as err:
+                raise ConfigInvalid(f"front_end: the conditioned reception overflowed "
+                                    f"float64 ({err}); lower modem.amplitude_v or "
+                                    f"front_end.passband_gain, or channel.interference "
+                                    f"or channel.noise_sigma_v") from err
             self.link.physical_bits += n_bits
             self.link.bit_errors += int(np.count_nonzero(bits != tx.bits))
             try:

@@ -24,6 +24,10 @@ class InsufficientSamples(ValueError):
     pass
 
 
+class NonFiniteSignal(ValueError):
+    """The received samples overflowed float64: no decision can be made."""
+
+
 @dataclass(frozen=True)
 class ModemConfig:
     carrier_hz: float = 1.67e6
@@ -115,7 +119,8 @@ def demodulate(samples: np.ndarray, cfg: ModemConfig, n_bits: int) -> np.ndarray
     the phase stepped by pi (bit 1).  For in-band components this equals the
     plain sample-wise delayed product up to a positive scale.  The
     correlations are first scaled by a power of two, which is exact, so that
-    a faint signal's products do not underflow to 0.
+    a faint signal's products do not underflow to 0.  A correlation that is
+    inf or nan, from samples that overflowed float64, raises NonFiniteSignal.
 
     Both quadratures come from one einsum pass over the samples, which never
     calls BLAS: no BLAS helper thread runs, so CPU time tracks wall time
@@ -127,6 +132,8 @@ def demodulate(samples: np.ndarray, cfg: ModemConfig, n_bits: int) -> np.ndarray
         raise InsufficientSamples(f"need {needed} samples, got {len(samples)}")
     iq = _correlate(samples[:needed].reshape(n_bits + 1, spb), cfg)
     peak = np.max(np.abs(iq))
+    if not math.isfinite(peak):
+        raise NonFiniteSignal(f"the symbol correlations reach {float(peak)!r}")
     if peak > 0:
         iq = np.ldexp(iq, -np.frexp(peak)[1])
     in_phase, quadrature = iq

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,33 +38,34 @@ class TestCouplingGain:
 
 class TestPropagate:
     def test_four_turn_amplitude(self):
-        out = ch.propagate(carrier_tone(), ch.ChannelConfig(turns=4), FS, seed=0)
+        out = ch.propagate(carrier_tone(), ch.ChannelConfig(turns=4), FS)
         assert tail_peak(out) == pytest.approx(0.392, rel=0.005)
 
     def test_empty_in_empty_out(self):
-        assert len(ch.propagate(np.array([]), ch.ChannelConfig(), FS, seed=0)) == 0
+        assert len(ch.propagate(np.array([]), ch.ChannelConfig(), FS)) == 0
 
     def test_deterministic_for_fixed_seed(self):
+        # The channel itself draws nothing: the seed is channel_noise's alone.
         cfg = ch.ChannelConfig(noise_sigma_v=0.05)
         wave = carrier_tone(cycles=20)
-        a = ch.propagate(wave, cfg, FS, seed=42)
-        b = ch.propagate(wave, cfg, FS, seed=42)
-        assert np.array_equal(a, b)
-        c = ch.propagate(wave, cfg, FS, seed=43)
-        assert not np.array_equal(a, c)
+        assert np.array_equal(ch.propagate(wave, cfg, FS), ch.propagate(wave, cfg, FS))
+        n = len(wave) + ch.delay_samples(cfg, FS)
+        a = ch.channel_noise(cfg, n, 42)
+        assert np.array_equal(a, ch.channel_noise(cfg, n, 42))
+        assert not np.array_equal(a, ch.channel_noise(cfg, n, 43))
 
     def test_delay_in_whole_samples(self):
         cfg = ch.ChannelConfig(cable_length_m=700.0)
         d = ch.delay_samples(cfg, FS)
         assert d == round(700.0 / 2e8 * FS)
         wave = carrier_tone(cycles=10)
-        out = ch.propagate(wave, cfg, FS, seed=0)
+        out = ch.propagate(wave, cfg, FS)
         assert len(out) == len(wave) + d
         assert np.allclose(out[:d], 0.0)
 
     def test_attenuation_factor(self):
         cfg = ch.ChannelConfig(turns=2, cable_length_m=100.0, attenuation_per_m=0.001)
-        out = ch.propagate(carrier_tone(), cfg, FS, seed=0)
+        out = ch.propagate(carrier_tone(), cfg, FS)
         expected = 12.0 * ch.coupling_gain(2) * math.exp(-0.1)
         assert tail_peak(out) == pytest.approx(expected, rel=0.005)
 
@@ -74,13 +74,13 @@ class TestPropagate:
         rng = np.random.default_rng(9)
         a = rng.normal(size=512)
         b = rng.normal(size=512)
-        lhs = ch.propagate(a + b, cfg, FS, seed=0)
-        rhs = ch.propagate(a, cfg, FS, seed=0) + ch.propagate(b, cfg, FS, seed=0)
+        lhs = ch.propagate(a + b, cfg, FS)
+        rhs = ch.propagate(a, cfg, FS) + ch.propagate(b, cfg, FS)
         assert np.allclose(lhs, rhs, rtol=1e-9)
 
     def test_interference_tone_added(self):
         cfg = ch.ChannelConfig(interference=((50e3, 0.5),))
-        out = ch.propagate(np.zeros(4096), cfg, FS, seed=0)
+        out = ch.propagate(np.zeros(4096), cfg, FS)
         assert np.max(np.abs(out)) == pytest.approx(0.5, rel=0.01)
 
     @pytest.mark.parametrize("interference", [(), ((50e3, 0.5), (3e6, 0.1))])
@@ -98,27 +98,13 @@ class TestPropagate:
             ref += amplitude_v * np.sin(2 * math.pi * freq_hz * t)
         if noise_sigma_v:
             ref += np.random.default_rng(7).normal(0.0, noise_sigma_v, len(ref))
-        assert np.array_equal(ch.propagate(wave, cfg, FS, seed=7), ref)
+        received = ch.channel_noise(cfg, len(ref), 7)
+        received += ch.propagate(wave, cfg, FS)
+        assert np.array_equal(received, ref)
 
 
 class TestNoiseDrawnAhead:
     CFG = ch.ChannelConfig(noise_sigma_v=0.05)
-
-    @pytest.mark.parametrize("interference", [(), ((50e3, 0.5), (3e6, 0.1))])
-    def test_handed_buffer_gives_the_own_draw(self, interference):
-        cfg = replace(self.CFG, interference=interference)
-        wave = carrier_tone(cycles=30)
-        noise = ch.channel_noise(cfg, len(wave) + ch.delay_samples(cfg, FS), 7)
-        out = ch.propagate(wave, cfg, FS, seed=7, noise=noise)
-        assert out is noise
-        assert np.array_equal(out, ch.propagate(wave, cfg, FS, seed=7))
-
-    @pytest.mark.parametrize("extra", [-1, 1])
-    def test_wrong_length_buffer_rejected(self, extra):
-        wave = carrier_tone(cycles=30)
-        n = len(wave) + ch.delay_samples(self.CFG, FS) + extra
-        with pytest.raises(ValueError, match="noise buffer"):
-            ch.propagate(wave, self.CFG, FS, seed=7, noise=ch.channel_noise(self.CFG, n, 7))
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_equals_the_normal_draw(self, seed):

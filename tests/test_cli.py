@@ -84,6 +84,17 @@ def test_run_rejects_ebn0_on_a_zero_volt_signal_with_exit_2(tmp_path):
     assert "ebn0_db" in result.output
 
 
+def test_run_rejects_an_overflowing_front_end_with_exit_2(tmp_path):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(dict(SCENARIO, ebn0_db=None,
+                                             front_end={"passband_gain": 1e303})))
+    result = CliRunner().invoke(main, ["run", "--scenario", str(scenario_path),
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "front_end: " in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_ber_sweep_writes_csv(tmp_path):
     out = tmp_path / "ber.csv"
     result = CliRunner().invoke(main, ["ber-sweep", "--ebn0", "20,30",

@@ -496,6 +496,21 @@ class TestReceiveThreads:
                                    "propagate"]
         assert {t for ts in callers.values() for t in ts} == {threading.main_thread()}
 
+    @pytest.mark.parametrize("make_scenario", [
+        lambda: scn.single_point_scenario(bit_rate_bps=9600),
+        collided_4800_scenario,
+    ], ids=["single_point_9600", "collided_4800"])
+    def test_the_channel_runs_once_per_transmission(self, make_scenario, monkeypatch):
+        counts = {"propagate": 0, "receive": 0}
+        for owner, name in ((ch, "propagate"), (hs._Sim, "receive")):
+            def count(*args, _real=getattr(owner, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, count)
+        hs.run_scenario(make_scenario())
+        assert counts["receive"] > 0
+        assert counts["propagate"] == counts["receive"]
+
     def test_a_failed_draw_raises_and_shuts_the_pool_down(self, monkeypatch):
         calls = itertools.count(1)
         real = ch.channel_noise
@@ -737,6 +752,19 @@ class TestScenarioFiles:
 
 class TestValidate:
     """Values of the right type that would crash the run are rejected up front."""
+
+    @pytest.mark.parametrize("amplitude_v, passband_gain", [
+        (12.0, 1e303),  # the biquad's b coefficients are inf and nan
+        (12.0, 2e302),
+        (1e300, 1e10),
+    ])
+    def test_an_overflowing_front_end_is_config_invalid(self, amplitude_v, passband_gain):
+        sc = scn.single_point_scenario(ebn0_db=None)
+        sc = replace(sc, modem=replace(sc.modem, amplitude_v=amplitude_v),
+                     front_end=replace(sc.front_end, passband_gain=passband_gain))
+        with pytest.raises(hs.ConfigInvalid,
+                           match=r"^front_end: .*modem\.amplitude_v.*front_end\.passband_gain"):
+            hs.run_scenario(sc)
 
     @pytest.mark.parametrize("edit, path", [
         (lambda sc: replace(sc, slaves=(replace(sc.slaves[0], temperature_c=150.0),)),

@@ -132,6 +132,14 @@ class TestDemodulate:
                 exact = math.fsum(sym[i] * row)
                 assert abs(corr[i] - exact) <= 1e-12 * np.linalg.norm(sym[i]) * np.linalg.norm(row)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_samples_raise(self, bad):
+        cfg = md.ModemConfig()
+        wave = md.modulate([1, 0, 1], cfg)
+        wave[cfg.samples_per_bit + 3] = bad
+        with pytest.raises(md.NonFiniteSignal):
+            md.demodulate(wave, cfg, 3)
+
     def test_insufficient_samples(self):
         cfg = md.ModemConfig()
         wave = md.modulate([1, 0], cfg)
