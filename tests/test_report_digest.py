@@ -46,12 +46,22 @@ def gated_multi_point_scenario() -> hs.Scenario:
                    master_budget=pw.UnitBudget().with_gating({"master"}))
 
 
+def collided_4800_scenario() -> hs.Scenario:
+    """Two polls of five slaves at 4800 bps, 6 dB, slave3 cutting into the
+    first command halfway: receptions of many blocks, with overlaps."""
+    base = scn.multi_point_scenario(polls_per_slave=1, bit_rate_bps=4800, ebn0_db=6.0)
+    half_command = md.frame_airtime_s(hs.FRAME_LEN, base.modem) / 2
+    return replace(base, poll_schedule=base.poll_schedule[:2],
+                   collision_injections=((base.poll_schedule[0][0] + half_command, "slave3"),))
+
+
 SCENARIOS = {
     "single_point_9600": lambda: scn.single_point_scenario(bit_rate_bps=9600),
     "single_point_115200": lambda: scn.single_point_scenario(bit_rate_bps=115200),
     "multi_point": scn.multi_point_scenario,
     "multi_point_collided": collided_multi_point_scenario,
     "multi_point_gated": gated_multi_point_scenario,
+    "multi_point_4800_collided": collided_4800_scenario,
 }
 
 DIGESTS = {
@@ -65,6 +75,8 @@ DIGESTS = {
         "602b3bfd1c499d2e73ef66b4afc7e177399ba36b5b8531be25f636b2e6e53f01",
     "multi_point_gated":
         "fa9acb34a19dc14f8f9729e9e952162da9c57ca6f77521ea3f0df7f7c9194c2a",
+    "multi_point_4800_collided":
+        "6b6a51c1999829fbab00baca099e7e6097c3b73faead57d1c80ceb6457be1558",
 }
 
 
