@@ -3,12 +3,15 @@
 The channel is linear: a measured coupling gain per coil-turn count, an
 optional exponential cable attenuation, a whole-sample propagation delay
 and additive interference tones, all in ``propagate``, which draws nothing.
-Every node hears that one noiseless signal plus its own seeded Gaussian
-noise, ``channel_noise``: a reception is the two summed.  The front end
-is a single biquad band-pass (bilinear transform, prewarped at the center
-frequency) with a configurable passband gain.  Samples are 1-D float64
-arrays; the functions that depend on time take the sample rate as an
-argument, which in a run is always ``ModemConfig.sample_rate_hz``.
+The transmissions on air add up, ``superpose``, which can expand each from
+its symbol signs a block at a time.  Every node hears the one noiseless
+signal plus its own seeded Gaussian noise, ``channel_noise``: a reception is
+the two summed.  The front end is a single biquad band-pass (bilinear
+transform, prewarped at the center frequency) with a configurable passband
+gain; ``condition`` can run it over a reception in consecutive blocks.
+Samples are 1-D float64 arrays; the functions that depend on time take the
+sample rate as an argument, which in a run is always
+``ModemConfig.sample_rate_hz``.
 """
 
 from __future__ import annotations
@@ -87,16 +90,21 @@ def channel_noise(cfg: ChannelConfig, n: int, seed: int,
     return noise
 
 
-def propagate(samples: np.ndarray, cfg: ChannelConfig, sample_rate_hz: float) -> np.ndarray:
+def propagate(samples: np.ndarray, cfg: ChannelConfig, sample_rate_hz: float,
+              out: np.ndarray | None = None) -> np.ndarray:
     """The noiseless channel: gain, attenuation, delay and interference tones.
 
     Every receiver hears this same signal; a reception adds its own
-    ``channel_noise`` to it.
+    ``channel_noise`` to it.  The result is the delay's silent samples, then
+    the signal.  It is written into ``out`` when given, and ``samples`` may
+    then be out's own tail, so a signal superposed there propagates in place.
     """
     if len(samples) == 0:
         return samples
     d = delay_samples(cfg, sample_rate_hz)
-    out = np.zeros(len(samples) + d)
+    if out is None:
+        out = np.empty(len(samples) + d)
+    out[:d] = 0.0
     np.multiply(samples, channel_gain(cfg), out=out[d:])
     if cfg.interference:
         t = np.arange(len(out)) / sample_rate_hz
@@ -130,26 +138,55 @@ def _bilinear(b: tuple, a: tuple, sample_rate_hz: float) -> tuple[np.ndarray, np
     return bz, az
 
 
-def condition(samples: np.ndarray, fe: FrontEndConfig, sample_rate_hz: float) -> np.ndarray:
-    """Band-pass filter and amplify the received samples."""
+def condition(samples: np.ndarray, fe: FrontEndConfig, sample_rate_hz: float,
+              state: np.ndarray | None = None) -> np.ndarray:
+    """Band-pass filter and amplify the received samples.
+
+    A reception can be conditioned in consecutive blocks that share one
+    ``state``, the biquad's two delay values: zeros before the first block,
+    updated in place by each call.  The blocks then come out bitwise as one
+    call over the whole reception would give them.
+    """
     if len(samples) == 0:
         return samples
     b, a = frontend_coefficients(fe, sample_rate_hz)
-    return sps.lfilter(b, a, samples)
+    if state is None:
+        return sps.lfilter(b, a, samples)
+    out, state[:] = sps.lfilter(b, a, samples, zi=state)
+    return out
 
 
-def superpose(waves: list[np.ndarray], offsets: list[int], length: int) -> np.ndarray:
+# A wave given by symbol signs is expanded about this many samples at a
+# time, so no whole wave is built.
+_EXPAND_SAMPLES = 1 << 16
+# The template of one sample of 1.0, with which a wave is its own samples.
+_SAMPLE = np.ones(1)
+_SAMPLE.flags.writeable = False
+
+
+def superpose(waves, offsets, length: int, template: np.ndarray = _SAMPLE,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Sample-wise sum over ``[0, length)`` of waveforms placed at start offsets.
 
-    ``offsets[k]`` is the output index of ``waves[k]``'s first sample;
-    samples outside the span are dropped and gaps are zero.  The waves are
-    added in list order, so the floating-point sum is reproducible.
+    Each wave is a sequence of symbols, symbol k being ``wave[k] * template``:
+    with the default template a wave is its samples, and with a modem's
+    symbol template it is its symbol signs.  ``offsets[k]`` is the output
+    index of ``waves[k]``'s first sample; samples outside the span are
+    dropped and gaps are zero.  The waves are added in list order, so the
+    floating-point sum is reproducible.  The sum is added into ``out``, zeros
+    of ``length`` samples, when given.
     """
-    out = np.zeros(length)
-    for w, off in zip(waves, offsets):
-        src_lo = max(0, -off)
-        dst_lo = max(0, off)
-        n = min(len(w) - src_lo, length - dst_lo)
-        if n > 0:
-            out[dst_lo : dst_lo + n] += w[src_lo : src_lo + n]
+    out = np.zeros(length) if out is None else out
+    spb = len(template)
+    step = max(1, _EXPAND_SAMPLES // spb)
+    for signs, off in zip(waves, offsets):
+        # Symbols first to last - 1 reach into the span.
+        first = max(0, -off) // spb
+        last = min(len(signs), -(-(length - off) // spb))
+        for k in range(first, last, step):
+            block = (signs[k : min(k + step, last), None] * template).ravel()
+            lo = off + k * spb  # the output index of block[0]
+            src = max(0, -lo)
+            n = min(len(block), length - lo) - src
+            out[lo + src : lo + src + n] += block[src : src + n]
     return out

@@ -1,11 +1,14 @@
 """Deterministic discrete-event simulation of the full polling link.
 
-Every transmission is carried at waveform level: framed, modulated,
-superposed with every transmission that overlaps it and pushed once through
-the noiseless channel; every other node adds its own noise, then conditions,
-demodulates and decodes it.  Silent intervals generate no samples, and a
-waveform is held only while its transmission or one overlapping it is on
-air or awaiting reception, so run memory does not grow with run length.
+Every transmission is carried at waveform level.  It is framed and held as
+its symbol signs; when it is received, it and every transmission that
+overlaps it are expanded from their signs straight into one pass through
+the noiseless channel.  Every other node adds its own noise to that signal,
+conditions and correlates it in blocks of whole symbols, and decodes it.
+Silent intervals generate no samples, and a transmission's signs are held
+only while it or one overlapping it is on air or awaiting reception, so run
+memory does not grow with run length.  The only arrays as long as a
+reception are the propagated signal and the noise buffers.
 Receptions of at least 2**16 samples draw their noise, and add the signal,
 ahead on up to 4 threads; everything else runs on the calling thread in
 node order, so reports are bitwise those of a serial run.
@@ -40,13 +43,18 @@ class ConfigInvalid(ValueError):
     """Scenario validation failure; message carries the offending field path."""
 
 
-# A reception is held in memory whole, as float64 samples: 2**24 is 128 MiB,
-# 31 times a 4800 bps frame at the default 16 samples per cycle.  The frame
-# and the propagation delay are each checked against it, so a reception, the
-# frame plus the delay, can reach 2**25 samples.  The noise drawn ahead of
-# the reception in use is capped at 2**24 samples, so the noise ring holds
-# at most 2**25 samples (256 MiB).
+# Only the propagated signal and the noise buffers hold a whole reception, as
+# float64 samples; the rest of a reception is handled a block at a time.
+# 2**24 samples is 128 MiB, 31 times a 4800 bps frame at the default 16
+# samples per cycle.  The frame and the propagation delay are each checked
+# against it, so a reception, the frame plus the delay, can reach 2**25
+# samples.  The noise drawn ahead of the reception in use is capped at 2**24
+# samples, so the noise ring holds at most 2**25 samples (256 MiB).
 MAX_RECEPTION_SAMPLES = 2**24
+# Receptions are conditioned and correlated in blocks of this many samples,
+# rounded down to whole symbols: one block holds a whole 115200 bps reception,
+# and 9600 and 4800 bps receptions take 5 and 9 blocks.
+_BLOCK_SAMPLES = 1 << 16
 # Bytes in every frame sent: commands and replies both carry two payload bytes.
 FRAME_LEN = fc.HEADER_LEN + len(nd.COMMAND_PAYLOAD) + fc.TRAILER_LEN
 
@@ -89,6 +97,10 @@ class Scenario:
                 derived_noise_sigma(self)
             except ValueError as err:
                 raise ConfigInvalid(f"ebn0_db: at the receiver, {err}") from err
+        peak_v = sum((abs(a) for _, a in self.channel.interference), received_amplitude(self))
+        if not math.isfinite(peak_v):
+            raise ConfigInvalid("channel.interference: the tone amplitudes and the received "
+                                "signal's sum past float64; lower them or modem.amplitude_v")
         if self.ebn0_db is not None and self.channel.noise_sigma_v > 0:
             raise ConfigInvalid("channel.noise_sigma_v: only used when ebn0_db is null")
         if not self.front_end.center_hz < self.modem.sample_rate_hz / 2:
@@ -132,13 +144,17 @@ def _frame_samples(cfg: md.ModemConfig) -> int:
     return (8 * FRAME_LEN + 1) * cfg.samples_per_bit
 
 
+def received_amplitude(sc: Scenario) -> float:
+    """Amplitude in V of one transmission at the receive coil."""
+    return sc.modem.amplitude_v * ch.channel_gain(sc.channel)
+
+
 def derived_noise_sigma(sc: Scenario) -> float:
     """Channel noise std dev giving the scenario's Eb/N0 at the receive coil."""
     if sc.ebn0_db is None:
         return sc.channel.noise_sigma_v
-    rx_amplitude = sc.modem.amplitude_v * ch.channel_gain(sc.channel)
     return md.ebn0_to_noise_sigma(10 ** (sc.ebn0_db / 10),
-                                  replace(sc.modem, amplitude_v=rx_amplitude))
+                                  replace(sc.modem, amplitude_v=received_amplitude(sc)))
 
 
 # --- report -----------------------------------------------------------------
@@ -192,10 +208,10 @@ class _Transmission:
     index: int
     sender: str
     bits: np.ndarray
-    wave: np.ndarray
+    signs: np.ndarray  # md.symbol_signs(bits): symbol k is signs[k] * the template
     start_s: float
     end_s: float
-    # (sample offset from start_s, waveform) of each overlapping transmission,
+    # (sample offset from start_s, signs) of each overlapping transmission,
     # in index order.
     overlapping: list = field(default_factory=list)
 
@@ -234,8 +250,12 @@ class _Sim:
         self.fs = sc.modem.sample_rate_hz
         self.delay = ch.delay_samples(self.channel_cfg, self.fs)
         self.prop_delay_s = self.delay / self.fs
+        # The reference symbol is +1 times the template every symbol is +/- of.
+        self.template = md.modulate((), sc.modem)
         # Every frame is FRAME_LEN bytes, so every reception is this long.
         self.ring = _draw_ring(_frame_samples(sc.modem) + self.delay)
+        spb = sc.modem.samples_per_bit
+        self.block = max(1, _BLOCK_SAMPLES // spb) * spb
 
         timeout = nd.default_master_timeout_s(FRAME_LEN, FRAME_LEN, sc.modem) + 2 * self.prop_delay_s
         self.nodes: dict[str, _Node] = {
@@ -279,17 +299,18 @@ class _Sim:
     def start_transmission(self, now_s, sender, frame: fc.Frame):
         data = fc.encode_frame(frame)
         bits = md.bytes_to_bits(data)
-        wave = md.modulate(bits, self.sc.modem)
+        signs = md.symbol_signs(bits)
         end_s = now_s + md.frame_airtime_s(len(data), self.sc.modem)
-        tx = _Transmission(self.tx_count, sender, bits, wave, now_s, end_s)
+        tx = _Transmission(self.tx_count, sender, bits, signs, now_s, end_s)
         self.tx_count += 1
         for o in self.on_air:
             if o.start_s < end_s and now_s < o.end_s:
-                tx.overlapping.append((round((o.start_s - now_s) * self.fs), o.wave))
-                o.overlapping.append((round((now_s - o.start_s) * self.fs), wave))
+                tx.overlapping.append((round((o.start_s - now_s) * self.fs), o.signs))
+                o.overlapping.append((round((now_s - o.start_s) * self.fs), signs))
         self.on_air.append(tx)
         if self.wave_dir is not None:
-            write_waveform_csv(wave, self.fs, self.wave_dir / f"tx{tx.index:04d}_{sender}.csv")
+            write_waveform_csv(md.modulate(bits, self.sc.modem), self.fs,
+                               self.wave_dir / f"tx{tx.index:04d}_{sender}.csv")
         self.nodes[sender].stats.frames_sent += 1
         self.record(now_s, sender, "tx_start", frame_hex=data.hex(" "))
         self.push(end_s, "tx_done", tx)
@@ -297,9 +318,13 @@ class _Sim:
 
     def receive(self, now_s, tx: _Transmission):
         """Demodulate and decode a transmission at every node but its sender."""
-        offsets, waves = zip((0, tx.wave), *tx.overlapping)
-        propagated = ch.propagate(ch.superpose(waves, offsets, len(tx.wave)),
-                                  self.channel_cfg, self.fs)
+        n = len(tx.signs) * len(self.template)
+        # The transmissions on air are superposed from their signs straight
+        # into the channel's output, after the delay, and propagated there.
+        propagated = np.zeros(self.delay + n)
+        offsets, signs = zip((0, tx.signs), *tx.overlapping)
+        ch.superpose(signs, offsets, n, self.template, out=propagated[self.delay:])
+        ch.propagate(propagated[self.delay:], self.channel_cfg, self.fs, out=propagated)
         n_bits = len(tx.bits)
         receivers = [node for node in self.nodes.values() if node.id != tx.sender]
         if self.channel_cfg.noise_sigma_v > 0:
@@ -316,9 +341,8 @@ class _Sim:
             receptions = itertools.repeat(propagated)
         # zip takes the next receiver first, so it stops with no draw pending.
         for node, received in zip(receivers, receptions):
-            conditioned = ch.condition(received, self.sc.front_end, self.fs)
             try:
-                bits = md.demodulate(conditioned[self.delay:], self.sc.modem, n_bits)
+                bits = md.demodulate(self.conditioned_blocks(received), self.sc.modem, n_bits)
             except md.NonFiniteSignal as err:
                 raise ConfigInvalid(f"front_end: the conditioned reception overflowed "
                                     f"float64 ({err}); lower modem.amplitude_v or "
@@ -333,6 +357,18 @@ class _Sim:
                 self.record(now_s, node.id, "decode_error", reason=err.kind.value)
                 continue
             self.deliver(now_s, node, frame)
+
+    def conditioned_blocks(self, received):
+        """Yield the conditioned reception past the delay, a block at a time.
+
+        Block edges fall at the delay plus whole multiples of self.block, so
+        every block holds whole symbols.
+        """
+        state = np.zeros(2)
+        edges = [0, *range(self.delay + self.block, len(received), self.block), len(received)]
+        for lo, hi in zip(edges, edges[1:]):
+            block = ch.condition(received[lo:hi], self.sc.front_end, self.fs, state)
+            yield block if lo else block[self.delay:]
 
     # -- protocol glue --
 

@@ -4,9 +4,11 @@ Symbols occupy an integer number of carrier cycles, so every symbol is
 exactly plus or minus one carrier template: a bit value of 1 (a pi phase
 step) negates the waveform exactly and the delay-and-multiply detection
 statistic carries no residual carrier term.  A reference symbol is prepended
-by the modulator; the receiver is assumed symbol-synchronous.  Bits travel
+by the modulator; the receiver is assumed symbol-synchronous.  A frame is
+thus fully described by its ``symbol_signs`` and the template.  Bits travel
 as uint8 numpy arrays, LSB first within each byte; samples travel as 1-D
-float64 arrays at ``ModemConfig.sample_rate_hz``.
+float64 arrays at ``ModemConfig.sample_rate_hz``, and the demodulator also
+takes them as consecutive blocks of whole symbols.
 """
 
 from __future__ import annotations
@@ -98,19 +100,24 @@ def _correlate(symbols: np.ndarray, cfg: ModemConfig) -> np.ndarray:
     return np.einsum("kj,ij->ki", _carrier(cfg.samples_per_bit, cfg.samples_per_cycle), symbols)
 
 
-def modulate(bits, cfg: ModemConfig) -> np.ndarray:
-    """The reference symbol, then one symbol per bit, each +/- one template.
+def symbol_signs(bits) -> np.ndarray:
+    """Each symbol's sign, +1 or -1, from the reference symbol's +1 on.
 
-    A 1 bit negates the template relative to the previous symbol, so the sign
-    of symbol k is the parity of the first k bits.
+    A 1 bit negates the symbol before it, so symbol k's sign is -1 to the
+    parity of the first k bits.  Symbol k of ``modulate(bits, cfg)`` is sign k
+    times the template, which is ``modulate((), cfg)``.
     """
-    template = cfg.amplitude_v * _carrier(cfg.samples_per_bit, cfg.samples_per_cycle)[0]
     parity = np.cumsum(np.asarray(bits, dtype=np.int64)) & 1
-    sign = 1 - 2 * np.concatenate(([0], parity))
-    return (sign[:, None] * template).ravel()
+    return 1 - 2 * np.concatenate(([0], parity))
 
 
-def demodulate(samples: np.ndarray, cfg: ModemConfig, n_bits: int) -> np.ndarray:
+def modulate(bits, cfg: ModemConfig) -> np.ndarray:
+    """The reference symbol, then one symbol per bit, each +/- one template."""
+    template = cfg.amplitude_v * _carrier(cfg.samples_per_bit, cfg.samples_per_cycle)[0]
+    return (symbol_signs(bits)[:, None] * template).ravel()
+
+
+def demodulate(samples, cfg: ModemConfig, n_bits: int) -> np.ndarray:
     """Differential detection over whole symbols, returning uint8 bits.
 
     Each symbol is first correlated against the carrier quadratures, which
@@ -122,15 +129,31 @@ def demodulate(samples: np.ndarray, cfg: ModemConfig, n_bits: int) -> np.ndarray
     a faint signal's products do not underflow to 0.  A correlation that is
     inf or nan, from samples that overflowed float64, raises NonFiniteSignal.
 
+    ``samples`` is one array, or an iterable of consecutive blocks that each
+    hold whole symbols, so a long reception need never be held whole;
+    samples past the last symbol are ignored.  Each symbol's correlations
+    do not depend on the blocks it came in.
+
     Both quadratures come from one einsum pass over the samples, which never
     calls BLAS: no BLAS helper thread runs, so CPU time tracks wall time
     whatever OPENBLAS_NUM_THREADS is.
     """
     spb = cfg.samples_per_bit
-    needed = (n_bits + 1) * spb
-    if len(samples) < needed:
-        raise InsufficientSamples(f"need {needed} samples, got {len(samples)}")
-    iq = _correlate(samples[:needed].reshape(n_bits + 1, spb), cfg)
+    n_symbols = n_bits + 1
+    blocks = [samples] if isinstance(samples, np.ndarray) else samples
+    parts, done, seen = [], 0, 0
+    for block in blocks:
+        if seen % spb:
+            raise ValueError(f"a block ends {seen % spb} samples into a symbol")
+        seen += len(block)
+        k = min(len(block) // spb, n_symbols - done)
+        parts.append(_correlate(block[: k * spb].reshape(k, spb), cfg))
+        done += k
+        if done == n_symbols:
+            break
+    else:
+        raise InsufficientSamples(f"need {n_symbols * spb} samples, got {seen}")
+    iq = np.concatenate(parts, axis=1)
     peak = np.max(np.abs(iq))
     if not math.isfinite(peak):
         raise NonFiniteSignal(f"the symbol correlations reach {float(peak)!r}")

@@ -103,6 +103,16 @@ class TestPropagate:
         assert np.array_equal(received, ref)
 
 
+    def test_in_place_equals_a_new_array(self):
+        cfg = ch.ChannelConfig(interference=((50e3, 0.5),))
+        wave = carrier_tone(cycles=30)
+        d = ch.delay_samples(cfg, FS)
+        out = np.full(len(wave) + d, np.nan)
+        out[d:] = wave
+        assert ch.propagate(out[d:], cfg, FS, out=out) is out
+        assert np.array_equal(out, ch.propagate(wave, cfg, FS))
+
+
 class TestNoiseDrawnAhead:
     CFG = ch.ChannelConfig(noise_sigma_v=0.05)
 
@@ -138,6 +148,15 @@ class TestCondition:
         lhs = ch.condition(a + b, fe, FS)
         rhs = ch.condition(a, fe, FS) + ch.condition(b, fe, FS)
         assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, 4096])
+    def test_blocks_sharing_a_state_equal_one_call(self, block):
+        fe = ch.FrontEndConfig()
+        x = np.random.default_rng(block).normal(size=4096)
+        state = np.zeros(2)
+        blocks = [ch.condition(x[lo : lo + block], fe, FS, state)
+                  for lo in range(0, len(x), block)]
+        assert np.array_equal(np.concatenate(blocks), ch.condition(x, fe, FS))
 
     def test_rejects_undersampled_input(self):
         with pytest.raises(ValueError):
@@ -186,3 +205,15 @@ class TestSuperpose:
         for offset in (-2, -5, 4, 9):
             out = ch.superpose([np.ones(4), np.ones(2)], [0, offset], length=4)
             assert out.tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("offset", [-1600, -700, -224, -3, 0, 5, 224, 1000, 1570])
+    def test_symbol_signs_equal_their_samples(self, offset, monkeypatch):
+        # Signs times a 224-sample template, expanded 2 symbols at a time, are
+        # added bitwise as the whole modulated waves would be.
+        template = carrier_tone(amplitude=0.3, cycles=14)
+        signs = [np.array([1, -1, -1, 1, -1, 1, 1]), np.array([-1, -1, 1, 1, -1, 1, -1])]
+        waves = [(s[:, None] * template).ravel() for s in signs]
+        monkeypatch.setattr(ch, "_EXPAND_SAMPLES", 2 * len(template) + 5)
+        out = np.zeros(len(waves[0]))
+        assert ch.superpose(signs, [0, offset], len(out), template, out=out) is out
+        assert np.array_equal(out, ch.superpose(waves, [0, offset], len(out)))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -93,6 +94,19 @@ def test_run_rejects_an_overflowing_front_end_with_exit_2(tmp_path):
     assert result.exit_code == 2, result.output
     assert "front_end: " in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_run_rejects_overflowing_interference_with_exit_2(tmp_path):
+    tones = [[50e3, 1.5e308], [3e6, 1.5e308]]
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(dict(SCENARIO, ebn0_db=None,
+                                             channel={"interference": tones})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = CliRunner().invoke(main, ["run", "--scenario", str(scenario_path),
+                                           "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "channel.interference: " in result.output
 
 
 def test_ber_sweep_writes_csv(tmp_path):

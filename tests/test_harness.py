@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import asdict, replace
 from functools import reduce
 from operator import getitem
@@ -163,9 +164,9 @@ class TestCollisions:
                                   (t0 + airtime + 15.2 / fs, "slave2")))
         superposed = []
         real = ch.superpose
-        def spy(waves, offsets, length):
+        def spy(waves, offsets, length, *args, **kwargs):
             superposed.append(list(offsets))
-            return real(waves, offsets, length)
+            return real(waves, offsets, length, *args, **kwargs)
         monkeypatch.setattr(ch, "superpose", spy)
         report = hs.run_scenario(sc)
         assert report.nodes["slave1"].frames_sent == 1
@@ -529,6 +530,51 @@ class TestReceiveThreads:
         assert set(threading.enumerate()) == threads_before
 
 
+class TestStreamedReception:
+    """Transmissions are held as their symbol signs, and each reception is
+    conditioned and correlated in blocks of whole symbols."""
+
+    @pytest.mark.parametrize("interference", [(), ((50e3, 0.5), (3e6, 0.1))],
+                             ids=["no_tones", "tones"])
+    @pytest.mark.parametrize("make_scenario", [
+        lambda: scn.single_point_scenario(bit_rate_bps=9600),
+        collided_4800_scenario,
+    ], ids=["single_point_9600", "collided_4800"])
+    def test_block_length_does_not_change_the_report(self, make_scenario, interference,
+                                                     monkeypatch, tmp_path):
+        sc = make_scenario()
+        sc = replace(sc, channel=replace(sc.channel, interference=interference))
+        spb = sc.modem.samples_per_bit
+
+        def report_bytes(name):
+            hs.emit_report(hs.run_scenario(sc), "json", tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        sim = hs._Sim(sc)
+        assert sim.block < len(sim.ring[0]) - sim.delay  # several blocks by default
+        default = report_bytes("default.json")
+        for symbols in (1, 7):
+            monkeypatch.setattr(hs, "_BLOCK_SAMPLES", symbols * spb)
+            assert hs._Sim(sc).block == symbols * spb
+            assert report_bytes(f"{symbols}.json") == default, symbols
+
+    def test_peak_memory_is_the_ring_and_the_propagated_signal(self):
+        sc = collided_4800_scenario()
+        sim = hs._Sim(sc)
+        ring, reception_bytes = len(sim.ring), sim.ring[0].nbytes
+        del sim
+        # tracemalloc also sees numpy buffers, so a kept waveform would show.
+        tracemalloc.start()
+        try:
+            hs.run_scenario(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The noise ring and the one propagated signal are whole receptions;
+        # everything else is a block, a frame's signs or the report.
+        assert peak <= (ring + 2) * reception_bytes
+
+
 class TestReportIo:
     def test_json_round_trip(self, single_point_report, tmp_path):
         path = tmp_path / "report.json"
@@ -765,6 +811,16 @@ class TestValidate:
         with pytest.raises(hs.ConfigInvalid,
                            match=r"^front_end: .*modem\.amplitude_v.*front_end\.passband_gain"):
             hs.run_scenario(sc)
+
+    def test_overflowing_interference_is_config_invalid(self):
+        sc = scn.single_point_scenario(ebn0_db=None)
+        tones = ((50e3, 1.5e308), (3e6, 1.5e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(hs.ConfigInvalid, match=r"^channel\.interference: "):
+                hs.run_scenario(replace(sc, channel=replace(sc.channel, interference=tones)))
+            # One such tone alone is still a valid scenario.
+            hs._Sim(replace(sc, channel=replace(sc.channel, interference=tones[:1])))
 
     @pytest.mark.parametrize("edit, path", [
         (lambda sc: replace(sc, slaves=(replace(sc.slaves[0], temperature_c=150.0),)),

@@ -68,6 +68,14 @@ class TestModulate:
         template = md._carrier(spb, cfg.samples_per_cycle)[0] * cfg.amplitude_v
         assert np.array_equal(md.modulate([], cfg), template)
 
+    def test_each_symbol_is_its_sign_times_the_reference_symbol(self):
+        cfg = md.ModemConfig(bit_rate_bps=9600)
+        bits = np.random.default_rng(3).integers(0, 2, 40)
+        signs = md.symbol_signs(bits)
+        assert signs[0] == 1 and set(signs.tolist()) == {-1, 1}
+        expected = (signs[:, None] * md.modulate([], cfg)).ravel()
+        assert np.array_equal(md.modulate(bits, cfg), expected)
+
     def test_peak_bounded_and_first_sample_at_amplitude(self):
         cfg = md.ModemConfig()
         rng = random.Random(5)
@@ -139,6 +147,32 @@ class TestDemodulate:
         wave[cfg.samples_per_bit + 3] = bad
         with pytest.raises(md.NonFiniteSignal):
             md.demodulate(wave, cfg, 3)
+
+    @pytest.mark.parametrize("symbols_per_block", [1, 3, 40])
+    def test_blocks_of_whole_symbols_equal_one_array(self, symbols_per_block):
+        cfg = md.ModemConfig(bit_rate_bps=9600)
+        spb, n_bits = cfg.samples_per_bit, 40
+        rng = np.random.default_rng(symbols_per_block)
+        noisy = md.modulate(rng.integers(0, 2, n_bits), cfg)
+        noisy += rng.normal(0.0, 40.0, len(noisy))
+        step = symbols_per_block * spb
+        blocks = (noisy[lo : lo + step] for lo in range(0, len(noisy), step))
+        whole = md.demodulate(noisy, cfg, n_bits)
+        assert np.array_equal(md.demodulate(blocks, cfg, n_bits), whole)
+        assert 0 < np.count_nonzero(whole) < n_bits
+
+    def test_a_block_ending_inside_a_symbol_raises(self):
+        cfg = md.ModemConfig()
+        wave = md.modulate([1, 0, 1], cfg)
+        with pytest.raises(ValueError, match="into a symbol"):
+            md.demodulate(iter((wave[:5], wave[5:])), cfg, 3)
+
+    def test_insufficient_samples_in_blocks(self):
+        cfg = md.ModemConfig()
+        wave = md.modulate([1, 0], cfg)
+        spb = cfg.samples_per_bit
+        with pytest.raises(md.InsufficientSamples, match=f"got {len(wave)}$"):
+            md.demodulate(iter((wave[:spb], wave[spb:])), cfg, 5)
 
     def test_insufficient_samples(self):
         cfg = md.ModemConfig()
