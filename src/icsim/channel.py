@@ -3,21 +3,23 @@
 The channel is linear: a measured coupling gain per coil-turn count, an
 optional exponential cable attenuation, a whole-sample propagation delay
 and additive interference tones, all in ``propagate``, which draws nothing.
-The transmissions on air add up, ``superpose``, which can expand each from
-its symbol signs a block at a time.  Every node hears the one noiseless
-signal plus its own seeded Gaussian noise, ``channel_noise``: a reception is
-the two summed.  The front end is a single biquad band-pass (bilinear
-transform, prewarped at the center frequency) with a configurable passband
-gain; ``condition`` can run it over a reception in consecutive blocks.
-Samples are 1-D float64 arrays; the functions that depend on time take the
-sample rate as an argument, which in a run is always
-``ModemConfig.sample_rate_hz``.
+The transmissions on air add up, ``superpose``, which adds each in place
+from its symbol signs as plus or minus one symbol template.  Every node
+hears the one noiseless signal plus its own seeded Gaussian noise,
+``channel_noise``: a reception is the two summed.  The front end is a single
+biquad band-pass (bilinear transform, prewarped at the center frequency)
+with a configurable passband gain; ``check_frontend`` rejects one whose
+biquad is not finite or badly conditioned, and ``condition`` can run it over
+a reception in consecutive blocks.  Samples are 1-D float64 arrays; the
+functions that depend on time take the sample rate as an argument, which in
+a run is always ``ModemConfig.sample_rate_hz``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +92,11 @@ def channel_noise(cfg: ChannelConfig, n: int, seed: int,
     return noise
 
 
+# Interference tones are added this many samples at a time, so no tone is
+# built over a whole reception.
+_TONE_SAMPLES = 1 << 16
+
+
 def propagate(samples: np.ndarray, cfg: ChannelConfig, sample_rate_hz: float,
               out: np.ndarray | None = None) -> np.ndarray:
     """The noiseless channel: gain, attenuation, delay and interference tones.
@@ -98,6 +105,7 @@ def propagate(samples: np.ndarray, cfg: ChannelConfig, sample_rate_hz: float,
     ``channel_noise`` to it.  The result is the delay's silent samples, then
     the signal.  It is written into ``out`` when given, and ``samples`` may
     then be out's own tail, so a signal superposed there propagates in place.
+    The tones are added a block at a time through one reused buffer.
     """
     if len(samples) == 0:
         return samples
@@ -107,9 +115,16 @@ def propagate(samples: np.ndarray, cfg: ChannelConfig, sample_rate_hz: float,
     out[:d] = 0.0
     np.multiply(samples, channel_gain(cfg), out=out[d:])
     if cfg.interference:
-        t = np.arange(len(out)) / sample_rate_hz
-        for freq_hz, amplitude_v in cfg.interference:
-            out += amplitude_v * np.sin(2 * math.pi * freq_hz * t)
+        tone = np.empty(min(len(out), _TONE_SAMPLES))
+        for lo in range(0, len(out), _TONE_SAMPLES):
+            t = np.arange(lo, min(lo + _TONE_SAMPLES, len(out))) / sample_rate_hz
+            for freq_hz, amplitude_v in cfg.interference:
+                # amplitude_v * sin(2 * pi * freq_hz * t) in place: elementwise,
+                # so bitwise what the expression over the whole reception gives.
+                block = np.multiply(2 * math.pi * freq_hz, t, out=tone[: len(t)])
+                np.sin(block, out=block)
+                block *= amplitude_v
+                out[lo : lo + len(t)] += block
     return out
 
 
@@ -120,6 +135,33 @@ def frontend_coefficients(fe: FrontEndConfig, sample_rate_hz: float) -> tuple[np
     transformed with the center frequency prewarped so the passband gain is
     exact at center_hz.
     """
+    return _biquad(fe, sample_rate_hz)
+
+
+def check_frontend(fe: FrontEndConfig, sample_rate_hz: float) -> None:
+    """Raise ValueError unless the front end's biquad builds with no warning
+    into finite coefficients of a stable filter.
+
+    The coefficients are checked themselves, since a cached build does not
+    warn again.  scipy trims a numerator it finds badly conditioned, so a
+    band-pass numerator shorter than its denominator is rejected; the poles
+    of 1 + a1/z + a2/z^2 are inside the unit circle iff |a2| < 1 and
+    |a1| < 1 + a2.  The biquad is built through ``_biquad``, so calls to
+    ``frontend_coefficients`` count only the conditioning.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b, a = _biquad(fe, sample_rate_hz)
+    except Exception as err:  # scipy fails on a degenerate prototype in several ways
+        raise ValueError(f"its biquad cannot be built ({type(err).__name__}: {err})") from err
+    if not (np.isfinite(b).all() and np.isfinite(a).all() and len(b) == len(a) == 3
+            and abs(a[2]) < 1 and abs(a[1]) < 1 + a[2]):
+        raise ValueError(f"its biquad, b={b.tolist()} and a={a.tolist()}, is not finite "
+                         "or badly conditioned")
+
+
+def _biquad(fe: FrontEndConfig, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
     if sample_rate_hz <= 2 * fe.center_hz:
         raise ValueError("sample rate must exceed twice the center frequency")
     w0 = 2 * math.pi * fe.center_hz
@@ -156,37 +198,31 @@ def condition(samples: np.ndarray, fe: FrontEndConfig, sample_rate_hz: float,
     return out
 
 
-# A wave given by symbol signs is expanded about this many samples at a
-# time, so no whole wave is built.
-_EXPAND_SAMPLES = 1 << 16
-# The template of one sample of 1.0, with which a wave is its own samples.
-_SAMPLE = np.ones(1)
-_SAMPLE.flags.writeable = False
-
-
-def superpose(waves, offsets, length: int, template: np.ndarray = _SAMPLE,
+def superpose(waves, offsets, length: int, template: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
-    """Sample-wise sum over ``[0, length)`` of waveforms placed at start offsets.
+    """Sample-wise sum over ``[0, length)`` of waves placed at start offsets.
 
-    Each wave is a sequence of symbols, symbol k being ``wave[k] * template``:
-    with the default template a wave is its samples, and with a modem's
-    symbol template it is its symbol signs.  ``offsets[k]`` is the output
-    index of ``waves[k]``'s first sample; samples outside the span are
-    dropped and gaps are zero.  The waves are added in list order, so the
-    floating-point sum is reproducible.  The sum is added into ``out``, zeros
-    of ``length`` samples, when given.
+    Each wave is an array of symbol signs, +1 or -1, symbol k being
+    ``wave[k] * template``; ``offsets[k]`` is the output index of
+    ``waves[k]``'s first sample.  Samples outside the span are dropped and
+    gaps are zero.  The waves are added in list order, so the floating-point
+    sum is reproducible, and in place into ``out``, zeros of ``length``
+    samples unless given: the template is added where a sign is +1 and
+    subtracted where it is -1, which is bitwise adding ``sign * template``.
     """
     out = np.zeros(length) if out is None else out
     spb = len(template)
-    step = max(1, _EXPAND_SAMPLES // spb)
     for signs, off in zip(waves, offsets):
-        # Symbols first to last - 1 reach into the span.
-        first = max(0, -off) // spb
-        last = min(len(signs), -(-(length - off) // spb))
-        for k in range(first, last, step):
-            block = (signs[k : min(k + step, last), None] * template).ravel()
-            lo = off + k * spb  # the output index of block[0]
-            src = max(0, -lo)
-            n = min(len(block), length - lo) - src
-            out[lo + src : lo + src + n] += block[src : src + n]
+        # Symbols lo to hi - 1 lie wholly in the span and are added as the
+        # rows of one view of out; only symbols lo - 1 and hi can be clipped.
+        lo, hi = max(0, -(off // spb)), min(len(signs), (length - off) // spb)
+        if lo < hi:
+            rows = out[off + lo * spb : off + hi * spb].reshape(hi - lo, spb)
+            np.add(rows, template, out=rows, where=signs[lo:hi, None] > 0)
+            np.subtract(rows, template, out=rows, where=signs[lo:hi, None] < 0)
+        for k in {lo - 1, hi}:
+            if 0 <= k < len(signs):
+                start = off + k * spb
+                a, b = max(0, start), min(length, start + spb)
+                out[a:b] += signs[k] * template[a - start : b - start]
     return out

@@ -2,8 +2,8 @@
 
 Every transmission is carried at waveform level.  It is framed and held as
 its symbol signs; when it is received, it and every transmission that
-overlaps it are expanded from their signs straight into one pass through
-the noiseless channel.  Every other node adds its own noise to that signal,
+overlaps it are added in place from their signs into one pass through the
+noiseless channel.  Every other node adds its own noise to that signal,
 conditions and correlates it in blocks of whole symbols, and decodes it.
 Silent intervals generate no samples, and a transmission's signs are held
 only while it or one overlapping it is on air or awaiting reception, so run
@@ -87,8 +87,8 @@ class Scenario:
     master_budget: pw.UnitBudget = pw.UnitBudget()
 
     def validate(self) -> None:
-        if not self.duration_s > 0:
-            raise ConfigInvalid("duration_s: must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigInvalid("duration_s: must be positive and finite")
         if self.seed < 0:
             raise ConfigInvalid("seed: must be nonnegative")
         if self.ebn0_db is not None:
@@ -105,6 +105,13 @@ class Scenario:
             raise ConfigInvalid("channel.noise_sigma_v: only used when ebn0_db is null")
         if not self.front_end.center_hz < self.modem.sample_rate_hz / 2:
             raise ConfigInvalid("front_end.center_hz: must be below half the sample rate")
+        try:
+            ch.check_frontend(self.front_end, self.modem.sample_rate_hz)
+        except ValueError as err:
+            raise ConfigInvalid(f"front_end: {err}, so no reception can be conditioned, "
+                                "whatever modem.amplitude_v; choose front_end.passband_gain, "
+                                "center_hz and quality_factor that give a finite, stable "
+                                "filter") from err
         frame_samples = _frame_samples(self.modem)
         if frame_samples > MAX_RECEPTION_SAMPLES:
             raise ConfigInvalid(f"modem: a frame of {frame_samples} samples is over "
@@ -116,6 +123,14 @@ class Scenario:
         if delay > MAX_RECEPTION_SAMPLES:
             raise ConfigInvalid(f"channel: a propagation delay of {delay} samples is over "
                                 f"the limit of {MAX_RECEPTION_SAMPLES}")
+        # A node draws at most RUN's controller current and all its units.
+        budgets = [("master_budget", self.master_budget),
+                   *((f"slaves[{i}].budget", spec.budget) for i, spec in enumerate(self.slaves))]
+        for path, budget in budgets:
+            peak_ua = pw.MODE_TABLE["RUN"].mcu_current_ua + pw.standby_current(budget)
+            if not math.isfinite(peak_ua * self.duration_s):
+                raise ConfigInvalid(f"{path}: {peak_ua!r} uA over duration_s is more "
+                                    "charge than float64 holds")
         seen = set()
         for i, spec in enumerate(self.slaves):
             if spec.address.octets in seen:
@@ -557,9 +572,10 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
 
     Chunks of at least 2**16 samples are drawn ahead on up to 4 threads, into
     one more reused chunk buffer than there are threads, so memory does not
-    grow with ``n_bits``.  Modulation and detection stay on the calling thread, chunk
-    by chunk in order, and the results are bitwise those of drawing and
-    receiving each chunk in turn.
+    grow with ``n_bits``; each chunk's signal is superposed onto its noise in
+    place, so they are the only chunk-long arrays.  Superposition and detection
+    stay on the calling thread, chunk by chunk in order, and the results are
+    bitwise those of drawing, modulating and receiving each chunk in turn.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be at least 1")
@@ -568,6 +584,7 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
     grid = list(ebn0_db_list)
     sigmas = [md.ebn0_to_noise_sigma(10 ** (ebn0_db / 10), cfg) for ebn0_db in grid]
     spb = cfg.samples_per_bit
+    template = md.modulate((), cfg)
     ring = _draw_ring((min(chunk_bits, n_bits) + 1) * spb)
     jobs = ((gi, ci, min(chunk_bits, n_bits - done))
             for gi in range(len(grid)) for ci, done in enumerate(range(0, n_bits, chunk_bits)))
@@ -586,7 +603,7 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
         for gi, bits, noise in _draw_ahead(pool, draw, jobs, ring):
             # sigma * standard_normal is what normal(0, sigma) draws, and
             # addition commutes, so this is signal + normal(0, sigma) bit for bit.
-            noise += md.modulate(bits, cfg)
+            ch.superpose([md.symbol_signs(bits)], [0], len(noise), template, out=noise)
             out = md.demodulate(noise, cfg, len(bits))
             errors[gi] += int(np.count_nonzero(bits != out))
     return [(float(ebn0_db), e / n_bits) for ebn0_db, e in zip(grid, errors)]
@@ -620,7 +637,7 @@ def emit_report(report: Report, fmt: str, path) -> None:
     try:
         if fmt == "json":
             with open(path, "w") as fh:
-                json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+                json.dump(report.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
                 fh.write("\n")
         elif fmt == "csv":
             # One table: node rows leave the link columns empty and vice versa.
@@ -642,7 +659,7 @@ def emit_timeline(report: Report, path) -> None:
     try:
         with open(path, "w") as fh:
             for entry in report.timeline:
-                fh.write(json.dumps(entry, sort_keys=True))
+                fh.write(json.dumps(entry, sort_keys=True, allow_nan=False))
                 fh.write("\n")
     except OSError as err:
         raise IoFailure(str(err)) from err

@@ -103,6 +103,19 @@ class TestPropagate:
         assert np.array_equal(received, ref)
 
 
+    @pytest.mark.parametrize("n, block", [(3 * (1 << 16) + 5, 1 << 16), (2500, 1000), (7, 1000)])
+    def test_tones_added_in_blocks_equal_the_whole_array_formula(self, n, block, monkeypatch):
+        monkeypatch.setattr(ch, "_TONE_SAMPLES", block)
+        cfg = ch.ChannelConfig(interference=((50e3, 0.5), (3e6, 0.1)))
+        wave = np.random.default_rng(5).standard_normal(n)
+        d = ch.delay_samples(cfg, FS)
+        ref = np.zeros(n + d)
+        ref[d:] = wave * ch.channel_gain(cfg)
+        t = np.arange(len(ref)) / FS
+        for freq_hz, amplitude_v in cfg.interference:
+            ref += amplitude_v * np.sin(2 * math.pi * freq_hz * t)
+        assert np.array_equal(ch.propagate(wave, cfg, FS), ref)
+
     def test_in_place_equals_a_new_array(self):
         cfg = ch.ChannelConfig(interference=((50e3, 0.5),))
         wave = carrier_tone(cycles=30)
@@ -181,39 +194,71 @@ class TestFrontendCoefficients:
             a[1] = 0.0
 
 
+def expanded_sum(waves, offsets, length, template, out=None):
+    """What superpose must give bitwise: each wave of signs expanded whole,
+    ``(s[:, None] * t).ravel()``, and added into out in list order."""
+    out = np.zeros(length) if out is None else out.copy()
+    for signs, off in zip(waves, offsets):
+        wave = (np.asarray(signs)[:, None] * template).ravel()
+        lo, hi = max(0, off), min(length, off + len(wave))
+        if lo < hi:
+            out[lo:hi] += wave[lo - off : hi - off]
+    return out
+
+
 class TestSuperpose:
+    TEMPLATE = carrier_tone(amplitude=0.3, cycles=14)  # 224 samples, a 115200 bps symbol
+    SIGNS = [np.array([1, -1, -1, 1, -1, 1, 1]), np.array([-1, -1, 1, 1, -1, 1, -1])]
+
     def test_single_waveform_identity(self):
-        w = carrier_tone(cycles=5)
-        assert np.array_equal(ch.superpose([w], [0], len(w)), w)
+        n = len(self.SIGNS[0]) * len(self.TEMPLATE)
+        out = ch.superpose(self.SIGNS[:1], [0], n, self.TEMPLATE)
+        assert np.array_equal(out, (self.SIGNS[0][:, None] * self.TEMPLATE).ravel())
 
     def test_cancellation(self):
-        w = carrier_tone(cycles=5)
-        assert np.allclose(ch.superpose([w, -w], [0, 0], len(w)), 0.0)
+        s = self.SIGNS[0]
+        out = ch.superpose([s, -s], [0, 0], len(s) * len(self.TEMPLATE), self.TEMPLATE)
+        assert not out.any()
 
     def test_offsets_place_each_waveform(self):
-        out = ch.superpose([np.ones(3), np.full(2, 2.0)], [0, 4], length=6)
-        assert out.tolist() == [1.0, 1.0, 1.0, 0.0, 2.0, 2.0]
+        out = ch.superpose([np.array([1, -1]), np.array([1])], [0, 5], 8, np.array([1.0, 2.0]))
+        assert out.tolist() == [1.0, 2.0, -1.0, -2.0, 0.0, 1.0, 2.0, 0.0]
 
     def test_length_clips_both_ends(self):
-        base = np.ones(5)
-        early = np.arange(1.0, 5.0)  # starts two samples early
-        late = np.full(4, 10.0)  # runs past the end
-        out = ch.superpose([base, early, late], [0, -2, 3], length=5)
-        assert out.tolist() == [4.0, 5.0, 1.0, 11.0, 11.0]
+        template = np.array([1.0, 2.0, 3.0])
+        waves = [np.array([1, -1]), np.array([-1, 1]), np.array([1])]
+        # The second wave starts two samples early and the third runs past the end.
+        out = ch.superpose(waves, [0, -2, 3], 5, template)
+        assert out.tolist() == [-2.0, 3.0, 5.0, 3.0, 0.0]
+
+    @pytest.mark.parametrize("offset", [-1, -2, -4])
+    def test_one_symbol_clipped_at_both_ends(self, offset):
+        template = np.arange(1.0, 9.0)
+        out = ch.superpose([np.array([-1, 1])], [offset], 3, template)
+        assert out.tolist() == (-template[-offset : 3 - offset]).tolist()
 
     def test_waveform_outside_the_span_adds_nothing(self):
-        for offset in (-2, -5, 4, 9):
-            out = ch.superpose([np.ones(4), np.ones(2)], [0, offset], length=4)
-            assert out.tolist() == [1.0] * 4
+        n = 4 * len(self.TEMPLATE)
+        ones = np.ones(4, dtype=np.int64)
+        for offset in (-2 * 224, -3 * 224 - 5, 4 * 224, 9 * 224 + 1):
+            out = ch.superpose([ones, self.SIGNS[0][:2]], [0, offset], n, self.TEMPLATE)
+            assert np.array_equal(out, np.tile(self.TEMPLATE, 4)), offset
 
     @pytest.mark.parametrize("offset", [-1600, -700, -224, -3, 0, 5, 224, 1000, 1570])
-    def test_symbol_signs_equal_their_samples(self, offset, monkeypatch):
-        # Signs times a 224-sample template, expanded 2 symbols at a time, are
-        # added bitwise as the whole modulated waves would be.
-        template = carrier_tone(amplitude=0.3, cycles=14)
-        signs = [np.array([1, -1, -1, 1, -1, 1, 1]), np.array([-1, -1, 1, 1, -1, 1, -1])]
-        waves = [(s[:, None] * template).ravel() for s in signs]
-        monkeypatch.setattr(ch, "_EXPAND_SAMPLES", 2 * len(template) + 5)
-        out = np.zeros(len(waves[0]))
-        assert ch.superpose(signs, [0, offset], len(out), template, out=out) is out
-        assert np.array_equal(out, ch.superpose(waves, [0, offset], len(out)))
+    def test_symbol_signs_equal_their_samples(self, offset):
+        # Including offsets off the symbol grid, which clip a symbol at each end.
+        n = len(self.SIGNS[0]) * len(self.TEMPLATE)
+        out = np.zeros(n)
+        assert ch.superpose(self.SIGNS, [0, offset], n, self.TEMPLATE, out=out) is out
+        assert np.array_equal(out, expanded_sum(self.SIGNS, [0, offset], n, self.TEMPLATE))
+
+    def test_adds_into_out_in_list_order(self):
+        # Onto noise, the order of the additions shows in the rounding.
+        noise = np.random.default_rng(3).standard_normal(len(self.SIGNS[0]) * len(self.TEMPLATE))
+        waves, offsets = [*self.SIGNS, -self.SIGNS[0]], [0, 101, -37]
+        ref = expanded_sum(waves, offsets, len(noise), self.TEMPLATE, noise)
+        assert not np.array_equal(
+            ref, expanded_sum(waves[::-1], offsets[::-1], len(noise), self.TEMPLATE, noise))
+        out = noise.copy()
+        ch.superpose(waves, offsets, len(out), self.TEMPLATE, out=out)
+        assert np.array_equal(out, ref)

@@ -109,6 +109,32 @@ def test_run_rejects_overflowing_interference_with_exit_2(tmp_path):
     assert "channel.interference: " in result.output
 
 
+@pytest.mark.parametrize("front_end", [
+    {"center_hz": 5e-324},  # scipy's bilinear ends in an AttributeError
+    {"center_hz": 1e-300, "quality_factor": 1e-300, "passband_gain": 1e-9},  # BadCoefficients
+], ids=["unbuildable", "badly_conditioned"])
+def test_run_rejects_a_front_end_without_a_usable_biquad_with_exit_2(tmp_path, front_end):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(dict(SCENARIO, ebn0_db=None, front_end=front_end)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = CliRunner().invoke(main, ["run", "--scenario", str(scenario_path),
+                                           "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "config error: front_end: " in result.output
+
+
+def test_run_rejects_a_budget_past_float64_with_exit_2(tmp_path):
+    budget = {"carrier_ua": 1.7e308, "signal_processing_ua": 1.7e308}
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(dict(SCENARIO, master_budget=budget)))
+    result = CliRunner().invoke(main, ["run", "--scenario", str(scenario_path),
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "config error: master_budget: " in result.output
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_ber_sweep_writes_csv(tmp_path):
     out = tmp_path / "ber.csv"
     result = CliRunner().invoke(main, ["ber-sweep", "--ebn0", "20,30",

@@ -389,10 +389,10 @@ class TestMeasureBer:
 
         short, long = peak_traced_bytes(10), peak_traced_bytes(40)
         assert abs(long - short) <= 0.1 * short
-        # The noise buffers, one per drawing thread plus one, and one
-        # modulated chunk, with room for one more chunk-sized temporary.
+        # The noise buffers, one per drawing thread plus one, onto which each
+        # chunk's signal is superposed in place, and a quarter chunk to spare.
         chunk_bytes = 2001 * 224 * 8
-        assert max(short, long) <= (hs._draw_threads() + 3) * chunk_bytes
+        assert max(short, long) <= (hs._draw_threads() + 1.25) * chunk_bytes
 
 
 class TestMeasureBerThreads:
@@ -414,11 +414,11 @@ class TestMeasureBerThreads:
 
     def test_modem_runs_only_on_the_main_thread(self, monkeypatch):
         callers = []
-        for name in ("modulate", "demodulate"):
-            def record(*args, _real=getattr(md, name), **kwargs):
+        for module, name in ((ch, "superpose"), (md, "demodulate")):
+            def record(*args, _real=getattr(module, name), **kwargs):
                 callers.append(threading.current_thread())
                 return _real(*args, **kwargs)
-            monkeypatch.setattr(md, name, record)
+            monkeypatch.setattr(module, name, record)
         hs.measure_ber(self.CFG, [3.0, 6.0], 9000, seed=5, chunk_bits=700)
         assert len(callers) == 2 * 2 * 13
         assert set(callers) == {threading.main_thread()}
@@ -559,20 +559,23 @@ class TestStreamedReception:
             assert report_bytes(f"{symbols}.json") == default, symbols
 
     def test_peak_memory_is_the_ring_and_the_propagated_signal(self):
-        sc = collided_4800_scenario()
-        sim = hs._Sim(sc)
-        ring, reception_bytes = len(sim.ring), sim.ring[0].nbytes
-        del sim
-        # tracemalloc also sees numpy buffers, so a kept waveform would show.
-        tracemalloc.start()
-        try:
-            hs.run_scenario(sc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # The noise ring and the one propagated signal are whole receptions;
-        # everything else is a block, a frame's signs or the report.
-        assert peak <= (ring + 2) * reception_bytes
+        for interference in ((), ((50e3, 0.5), (3e6, 0.1))):
+            sc = collided_4800_scenario()
+            sc = replace(sc, channel=replace(sc.channel, interference=interference))
+            sim = hs._Sim(sc)
+            ring, reception_bytes = len(sim.ring), sim.ring[0].nbytes
+            del sim
+            # tracemalloc also sees numpy buffers, so a kept waveform would show.
+            tracemalloc.start()
+            try:
+                hs.run_scenario(sc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # The noise ring and the one propagated signal are whole receptions;
+            # everything else is a block, a frame's signs or the report.  Tones
+            # are added a block at a time.
+            assert peak <= (ring + 2) * reception_bytes, interference
 
 
 class TestReportIo:
@@ -605,6 +608,15 @@ class TestReportIo:
         hs.emit_timeline(single_point_report, path)
         entries = [json.loads(line) for line in path.read_text().splitlines()]
         assert entries == single_point_report.timeline
+
+    def test_non_finite_values_are_not_written_as_json(self, single_point_report, tmp_path):
+        report = copy.deepcopy(single_point_report)
+        report.nodes["master"].energy_uah = math.inf
+        with pytest.raises(ValueError, match="JSON"):
+            hs.emit_report(report, "json", tmp_path / "report.json")
+        report.timeline.append({"time_s": math.nan, "node": "master", "kind": "log"})
+        with pytest.raises(ValueError, match="JSON"):
+            hs.emit_timeline(report, tmp_path / "timeline.jsonl")
 
     def test_unwritable_destination(self, single_point_report, tmp_path):
         with pytest.raises(hs.IoFailure):
@@ -821,6 +833,49 @@ class TestValidate:
                 hs.run_scenario(replace(sc, channel=replace(sc.channel, interference=tones)))
             # One such tone alone is still a valid scenario.
             hs._Sim(replace(sc, channel=replace(sc.channel, interference=tones[:1])))
+
+    @pytest.mark.parametrize("front_end", [
+        ch.FrontEndConfig(center_hz=5e-324),  # scipy's bilinear raises AttributeError
+        # scipy warns BadCoefficients and trims the numerator.
+        ch.FrontEndConfig(center_hz=1e-300, quality_factor=1e-300, passband_gain=1e-9),
+        ch.FrontEndConfig(quality_factor=1e-300),  # poles at +1 and -1
+        ch.FrontEndConfig(center_hz=1e-3),  # a double pole at +1
+    ])
+    def test_a_front_end_without_a_usable_biquad_is_config_invalid(self, front_end):
+        sc = replace(scn.single_point_scenario(ebn0_db=None), front_end=front_end)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(hs.ConfigInvalid, match=r"^front_end: its biquad"):
+                hs.run_scenario(sc)
+
+    def test_a_cached_biquad_is_still_checked(self):
+        fe = ch.FrontEndConfig(center_hz=1e-300, quality_factor=1e-300, passband_gain=1e-9)
+        sc = replace(scn.single_point_scenario(ebn0_db=None), front_end=fe)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ch.frontend_coefficients(fe, sc.modem.sample_rate_hz)  # warns once, then cached
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(hs.ConfigInvalid, match=r"^front_end: .*badly conditioned"):
+                hs._Sim(sc)
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda sc, b: replace(sc, master_budget=b), "master_budget"),
+        (lambda sc, b: replace(sc, slaves=(replace(sc.slaves[0], budget=b),)),
+         "slaves[0].budget"),
+    ])
+    def test_a_budget_past_float64_is_config_invalid(self, edit, path):
+        sc = scn.single_point_scenario()
+        budget = pw.UnitBudget(carrier_ua=1.7e308, signal_processing_ua=1.7e308)
+        with pytest.raises(hs.ConfigInvalid, match=f"^{re.escape(path)}: "):
+            hs._Sim(edit(sc, budget))
+        # Finite currents whose charge over the run overflows are rejected too.
+        with pytest.raises(hs.ConfigInvalid, match=f"^{re.escape(path)}: "):
+            hs._Sim(edit(replace(sc, duration_s=1e300), pw.UnitBudget(carrier_ua=1e10)))
+
+    def test_an_infinite_duration_is_config_invalid(self):
+        with pytest.raises(hs.ConfigInvalid, match=r"^duration_s: "):
+            hs._Sim(replace(scn.single_point_scenario(), duration_s=math.inf))
 
     @pytest.mark.parametrize("edit, path", [
         (lambda sc: replace(sc, slaves=(replace(sc.slaves[0], temperature_c=150.0),)),
