@@ -8,11 +8,11 @@ from its symbol signs as plus or minus one symbol template.  Every node
 hears the one noiseless signal plus its own seeded Gaussian noise,
 ``channel_noise``: a reception is the two summed.  The front end is a single
 biquad band-pass (bilinear transform, prewarped at the center frequency)
-with a configurable passband gain; ``check_frontend`` rejects one whose
-biquad is not finite or badly conditioned, and ``condition`` can run it over
-a reception in consecutive blocks.  Samples are 1-D float64 arrays; the
-functions that depend on time take the sample rate as an argument, which in
-a run is always ``ModemConfig.sample_rate_hz``.
+with a configurable passband gain; ``frontend_biquad`` builds and checks it
+once, and ``condition`` can run it over a reception in consecutive blocks.
+Samples are 1-D float64 arrays; the functions that depend on time take the
+sample rate as an argument, which in a run is always
+``ModemConfig.sample_rate_hz``.
 """
 
 from __future__ import annotations
@@ -80,15 +80,15 @@ def delay_samples(cfg: ChannelConfig, sample_rate_hz: float) -> int:
     return round(cfg.cable_length_m / cfg.propagation_speed_mps * sample_rate_hz)
 
 
-def channel_noise(cfg: ChannelConfig, n: int, seed: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """The seeded noise of one reception: n samples of N(0, noise_sigma_v).
+def channel_noise(sigma_v: float, n: int, seed, out: np.ndarray | None = None) -> np.ndarray:
+    """The seeded noise of one reception: n samples of N(0, sigma_v).
 
+    ``seed`` is an int or a numpy Generator, whose stream the draw continues.
     Written into ``out`` when given.  numpy releases the interpreter lock
     while it draws and scales, so receptions can draw on worker threads.
     """
     noise = np.random.default_rng(seed).standard_normal(n, out=out)
-    noise *= cfg.noise_sigma_v
+    noise *= sigma_v
     return noise
 
 
@@ -129,55 +129,38 @@ def propagate(samples: np.ndarray, cfg: ChannelConfig, sample_rate_hz: float,
 
 
 def frontend_coefficients(fe: FrontEndConfig, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """Digital biquad (b, a) for the band-pass front end, cached and read-only.
+    """The front end's biquad (b, a), as ``condition`` reads it for each block."""
+    return frontend_biquad(fe, sample_rate_hz)
+
+
+@functools.lru_cache
+def frontend_biquad(fe: FrontEndConfig, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Digital biquad (b, a) for the band-pass front end, checked, cached and read-only.
 
     Analog prototype G * (w0/Q) s / (s^2 + (w0/Q) s + w0^2), bilinear
     transformed with the center frequency prewarped so the passband gain is
-    exact at center_hz.
+    exact at center_hz.  ValueError, which is not cached, unless it builds
+    with no warning (scipy warns as it trims a badly conditioned numerator)
+    into finite coefficients with poles strictly inside the unit circle.
     """
-    return _biquad(fe, sample_rate_hz)
-
-
-def check_frontend(fe: FrontEndConfig, sample_rate_hz: float) -> None:
-    """Raise ValueError unless the front end's biquad builds with no warning
-    into finite coefficients of a stable filter.
-
-    The coefficients are checked themselves, since a cached build does not
-    warn again.  scipy trims a numerator it finds badly conditioned, so a
-    band-pass numerator shorter than its denominator is rejected; the poles
-    of 1 + a1/z + a2/z^2 are inside the unit circle iff |a2| < 1 and
-    |a1| < 1 + a2.  The biquad is built through ``_biquad``, so calls to
-    ``frontend_coefficients`` count only the conditioning.
-    """
+    if sample_rate_hz <= 2 * fe.center_hz:
+        raise ValueError("sample rate must exceed twice the center frequency")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            b, a = _biquad(fe, sample_rate_hz)
+            w0 = 2 * math.pi * fe.center_hz
+            wa = 2 * sample_rate_hz * math.tan(w0 / (2 * sample_rate_hz))
+            b, a = sps.bilinear((fe.passband_gain * wa / fe.quality_factor, 0.0),
+                                (1.0, wa / fe.quality_factor, wa**2), fs=sample_rate_hz)
     except Exception as err:  # scipy fails on a degenerate prototype in several ways
         raise ValueError(f"its biquad cannot be built ({type(err).__name__}: {err})") from err
     if not (np.isfinite(b).all() and np.isfinite(a).all() and len(b) == len(a) == 3
             and abs(a[2]) < 1 and abs(a[1]) < 1 + a[2]):
         raise ValueError(f"its biquad, b={b.tolist()} and a={a.tolist()}, is not finite "
                          "or badly conditioned")
-
-
-def _biquad(fe: FrontEndConfig, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    if sample_rate_hz <= 2 * fe.center_hz:
-        raise ValueError("sample rate must exceed twice the center frequency")
-    w0 = 2 * math.pi * fe.center_hz
-    wa = 2 * sample_rate_hz * math.tan(w0 / (2 * sample_rate_hz))
-    b = (fe.passband_gain * wa / fe.quality_factor, 0.0)
-    a = (1.0, wa / fe.quality_factor, wa**2)
-    return _bilinear(b, a, sample_rate_hz)
-
-
-@functools.lru_cache
-def _bilinear(b: tuple, a: tuple, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """Memoised bilinear transform; every caller shares the read-only result."""
-    bz, az = sps.bilinear(b, a, fs=sample_rate_hz)
-    bz.flags.writeable = False
-    az.flags.writeable = False
-    return bz, az
+    b.flags.writeable = False
+    a.flags.writeable = False
+    return b, a
 
 
 def condition(samples: np.ndarray, fe: FrontEndConfig, sample_rate_hz: float,

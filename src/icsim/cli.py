@@ -48,7 +48,7 @@ def run(scenario_path, out_dir, seed, dump_waveforms):
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        report = hs.run_and_dump_waveforms(sc, out) if dump_waveforms else hs.run_scenario(sc)
+        report = hs.run_scenario(sc, out if dump_waveforms else None)
         hs.emit_report(report, "json", out / "report.json")
         hs.emit_report(report, "csv", out / "report.csv")
         hs.emit_timeline(report, out / "timeline.jsonl")

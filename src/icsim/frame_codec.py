@@ -112,10 +112,7 @@ def decode_frame(data: bytes) -> Frame:
     # only if the sum passes.  Keeps exhaustive corruption sweeps cheap.
     if sum(body) & 0xFF != data[total - 2]:
         raise CodecError(ErrorKind.SUM_CHECK_FAILED, total - 2)
-    xor = 0
-    for b in body:
-        xor ^= b
-    if xor != data[total - 1]:
+    if compute_checks(body)[1] != data[total - 1]:
         raise CodecError(ErrorKind.XOR_CHECK_FAILED, total - 1)
     return Frame(
         relay_depth=data[0],

@@ -3,8 +3,8 @@
 Both machines are pure value transformers: ``step`` takes a state and an
 event and returns the successor state plus a list of actions for the
 simulation harness to execute (power transitions, frame transmissions,
-reports).  A sleeping node whose address does not match an incoming frame
-stays exactly where it is.
+reports).  ``accepts`` decides which frames a node takes: a sleeping node
+whose address does not match an incoming frame stays exactly where it is.
 """
 
 from __future__ import annotations
@@ -12,13 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
-from .frame_codec import Address, Frame, address_matches
+from .frame_codec import ADDRESS_LEN, HEADER_LEN, TRAILER_LEN, Address, Frame, address_matches
 from .modem import frame_airtime_s
 from .power import MODE_TABLE
 
 COMMAND_PAYLOAD = bytes([0x12, 0x34])  # data-acquisition request
 FUNCTION_TEST_PAYLOAD = bytes([0x00, 0xFF])
 REPLY_RELAY_DEPTH = 1
+# Bytes in every frame sent: commands and replies both carry two payload bytes.
+FRAME_LEN = HEADER_LEN + len(COMMAND_PAYLOAD) + TRAILER_LEN
 
 
 class OutOfRange(ValueError):
@@ -87,6 +89,11 @@ class Timeout:
     pass
 
 
+@dataclass(frozen=True)
+class Inject:
+    """Transmit the node's own frame now, whatever its phase."""
+
+
 # --- slave ------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -97,10 +104,10 @@ class SlaveState:
     temperature_c: float = 20.0
 
 
-def slave_reply_payload(state: SlaveState) -> bytes:
+def slave_reply_frame(state: SlaveState) -> Frame:
     if state.mode == "function_test":
-        return FUNCTION_TEST_PAYLOAD
-    return bytes(encode_temperature(state.temperature_c))
+        return Frame(REPLY_RELAY_DEPTH, state.address, FUNCTION_TEST_PAYLOAD)
+    return Frame(REPLY_RELAY_DEPTH, state.address, bytes(encode_temperature(state.temperature_c)))
 
 
 def slave_step(state: SlaveState, event) -> tuple[SlaveState, list[Action]]:
@@ -110,12 +117,13 @@ def slave_step(state: SlaveState, event) -> tuple[SlaveState, list[Action]]:
     transmit pipeline in one step: the harness spaces the emitted actions in
     time using the returned wake latency.
     """
+    if isinstance(event, Inject):
+        return state, [TransmitFrame(slave_reply_frame(state))]
     if state.phase == "STANDBY" and isinstance(event, FrameReceived):
-        if not address_matches(event.frame.address, state.address):
+        if not accepts(state, event.frame):
             return state, []  # stay asleep, no power change
-        reply = Frame(REPLY_RELAY_DEPTH, state.address, slave_reply_payload(state))
         wake = SetPowerMode("RUN", MODE_TABLE["STOP1"].wakeup_time_s)
-        return replace(state, phase="TRANSMIT"), [wake, TransmitFrame(reply)]
+        return replace(state, phase="TRANSMIT"), [wake, TransmitFrame(slave_reply_frame(state))]
     if state.phase == "TRANSMIT" and isinstance(event, TxDone):
         return replace(state, phase="STANDBY"), [SetPowerMode("STOP1", 0.0)]
     return state, [Log(f"slave ignored {type(event).__name__} in {state.phase}")]
@@ -135,6 +143,9 @@ class MasterState:
 
 
 def master_step(state: MasterState, event) -> tuple[MasterState, list[Action]]:
+    if isinstance(event, Inject):  # a command to the all-zero address
+        return state, [TransmitFrame(Frame(REPLY_RELAY_DEPTH, Address(bytes(ADDRESS_LEN)),
+                                           COMMAND_PAYLOAD))]
     if isinstance(event, PollRequest):
         if state.phase != "IDLE":
             return state, [Log("poll refused: command already outstanding")]
@@ -142,7 +153,7 @@ def master_step(state: MasterState, event) -> tuple[MasterState, list[Action]]:
         next_state = replace(state, phase="AWAIT_REPLY", pending_target=event.target)
         return next_state, [TransmitFrame(cmd), StartTimer(state.timeout_s)]
     if state.phase == "AWAIT_REPLY" and isinstance(event, FrameReceived):
-        if not address_matches(event.frame.address, state.pending_target):
+        if not accepts(state, event.frame):
             return state, []  # someone else's reply; timer keeps running
         report = Report(state.pending_target, event.frame.payload)
         return replace(state, phase="IDLE", pending_target=None), [report]
@@ -152,6 +163,13 @@ def master_step(state: MasterState, event) -> tuple[MasterState, list[Action]]:
     if isinstance(event, TxDone):
         return state, []
     return state, [Log(f"master ignored {type(event).__name__} in {state.phase}")]
+
+
+def accepts(state: SlaveState | MasterState, frame: Frame) -> bool:
+    """A slave takes frames to its own address, the master a reply from the target it awaits."""
+    if isinstance(state, MasterState):
+        return state.phase == "AWAIT_REPLY" and address_matches(frame.address, state.pending_target)
+    return address_matches(frame.address, state.address)
 
 
 def default_master_timeout_s(cmd_bytes: int, reply_bytes: int, modem_cfg) -> float:

@@ -50,9 +50,9 @@ class TestPropagate:
         wave = carrier_tone(cycles=20)
         assert np.array_equal(ch.propagate(wave, cfg, FS), ch.propagate(wave, cfg, FS))
         n = len(wave) + ch.delay_samples(cfg, FS)
-        a = ch.channel_noise(cfg, n, 42)
-        assert np.array_equal(a, ch.channel_noise(cfg, n, 42))
-        assert not np.array_equal(a, ch.channel_noise(cfg, n, 43))
+        a = ch.channel_noise(cfg.noise_sigma_v, n, 42)
+        assert np.array_equal(a, ch.channel_noise(cfg.noise_sigma_v, n, 42))
+        assert not np.array_equal(a, ch.channel_noise(cfg.noise_sigma_v, n, 43))
 
     def test_delay_in_whole_samples(self):
         cfg = ch.ChannelConfig(cable_length_m=700.0)
@@ -98,7 +98,7 @@ class TestPropagate:
             ref += amplitude_v * np.sin(2 * math.pi * freq_hz * t)
         if noise_sigma_v:
             ref += np.random.default_rng(7).normal(0.0, noise_sigma_v, len(ref))
-        received = ch.channel_noise(cfg, len(ref), 7)
+        received = ch.channel_noise(cfg.noise_sigma_v, len(ref), 7)
         received += ch.propagate(wave, cfg, FS)
         assert np.array_equal(received, ref)
 
@@ -132,10 +132,20 @@ class TestNoiseDrawnAhead:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_equals_the_normal_draw(self, seed):
         ref = np.random.default_rng(seed).normal(0.0, self.CFG.noise_sigma_v, 5000)
-        assert np.array_equal(ch.channel_noise(self.CFG, 5000, seed), ref)
+        assert np.array_equal(ch.channel_noise(self.CFG.noise_sigma_v, 5000, seed), ref)
         out = np.empty(5000)
-        assert ch.channel_noise(self.CFG, 5000, seed, out) is out
+        assert ch.channel_noise(self.CFG.noise_sigma_v, 5000, seed, out) is out
         assert np.array_equal(out, ref)
+
+    def test_a_generator_continues_its_stream(self):
+        ref = np.random.default_rng(11)
+        bits = ref.integers(0, 2, 100)
+        expected = ref.normal(0.0, 0.05, 5000)
+        rng = np.random.default_rng(11)
+        assert np.array_equal(rng.integers(0, 2, 100), bits)
+        assert np.array_equal(ch.channel_noise(0.05, 5000, rng), expected)
+        # The draw advanced rng exactly as far as normal did.
+        assert np.array_equal(rng.standard_normal(10), ref.standard_normal(10))
 
 
 class TestCondition:
@@ -185,6 +195,16 @@ class TestFrontendCoefficients:
         other = ch.frontend_coefficients(ch.FrontEndConfig(quality_factor=2.0), FS)
         assert not np.array_equal(other[1], a)
         assert ch.frontend_coefficients(fe, 2 * FS)[0] is not b
+
+    @pytest.mark.parametrize("fe", [
+        ch.FrontEndConfig(center_hz=5e-324),
+        ch.FrontEndConfig(center_hz=1e-300, quality_factor=1e-300, passband_gain=1e-9),
+        ch.FrontEndConfig(quality_factor=1e-300),
+    ])
+    def test_a_rejected_front_end_raises_on_every_call(self, fe):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^its biquad"):
+                ch.frontend_coefficients(fe, FS)
 
     def test_shared_result_is_read_only(self):
         b, a = ch.frontend_coefficients(ch.FrontEndConfig(), FS)

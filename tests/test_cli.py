@@ -109,6 +109,18 @@ def test_run_rejects_overflowing_interference_with_exit_2(tmp_path):
     assert "channel.interference: " in result.output
 
 
+def test_run_rejects_a_tone_whose_phase_overflows_with_exit_2(tmp_path):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(dict(SCENARIO, channel={"interference": [[1.7e308, 0.5]]})))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = CliRunner().invoke(main, ["run", "--scenario", str(scenario_path),
+                                           "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "config error: channel.interference[0]: " in result.output
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("front_end", [
     {"center_hz": 5e-324},  # scipy's bilinear ends in an AttributeError
     {"center_hz": 1e-300, "quality_factor": 1e-300, "passband_gain": 1e-9},  # BadCoefficients

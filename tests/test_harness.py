@@ -614,13 +614,18 @@ class TestReportIo:
         report.nodes["master"].energy_uah = math.inf
         with pytest.raises(ValueError, match="JSON"):
             hs.emit_report(report, "json", tmp_path / "report.json")
+        # Neither the report nor its temporary is left behind.
+        assert list(tmp_path.iterdir()) == []
         report.timeline.append({"time_s": math.nan, "node": "master", "kind": "log"})
         with pytest.raises(ValueError, match="JSON"):
             hs.emit_timeline(report, tmp_path / "timeline.jsonl")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_destination(self, single_point_report, tmp_path):
-        with pytest.raises(hs.IoFailure):
-            hs.emit_report(single_point_report, "json", tmp_path / "no" / "dir.json")
+        path = tmp_path / "no" / "dir.json"
+        with pytest.raises(FileNotFoundError) as info:
+            hs.emit_report(single_point_report, "json", path)
+        assert info.value.filename == str(path)
 
     def test_waveform_csv_export(self, tmp_path):
         path = tmp_path / "wave.csv"
@@ -834,6 +839,15 @@ class TestValidate:
             # One such tone alone is still a valid scenario.
             hs._Sim(replace(sc, channel=replace(sc.channel, interference=tones[:1])))
 
+    def test_a_tone_whose_phase_overflows_is_config_invalid(self):
+        # 2 pi f is inf, so the tone is nan from its first sample.
+        sc = scn.single_point_scenario(ebn0_db=None)
+        sc = replace(sc, channel=replace(sc.channel, interference=((1e3, 0.5), (1.7e308, 0.5))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(hs.ConfigInvalid, match=r"^channel\.interference\[1\]: "):
+                hs.run_scenario(sc)
+
     @pytest.mark.parametrize("front_end", [
         ch.FrontEndConfig(center_hz=5e-324),  # scipy's bilinear raises AttributeError
         # scipy warns BadCoefficients and trims the numerator.
@@ -851,12 +865,13 @@ class TestValidate:
     def test_a_cached_biquad_is_still_checked(self):
         fe = ch.FrontEndConfig(center_hz=1e-300, quality_factor=1e-300, passband_gain=1e-9)
         sc = replace(scn.single_point_scenario(ebn0_db=None), front_end=fe)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ch.frontend_coefficients(fe, sc.modem.sample_rate_hz)  # warns once, then cached
+        # A rejected biquad is never cached: every call builds and rejects it again.
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"BadCoefficients"):
+                ch.frontend_coefficients(fe, sc.modem.sample_rate_hz)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(hs.ConfigInvalid, match=r"^front_end: .*badly conditioned"):
+            with pytest.raises(hs.ConfigInvalid, match=r"^front_end: .*BadCoefficients"):
                 hs._Sim(sc)
 
     @pytest.mark.parametrize("edit, path", [

@@ -115,3 +115,50 @@ def test_default_timeout_covers_round_trip():
     timeout = nd.default_master_timeout_s(11, 11, cfg)
     airtime = (8 * 11 + 1) * cfg.cycles_per_bit / cfg.carrier_hz
     assert timeout == pytest.approx(2 * (2 * airtime + 7.8e-6))
+
+
+class TestAccepts:
+    REPLY = fc.Frame(1, SLAVE_ADDR, bytes([0x00, 0xFF]))
+
+    @pytest.mark.parametrize("state, frame, taken", [
+        (nd.MasterState(), REPLY, False),  # no command outstanding
+        (nd.MasterState(phase="AWAIT_REPLY", pending_target=SLAVE_ADDR), REPLY, True),
+        (nd.MasterState(phase="AWAIT_REPLY", pending_target=OTHER_ADDR), REPLY, False),
+        (nd.SlaveState(address=SLAVE_ADDR), command_frame(), True),
+        (nd.SlaveState(address=SLAVE_ADDR), command_frame(OTHER_ADDR), False),
+        (nd.SlaveState(address=SLAVE_ADDR, phase="TRANSMIT"), command_frame(), True),
+        (nd.SlaveState(address=SLAVE_ADDR, phase="TRANSMIT"), command_frame(OTHER_ADDR), False),
+    ])
+    def test_truth_table(self, state, frame, taken):
+        assert nd.accepts(state, frame) is taken
+
+
+class TestInject:
+    """An injected node sends its own frame and stays as it was."""
+
+    @pytest.mark.parametrize("state, frame_hex", [
+        # The master sends a command to the all-zero address,
+        (nd.MasterState(), "01 00 00 00 00 00 00 02 12 34 49 25"),
+        (nd.MasterState(phase="AWAIT_REPLY", pending_target=SLAVE_ADDR),
+         "01 00 00 00 00 00 00 02 12 34 49 25"),
+        # and a slave its reply to a command.
+        (nd.SlaveState(address=SLAVE_ADDR), "01 64 49 46 68 00 53 02 00 ff b0 ac"),
+        (nd.SlaveState(address=SLAVE_ADDR, phase="TRANSMIT"),
+         "01 64 49 46 68 00 53 02 00 ff b0 ac"),
+        (nd.SlaveState(address=SLAVE_ADDR, mode="sensor", temperature_c=19.7),
+         "01 64 49 46 68 00 53 02 13 07 cb 47"),
+        (nd.SlaveState(address=SLAVE_ADDR, phase="TRANSMIT", mode="sensor", temperature_c=19.7),
+         "01 64 49 46 68 00 53 02 13 07 cb 47"),
+    ])
+    def test_sends_its_own_frame_and_keeps_its_state(self, state, frame_hex):
+        step = nd.master_step if isinstance(state, nd.MasterState) else nd.slave_step
+        after, actions = step(state, nd.Inject())
+        assert after == state
+        assert [type(a) for a in actions] == [nd.TransmitFrame]
+        assert fc.encode_frame(actions[0].frame).hex(" ") == frame_hex
+
+    def test_a_slave_injects_the_frame_it_replies_with(self):
+        state = nd.SlaveState(address=SLAVE_ADDR, mode="sensor", temperature_c=24.8)
+        _, injected = nd.slave_step(state, nd.Inject())
+        _, replied = nd.slave_step(state, nd.FrameReceived(command_frame()))
+        assert injected[0] == replied[1] == nd.TransmitFrame(nd.slave_reply_frame(state))
