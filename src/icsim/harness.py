@@ -9,9 +9,12 @@ Silent intervals generate no samples, and a transmission's signs are held
 only while it or one overlapping it is on air or awaiting reception, so run
 memory does not grow with run length.  The only arrays as long as a
 reception are the propagated signal and the noise buffers.
-Receptions of at least 2**16 samples draw their noise, and add the signal,
-ahead on up to 4 threads; everything else runs on the calling thread in
-node order, so reports are bitwise those of a serial run.
+Each reception draws its noise, and adds the signal, ahead on up to 4
+threads; while the calling thread waits for one shorter than 2**16 samples,
+it draws queued ones itself.  Everything else runs on the calling thread in
+node order, and each receiver's noise comes from its own seed into its own
+buffer, whichever thread draws it, so reports are bitwise those of a serial
+run.
 A run is a pure function of the Scenario, seed included, so identical
 scenarios produce byte-identical reports.
 """
@@ -26,7 +29,7 @@ import json
 import math
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -55,6 +58,8 @@ MAX_RECEPTION_SAMPLES = 2**24
 # rounded down to whole symbols: one block holds a whole 115200 bps reception,
 # and 9600 and 4800 bps receptions take 5 and 9 blocks.
 _BLOCK_SAMPLES = 1 << 16
+# numpy's normal draws lie within about 14 sigma; validate allows for this many.
+_NOISE_PEAK_SIGMAS = 64
 FRAME_LEN = nd.FRAME_LEN
 
 
@@ -92,14 +97,23 @@ class Scenario:
             raise ConfigInvalid("seed: must be nonnegative")
         if self.ebn0_db is not None:
             check_ebn0_db(self.ebn0_db, "ebn0_db")
-            try:
-                derived_noise_sigma(self)
-            except ValueError as err:
-                raise ConfigInvalid(f"ebn0_db: at the receiver, {err}") from err
+        try:
+            sigma = derived_noise_sigma(self)
+        except ValueError as err:
+            raise ConfigInvalid(f"ebn0_db: at the receiver, {err}") from err
+        # superpose adds the transmissions on air, at most one per node, at
+        # their transmit amplitude, before the channel's gain.
+        if not math.isfinite((1 + len(self.slaves)) * self.modem.amplitude_v):
+            raise ConfigInvalid(f"modem.amplitude_v: {1 + len(self.slaves)} nodes on air at "
+                                f"{self.modem.amplitude_v!r} V each sum past float64")
         peak_v = sum((abs(a) for _, a in self.channel.interference), received_amplitude(self))
         if not math.isfinite(peak_v):
             raise ConfigInvalid("channel.interference: the tone amplitudes and the received "
                                 "signal's sum past float64; lower them or modem.amplitude_v")
+        if not math.isfinite(peak_v + _NOISE_PEAK_SIGMAS * sigma):
+            path = "channel.noise_sigma_v" if self.ebn0_db is None else "ebn0_db"
+            raise ConfigInvalid(f"{path}: noise of sigma {sigma!r} V added to a "
+                                f"{peak_v!r} V peak can pass float64")
         if self.ebn0_db is not None and self.channel.noise_sigma_v > 0:
             raise ConfigInvalid("channel.noise_sigma_v: only used when ebn0_db is null")
         if not self.front_end.center_hz < self.modem.sample_rate_hz / 2:
@@ -129,13 +143,15 @@ class Scenario:
                 raise ConfigInvalid(f"channel.interference[{i}]: the phase of a {freq_hz!r} Hz "
                                     "tone passes float64 within a reception; lower freq_hz")
         # A node draws at most RUN's controller current and all its units.
+        # charge_consumed's joules pass through its charge in uA s times
+        # SUPPLY_V; twice that leaves room for the rounding of its sum.
         budgets = [("master_budget", self.master_budget),
                    *((f"slaves[{i}].budget", spec.budget) for i, spec in enumerate(self.slaves))]
         for path, budget in budgets:
             peak_ua = pw.MODE_TABLE["RUN"].mcu_current_ua + pw.standby_current(budget)
-            if not math.isfinite(peak_ua * self.duration_s):
+            if not math.isfinite(2 * peak_ua * self.duration_s * pw.SUPPLY_V):
                 raise ConfigInvalid(f"{path}: {peak_ua!r} uA over duration_s is more "
-                                    "charge than float64 holds")
+                                    "energy than float64 holds")
         seen = set()
         for i, spec in enumerate(self.slaves):
             if spec.address.octets in seen:
@@ -487,12 +503,19 @@ def run_scenario(sc: Scenario, wave_dir=None) -> Report:
 
 # --- noise drawn ahead ---------------------------------------------------------
 
-# Draws shorter than this run inline on the calling thread.  Drawing ahead
-# the 5,000 draws of 21,822 samples (about 0.35 ms each) in the benchmark's
-# 500 polls at 115200 bps saved no wall time on 2 cores and added about 1 s
-# of CPU time, 0.2 ms per handoff.  Draws at 9600 and 4800 bps are 12 and 25
-# times longer, and drawing them ahead pays.
-_AHEAD_MIN_SAMPLES = 1 << 16
+# While it waits for a result, the calling thread draws queued draws shorter
+# than this itself.  The benchmark's 500 polls at 115200 bps make 5,000 draws
+# of 21,822 samples (about 0.35 ms each).  Drawn ahead on a pool alone, they
+# saved no wall time on 2 vCPUs and added about 1 s of CPU time: a short draw
+# does not pay for the wait on a handoff.  With one worker and the calling
+# thread drawing too, run_ref fell 20% over 20 pairs, and the main thread
+# drew 1,648 to 1,958 of the draws.  Two workers and the calling thread gave
+# about half that gain for twice the added CPU time.  Longer draws, those at
+# 9600 and 4800 bps and measure_ber's 2000-bit chunks, stay on the pool:
+# drawing them on the calling thread too raised run_ref 6% on
+# poll-4800-collide and 10% on ber-sweep (over 5 and 4 pairs), because the
+# main thread's own work waits meanwhile.
+_HELP_BELOW_SAMPLES = 1 << 16
 
 
 def _draw_threads() -> int:
@@ -513,17 +536,29 @@ def _draw_threads() -> int:
 def _draw_ring(n: int) -> list[np.ndarray]:
     """Noise buffers of n samples for _draw_ahead.
 
-    One per drawing thread and one for the draw in use, with at most
-    MAX_RECEPTION_SAMPLES samples drawn ahead; a single buffer when a draw
-    of n samples is too short to pay for a thread handoff.
+    One per drawing thread, the calling thread among them when it draws too
+    (see _helped), and one for the draw in use, with at most
+    MAX_RECEPTION_SAMPLES samples drawn ahead.
     """
-    ahead = min(_draw_threads(), MAX_RECEPTION_SAMPLES // n) if n >= _AHEAD_MIN_SAMPLES else 0
+    ahead = min(_draw_threads(), MAX_RECEPTION_SAMPLES // n)
     return [np.empty(n) for _ in range(1 + ahead)]
 
 
+def _helped(ring: list[np.ndarray]) -> bool:
+    """Whether _draw_ahead's calling thread draws too: for draws shorter than
+    _HELP_BELOW_SAMPLES."""
+    return len(ring[0]) < _HELP_BELOW_SAMPLES
+
+
 def _draw_pool(ring: list[np.ndarray]):
-    """A pool of one thread per buffer of ring but one; for a ring of one, no pool (None)."""
-    return ThreadPoolExecutor(len(ring) - 1) if len(ring) > 1 else contextlib.nullcontext()
+    """A pool of one thread per buffer of ring but one; for a ring of one, no pool (None).
+
+    When the calling thread draws too, the pool has one thread fewer, but at
+    least one.
+    """
+    if len(ring) == 1:
+        return contextlib.nullcontext()
+    return ThreadPoolExecutor(max(1, len(ring) - 1 - _helped(ring)))
 
 
 def _draw_ahead(pool, draw, jobs, ring):
@@ -534,19 +569,41 @@ def _draw_ahead(pool, draw, jobs, ring):
     drawn into it has been yielded and the next one asked for, so a consumer
     may use each result until it asks for the next.  With one buffer every
     draw runs inline on the calling thread.
+
+    For buffers shorter than _HELP_BELOW_SAMPLES, while the oldest result is
+    not ready, the calling thread claims each draw that no worker has
+    started, the oldest first, and draws it into its own buffer.  Results
+    are yielded in job order whichever thread drew them, and a claimed draw
+    that raises raises when its result is due.
     """
     if len(ring) == 1:
         for job in jobs:
             yield draw(job, ring[0])
         return
+    helps = _helped(ring)
     buffers = itertools.cycle(ring)
-    pending = deque()
+    pending = deque()  # [future, job, buffer] in job order
+
+    def oldest_result():
+        if helps:
+            for entry in pending:
+                if pending[0][0].done():
+                    break
+                if entry[0].cancel():
+                    entry[0] = Future()
+                    try:
+                        entry[0].set_result(draw(*entry[1:]))
+                    except Exception as err:
+                        entry[0].set_exception(err)
+        return pending.popleft()[0].result()
+
     for job in jobs:
-        pending.append(pool.submit(draw, job, next(buffers)))
+        buffer = next(buffers)
+        pending.append([pool.submit(draw, job, buffer), job, buffer])
         if len(pending) == len(ring):
-            yield pending.popleft().result()
+            yield oldest_result()
     while pending:
-        yield pending.popleft().result()
+        yield oldest_result()
 
 
 # --- BER measurement ---------------------------------------------------------
@@ -559,8 +616,8 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
     (seed, grid index, chunk index), so results are reproducible for a given
     seed and ``chunk_bits``; another chunk size draws other trials.
 
-    Chunks of at least 2**16 samples are drawn ahead on up to 4 threads, into
-    one more reused chunk buffer than there are threads, so memory does not
+    Chunks are drawn ahead on up to 4 threads, as receptions are, into one
+    more reused chunk buffer than there are threads, so memory does not
     grow with ``n_bits``; each chunk's signal is superposed onto its noise in
     place, so they are the only chunk-long arrays.  Superposition and detection
     stay on the calling thread, chunk by chunk in order, and the results are

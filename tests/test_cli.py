@@ -147,6 +147,45 @@ def test_run_rejects_a_budget_past_float64_with_exit_2(tmp_path):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def run_with_warnings_as_errors(tmp_path, scenario):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return CliRunner().invoke(main, ["run", "--scenario", str(scenario_path),
+                                         "--out", str(tmp_path / "out")])
+
+
+def test_run_rejects_a_budget_whose_joules_overflow_with_exit_2(tmp_path):
+    # The charge fits a float64, but charge_consumed's joules would not.
+    slave = dict(SCENARIO["slaves"][0], budget={"carrier_ua": 1e308})
+    result = run_with_warnings_as_errors(tmp_path, dict(SCENARIO, duration_s=0.5,
+                                                        slaves=[slave]))
+    assert result.exit_code == 2, result.output
+    assert "config error: slaves[0].budget: " in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_run_rejects_a_noise_sigma_past_float64_with_exit_2(tmp_path):
+    channel = dict(SCENARIO["channel"], noise_sigma_v=1e308)
+    result = run_with_warnings_as_errors(tmp_path, dict(SCENARIO, ebn0_db=None,
+                                                        channel=channel))
+    assert result.exit_code == 2, result.output
+    assert "config error: channel.noise_sigma_v: " in result.output
+
+
+def test_run_rejects_colliding_transmissions_past_float64_with_exit_2(tmp_path):
+    # slave1 starts a frame while the master's command is on air, and the
+    # two sum at the transmit amplitude before the channel's gain.
+    poll_s = SCENARIO["poll_schedule"][0][0]
+    result = run_with_warnings_as_errors(tmp_path, dict(
+        SCENARIO, ebn0_db=None, modem=dict(SCENARIO["modem"], amplitude_v=1.7e308),
+        collision_injections=[[poll_s + 1e-4, "slave1"]]))
+    assert result.exit_code == 2, result.output
+    assert "config error: modem.amplitude_v: " in result.output
+
+
 def test_ber_sweep_writes_csv(tmp_path):
     out = tmp_path / "ber.csv"
     result = CliRunner().invoke(main, ["ber-sweep", "--ebn0", "20,30",

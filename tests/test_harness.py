@@ -6,8 +6,10 @@ import math
 import re
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from functools import reduce
 from operator import getitem
@@ -451,14 +453,102 @@ def collided_4800_scenario() -> hs.Scenario:
                    collision_injections=((base.poll_schedule[0][0] + half_command, "slave3"),))
 
 
+class TestDrawAhead:
+    """While the oldest result is not ready, the consumer draws the queued
+    short draws itself; long draws stay on the pool."""
+
+    def window(self, n, fail=None, block_first=True, release_after=10.0):
+        """Consume _draw_ahead over 8 jobs, a ring of 3 buffers of n samples
+        and a pool of one worker, which is held until the main thread has
+        drawn job 2, or for release_after seconds.
+
+        With block_first the worker is held in job 0; otherwise in a job
+        submitted before the window, with job 0 queued behind it.  Records
+        the thread of each draw, the jobs yielded, and the jobs drawn into
+        the buffer the consumer was using.
+        """
+        started, release = threading.Event(), threading.Event()
+        self.drawers, self.yielded, self.clobbered, in_use = {}, [], [], [None]
+
+        def hold():
+            started.set()
+            release.wait()
+
+        def draw(job, buffer):
+            self.drawers[job] = threading.current_thread()
+            if buffer is in_use[0]:
+                self.clobbered.append(job)
+            if job == 0 and block_first:
+                hold()
+            buffer[:] = job
+            if job == 2 and self.drawers[job] is threading.main_thread():
+                release.set()
+            if job == fail:
+                raise RuntimeError(f"draw {job}")
+            return job, buffer
+
+        pool = ThreadPoolExecutor(1)
+        submit = pool.submit
+
+        def submit_once_held(fn, *args):
+            future = submit(fn, *args)
+            assert started.wait(10)
+            return future
+
+        pool.submit = submit_once_held
+        timer = threading.Timer(release_after, release.set)
+        timer.start()
+        try:
+            with pool:
+                if not block_first:
+                    pool.submit(hold)
+                ring = [np.empty(n) for _ in range(3)]
+                for job, buffer in hs._draw_ahead(pool, draw, range(8), ring):
+                    in_use[0] = buffer
+                    time.sleep(1e-3)  # room for a worker to overwrite it
+                    assert (buffer == job).all(), job
+                    self.yielded.append(job)
+                    in_use[0] = None
+        finally:
+            timer.cancel()
+            timer.join()
+
+    def test_the_consumer_draws_queued_short_jobs(self):
+        self.window(hs._HELP_BELOW_SAMPLES - 1)
+        assert self.yielded == list(range(8)) and self.clobbered == []
+        main = threading.main_thread()
+        assert self.drawers[0] is not main
+        assert self.drawers[1] is main and self.drawers[2] is main
+
+    def test_the_consumer_draws_an_unstarted_oldest_job(self):
+        self.window(hs._HELP_BELOW_SAMPLES - 1, block_first=False)
+        assert self.yielded == list(range(8)) and self.clobbered == []
+        assert all(self.drawers[job] is threading.main_thread() for job in range(3))
+
+    def test_the_consumer_never_draws_a_long_job(self):
+        self.window(hs._HELP_BELOW_SAMPLES, release_after=0.1)
+        assert self.yielded == list(range(8)) and self.clobbered == []
+        assert threading.main_thread() not in self.drawers.values()
+
+    def test_a_claimed_draw_that_raises_raises_in_job_order(self):
+        threads_before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="draw 2"):
+            self.window(hs._HELP_BELOW_SAMPLES - 1, fail=2)
+        assert self.drawers[2] is threading.main_thread()
+        assert self.yielded == [0, 1]
+        assert set(threading.enumerate()) == threads_before
+
+
 class TestReceiveThreads:
-    """Long receptions draw their noise on worker threads; everything else
-    stays on the main thread."""
+    """Receptions draw their noise ahead on worker threads, the main thread
+    drawing short ones too while it waits; everything else stays on the main
+    thread."""
 
     @pytest.mark.parametrize("make_scenario, min_bit_errors", [
         (lambda: scn.single_point_scenario(bit_rate_bps=9600), 0),
         (collided_4800_scenario, 1),
-    ], ids=["single_point_9600", "collided_4800"])
+        (lambda: scn.multi_point_scenario(polls_per_slave=2, ebn0_db=6.0), 1),
+    ], ids=["single_point_9600", "collided_4800", "multi_point_115200"])
     def test_more_threads_than_cores_equal_the_serial_run(self, make_scenario, min_bit_errors,
                                                          monkeypatch, tmp_path):
         sc = make_scenario()
@@ -475,7 +565,7 @@ class TestReceiveThreads:
             threaded = report_bytes("threaded.json")
         finally:
             sys.setswitchinterval(interval)
-        monkeypatch.setattr(hs, "_AHEAD_MIN_SAMPLES", 2 * hs.MAX_RECEPTION_SAMPLES + 1)
+        monkeypatch.setattr(hs, "_draw_threads", lambda: 0)
         assert len(hs._Sim(sc).ring) == 1
         assert threaded == report_bytes("serial.json")
         assert json.loads(threaded)["link"]["bit_errors"] >= min_bit_errors
@@ -887,6 +977,46 @@ class TestValidate:
         # Finite currents whose charge over the run overflows are rejected too.
         with pytest.raises(hs.ConfigInvalid, match=f"^{re.escape(path)}: "):
             hs._Sim(edit(replace(sc, duration_s=1e300), pw.UnitBudget(carrier_ua=1e10)))
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda sc, b: replace(sc, master_budget=b), "master_budget"),
+        (lambda sc, b: replace(sc, slaves=(replace(sc.slaves[0], budget=b),)),
+         "slaves[0].budget"),
+    ])
+    def test_a_budget_whose_joules_overflow_is_config_invalid(self, edit, path):
+        sc = replace(scn.single_point_scenario(), duration_s=0.5)
+        budget = pw.UnitBudget(carrier_ua=1e308)
+        # The charge fits a float64; the joules computed from it would not.
+        assert math.isfinite((1e308 + pw.MODE_TABLE["RUN"].mcu_current_ua) * 0.5)
+        with pytest.raises(hs.ConfigInvalid, match=f"^{re.escape(path)}: "):
+            hs._Sim(edit(sc, budget))
+        hs._Sim(edit(sc, pw.UnitBudget(carrier_ua=1e300)))
+
+    def test_a_noise_sigma_past_float64_is_config_invalid(self):
+        sc = scn.single_point_scenario(ebn0_db=None)
+        noisy = lambda sigma_v: replace(sc, channel=replace(sc.channel, noise_sigma_v=sigma_v))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(hs.ConfigInvalid, match=r"^channel\.noise_sigma_v: "):
+                hs.run_scenario(noisy(1e308))
+            hs._Sim(noisy(1e300))
+
+    def test_a_derived_noise_sigma_past_float64_is_config_invalid(self):
+        sc = replace(scn.single_point_scenario(), ebn0_db=-300.0)
+        # The derived sigma scales with the amplitude: pick one giving 1e307 V.
+        amplitude_v = 1e307 / hs.derived_noise_sigma(sc) * sc.modem.amplitude_v
+        sc = replace(sc, modem=replace(sc.modem, amplitude_v=amplitude_v))
+        assert hs.derived_noise_sigma(sc) < math.inf
+        with pytest.raises(hs.ConfigInvalid, match=r"^ebn0_db: "):
+            hs._Sim(sc)
+
+    def test_transmissions_that_sum_past_float64_are_config_invalid(self):
+        sc = scn.multi_point_scenario(polls_per_slave=1, ebn0_db=None)
+        # Six nodes on air at once sum past float64; each alone does not.
+        loud = replace(sc, modem=replace(sc.modem, amplitude_v=1.7e308 / 4))
+        with pytest.raises(hs.ConfigInvalid, match=r"^modem\.amplitude_v: "):
+            hs._Sim(loud)
+        hs._Sim(replace(loud, slaves=loud.slaves[:1], poll_schedule=loud.poll_schedule[:1]))
 
     def test_an_infinite_duration_is_config_invalid(self):
         with pytest.raises(hs.ConfigInvalid, match=r"^duration_s: "):
