@@ -9,12 +9,12 @@ Silent intervals generate no samples, and a transmission's signs are held
 only while it or one overlapping it is on air or awaiting reception, so run
 memory does not grow with run length.  The only arrays as long as a
 reception are the propagated signal and the noise buffers.
-Each reception draws its noise, and adds the signal, ahead on up to 4
-threads; while the calling thread waits for one shorter than 2**16 samples,
-it draws queued ones itself.  Everything else runs on the calling thread in
-node order, and each receiver's noise comes from its own seed into its own
-buffer, whichever thread draws it, so reports are bitwise those of a serial
-run.
+Each reception's noise alone is drawn ahead on up to 4 threads; while the
+calling thread waits for a draw shorter than 2**16 samples, it draws queued
+ones itself.  Each receiver's noise comes from its own seed into its own
+buffer, whichever thread draws it.  The calling thread adds the signal into
+that noise a block at a time as it conditions it, and does everything else
+in node order, so reports are bitwise those of a serial run.
 A run is a pure function of the Scenario, seed included, so identical
 scenarios produce byte-identical reports.
 """
@@ -164,6 +164,8 @@ class Scenario:
                     nd.encode_temperature(spec.temperature_c)
                 except nd.OutOfRange as err:
                     raise ConfigInvalid(f"slaves[{i}].temperature_c: {err}") from err
+            elif spec.temperature_c != SlaveSpec.temperature_c:
+                raise ConfigInvalid(f"slaves[{i}].temperature_c: only used in sensor mode")
         for i, (t, _) in enumerate(self.poll_schedule):
             if not 0 <= t <= self.duration_s:
                 raise ConfigInvalid(f"poll_schedule[{i}].time_s: outside duration")
@@ -288,10 +290,13 @@ class _Sim:
         self.prop_delay_s = self.delay / self.fs
         # The reference symbol is +1 times the template every symbol is +/- of.
         self.template = md.modulate((), sc.modem)
-        # Every frame is FRAME_LEN bytes, so every reception is this long.
-        self.ring = _draw_ring(_frame_samples(sc.modem) + self.delay)
+        # Every frame is FRAME_LEN bytes, so every reception is this long; its
+        # block edges fall at the delay plus whole symbols.
+        n = _frame_samples(sc.modem) + self.delay
         spb = sc.modem.samples_per_bit
-        self.block = max(1, _BLOCK_SAMPLES // spb) * spb
+        block = max(1, _BLOCK_SAMPLES // spb) * spb
+        self.edges = [0, *range(self.delay + block, n, block), n]
+        self.draw_ahead = _DrawAhead(n)
 
         timeout = nd.default_master_timeout_s(FRAME_LEN, FRAME_LEN, sc.modem) + 2 * self.prop_delay_s
         self.nodes: dict[str, _Node] = {
@@ -354,31 +359,29 @@ class _Sim:
 
     def receive(self, now_s, tx: _Transmission):
         """Demodulate and decode a transmission at every node but its sender."""
-        n = len(tx.signs) * len(self.template)
         # The transmissions on air are superposed from their signs straight
         # into the channel's output, after the delay, and propagated there.
-        propagated = np.zeros(self.delay + n)
+        propagated = np.zeros(self.edges[-1])
+        signal = propagated[self.delay:]
         offsets, signs = zip((0, tx.signs), *tx.overlapping)
-        ch.superpose(signs, offsets, n, self.template, out=propagated[self.delay:])
-        ch.propagate(propagated[self.delay:], self.sc.channel, self.fs, out=propagated)
+        ch.superpose(signs, offsets, len(signal), self.template, out=signal)
+        ch.propagate(signal, self.sc.channel, self.fs, out=propagated)
         n_bits = len(tx.bits)
         receivers = [node for node in self.nodes.values() if node.id != tx.sender]
         if self.sigma > 0:
-            def draw(seed, buffer):
-                """One receiver's noise, drawn into buffer, plus the channel's signal."""
-                received = ch.channel_noise(self.sigma, len(buffer), seed, buffer)
-                # Addition commutes, so this is signal + noise bit for bit.
-                received += propagated
-                return received
+            def draw(node, buffer):
+                """The receiver's noise alone, drawn into buffer."""
+                seed = self._rx_seed(tx.index, node.id)
+                return ch.channel_noise(self.sigma, len(buffer), seed, buffer)
 
-            seeds = [self._rx_seed(tx.index, node.id) for node in receivers]
-            receptions = _draw_ahead(self.pool, draw, seeds, self.ring)
+            noises = self.draw_ahead(draw, receivers)
         else:
-            receptions = itertools.repeat(propagated)
+            noises = itertools.repeat(None)
         # zip takes the next receiver first, so it stops with no draw pending.
-        for node, received in zip(receivers, receptions):
+        for node, noise in zip(receivers, noises):
             try:
-                bits = md.demodulate(self.conditioned_blocks(received), self.sc.modem, n_bits)
+                blocks = self.conditioned_blocks(propagated, noise)
+                bits = md.demodulate(blocks, self.sc.modem, n_bits)
             except md.NonFiniteSignal as err:
                 raise ConfigInvalid(f"front_end: the conditioned reception overflowed "
                                     f"float64 ({err}); lower modem.amplitude_v or "
@@ -394,16 +397,16 @@ class _Sim:
                 continue
             self.deliver(now_s, node, frame)
 
-    def conditioned_blocks(self, received):
-        """Yield the conditioned reception past the delay, a block at a time.
-
-        Block edges fall at the delay plus whole multiples of self.block, so
-        every block holds whole symbols.
-        """
+    def conditioned_blocks(self, propagated, noise):
+        """Yield the conditioned reception past the delay, a block at a time:
+        propagated plus noise, summed into noise, or propagated alone (noise None)."""
         state = np.zeros(2)
-        edges = [0, *range(self.delay + self.block, len(received), self.block), len(received)]
-        for lo, hi in zip(edges, edges[1:]):
-            block = ch.condition(received[lo:hi], self.sc.front_end, self.fs, state)
+        for lo, hi in zip(self.edges, self.edges[1:]):
+            received = propagated[lo:hi]
+            if noise is not None:
+                # Elementwise, and addition commutes: bitwise signal + noise.
+                received = np.add(noise[lo:hi], received, out=noise[lo:hi])
+            block = ch.condition(received, self.sc.front_end, self.fs, state)
             yield block if lo else block[self.delay:]
 
     # -- protocol glue --
@@ -458,7 +461,7 @@ class _Sim:
         for t, node_id in self.sc.collision_injections:
             self.push(t, "injection", node_id)
 
-        with _draw_pool(self.ring) as self.pool:
+        with self.draw_ahead:
             while self.queue:
                 time_s, _, kind, data = heapq.heappop(self.queue)
                 if time_s > self.sc.duration_s:
@@ -533,54 +536,57 @@ def _draw_threads() -> int:
     return min(cores, 4)
 
 
-def _draw_ring(n: int) -> list[np.ndarray]:
-    """Noise buffers of n samples for _draw_ahead.
+class _DrawAhead:
+    """Noise buffers of n samples, the pool drawing into them ahead, and
+    whether the calling thread helps (draws below _HELP_BELOW_SAMPLES).
 
-    One per drawing thread, the calling thread among them when it draws too
-    (see _helped), and one for the draw in use, with at most
-    MAX_RECEPTION_SAMPLES samples drawn ahead.
+    One buffer per drawing thread, the helping calling thread among them,
+    and one for the draw in use, with at most MAX_RECEPTION_SAMPLES samples
+    drawn ahead.  Entering starts a pool of the other drawing threads, at
+    least one; a ring of one has none.
     """
-    ahead = min(_draw_threads(), MAX_RECEPTION_SAMPLES // n)
-    return [np.empty(n) for _ in range(1 + ahead)]
+
+    def __init__(self, n: int):
+        ahead = min(_draw_threads(), MAX_RECEPTION_SAMPLES // n)
+        self.ring = [np.empty(n) for _ in range(1 + ahead)]
+        self.helps = n < _HELP_BELOW_SAMPLES
+
+    def __enter__(self):
+        threads = max(1, len(self.ring) - 1 - self.helps)
+        self.pool = ThreadPoolExecutor(threads) if len(self.ring) > 1 else None
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.pool is not None:
+            self.pool.shutdown()
+
+    def __call__(self, draw, jobs):
+        """_draw_ahead with this ring, pool and helping rule."""
+        return _draw_ahead(self.pool, draw, jobs, self.ring, self.helps)
 
 
-def _helped(ring: list[np.ndarray]) -> bool:
-    """Whether _draw_ahead's calling thread draws too: for draws shorter than
-    _HELP_BELOW_SAMPLES."""
-    return len(ring[0]) < _HELP_BELOW_SAMPLES
+def _drawn_here(draw, *args) -> Future:
+    """Run ``draw(*args)`` on the calling thread; its result or exception in a done Future."""
+    future = Future()
+    try:
+        future.set_result(draw(*args))
+    except Exception as err:
+        future.set_exception(err)
+    return future
 
 
-def _draw_pool(ring: list[np.ndarray]):
-    """A pool of one thread per buffer of ring but one; for a ring of one, no pool (None).
-
-    When the calling thread draws too, the pool has one thread fewer, but at
-    least one.
-    """
-    if len(ring) == 1:
-        return contextlib.nullcontext()
-    return ThreadPoolExecutor(max(1, len(ring) - 1 - _helped(ring)))
-
-
-def _draw_ahead(pool, draw, jobs, ring):
+def _draw_ahead(pool, draw, jobs, ring, helps):
     """Yield ``draw(job, buffer)`` for each job in order, drawing ahead on pool.
 
-    Jobs take ring's buffers in turn, and len(ring) - 1 draws run ahead of
-    the one in use.  A buffer is drawn into again only after the result
-    drawn into it has been yielded and the next one asked for, so a consumer
-    may use each result until it asks for the next.  With one buffer every
-    draw runs inline on the calling thread.
-
-    For buffers shorter than _HELP_BELOW_SAMPLES, while the oldest result is
-    not ready, the calling thread claims each draw that no worker has
-    started, the oldest first, and draws it into its own buffer.  Results
-    are yielded in job order whichever thread drew them, and a claimed draw
-    that raises raises when its result is due.
+    Jobs take ring's buffers in turn, len(ring) - 1 draws ahead of the one in
+    use, which a consumer may use until it asks for the next.  With no pool,
+    each draw runs on the calling thread as it is submitted.  With helps,
+    while the oldest result is not ready, the calling thread claims each
+    draw no worker has started, the oldest first, and draws it itself.
+    Results come in job order whichever thread drew them, and a draw that
+    raises raises when its result is due.
     """
-    if len(ring) == 1:
-        for job in jobs:
-            yield draw(job, ring[0])
-        return
-    helps = _helped(ring)
+    submit = _drawn_here if pool is None else pool.submit
     buffers = itertools.cycle(ring)
     pending = deque()  # [future, job, buffer] in job order
 
@@ -590,16 +596,12 @@ def _draw_ahead(pool, draw, jobs, ring):
                 if pending[0][0].done():
                     break
                 if entry[0].cancel():
-                    entry[0] = Future()
-                    try:
-                        entry[0].set_result(draw(*entry[1:]))
-                    except Exception as err:
-                        entry[0].set_exception(err)
+                    entry[0] = _drawn_here(draw, *entry[1:])
         return pending.popleft()[0].result()
 
     for job in jobs:
         buffer = next(buffers)
-        pending.append([pool.submit(draw, job, buffer), job, buffer])
+        pending.append([submit(draw, job, buffer), job, buffer])
         if len(pending) == len(ring):
             yield oldest_result()
     while pending:
@@ -616,12 +618,11 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
     (seed, grid index, chunk index), so results are reproducible for a given
     seed and ``chunk_bits``; another chunk size draws other trials.
 
-    Chunks are drawn ahead on up to 4 threads, as receptions are, into one
-    more reused chunk buffer than there are threads, so memory does not
-    grow with ``n_bits``; each chunk's signal is superposed onto its noise in
-    place, so they are the only chunk-long arrays.  Superposition and detection
-    stay on the calling thread, chunk by chunk in order, and the results are
-    bitwise those of drawing, modulating and receiving each chunk in turn.
+    Each chunk's bits and noise alone are drawn ahead, as receptions' noise
+    is, into reused chunk buffers, so memory does not grow with ``n_bits``.
+    The calling thread superposes each chunk's signal onto its noise in place
+    and detects it, chunk by chunk in order, so the results are bitwise those
+    of drawing, modulating and receiving each chunk in turn.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be at least 1")
@@ -631,7 +632,6 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
     sigmas = [md.ebn0_to_noise_sigma(10 ** (ebn0_db / 10), cfg) for ebn0_db in grid]
     spb = cfg.samples_per_bit
     template = md.modulate((), cfg)
-    ring = _draw_ring((min(chunk_bits, n_bits) + 1) * spb)
     jobs = ((gi, ci, min(chunk_bits, n_bits - done))
             for gi in range(len(grid)) for ci, done in enumerate(range(0, n_bits, chunk_bits)))
     errors = [0] * len(grid)
@@ -643,8 +643,8 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
         bits = rng.integers(0, 2, n)
         return gi, bits, ch.channel_noise(sigmas[gi], (n + 1) * spb, rng, buffer[:(n + 1) * spb])
 
-    with _draw_pool(ring) as pool:
-        for gi, bits, noise in _draw_ahead(pool, draw, jobs, ring):
+    with _DrawAhead((min(chunk_bits, n_bits) + 1) * spb) as draw_ahead:
+        for gi, bits, noise in draw_ahead(draw, jobs):
             # channel_noise draws what normal(0, sigma) does, and addition
             # commutes, so this is signal + normal(0, sigma) bit for bit.
             ch.superpose([md.symbol_signs(bits)], [0], len(noise), template, out=noise)

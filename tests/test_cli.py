@@ -76,6 +76,16 @@ def test_run_rejects_ignored_noise_knob_with_exit_2(tmp_path):
     assert "channel.noise_sigma_v" in result.output
 
 
+def test_run_rejects_a_temperature_on_a_function_test_slave_with_exit_2(tmp_path):
+    # A function_test slave replies with a fixed payload, so the temperature
+    # would change nothing.
+    slave = dict(SCENARIO["slaves"][0], temperature_c=35.0)
+    result = run_with_warnings_as_errors(tmp_path, dict(SCENARIO, slaves=[slave]))
+    assert result.exit_code == 2, result.output
+    assert "config error: slaves[0].temperature_c: only used in sensor mode" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_run_rejects_ebn0_on_a_zero_volt_signal_with_exit_2(tmp_path):
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(dict(SCENARIO, modem={"amplitude_v": 0.0})))

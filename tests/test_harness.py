@@ -503,7 +503,8 @@ class TestDrawAhead:
                 if not block_first:
                     pool.submit(hold)
                 ring = [np.empty(n) for _ in range(3)]
-                for job, buffer in hs._draw_ahead(pool, draw, range(8), ring):
+                helps = hs._DrawAhead(n).helps
+                for job, buffer in hs._draw_ahead(pool, draw, range(8), ring, helps):
                     in_use[0] = buffer
                     time.sleep(1e-3)  # room for a worker to overwrite it
                     assert (buffer == job).all(), job
@@ -558,7 +559,7 @@ class TestReceiveThreads:
             return (tmp_path / name).read_bytes()
 
         monkeypatch.setattr(hs, "_draw_threads", lambda: 8)
-        assert len(hs._Sim(sc).ring) == 9
+        assert len(hs._Sim(sc).draw_ahead.ring) == 9
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -566,7 +567,7 @@ class TestReceiveThreads:
         finally:
             sys.setswitchinterval(interval)
         monkeypatch.setattr(hs, "_draw_threads", lambda: 0)
-        assert len(hs._Sim(sc).ring) == 1
+        assert len(hs._Sim(sc).draw_ahead.ring) == 1
         assert threaded == report_bytes("serial.json")
         assert json.loads(threaded)["link"]["bit_errors"] >= min_bit_errors
 
@@ -579,13 +580,55 @@ class TestReceiveThreads:
                 callers.setdefault(_name, []).append(threading.current_thread())
                 return _real(*args, **kwargs)
             monkeypatch.setattr(module, name, record)
-        report = hs.run_scenario(scn.single_point_scenario(bit_rate_bps=9600))
-        assert report.nodes["master"].frames_received == 1
-        drawers = callers.pop("channel_noise")
-        assert len(drawers) == 2 and threading.main_thread() not in drawers
-        assert sorted(callers) == ["condition", "decode_frame", "deliver", "demodulate",
-                                   "propagate"]
-        assert {t for ts in callers.values() for t in ts} == {threading.main_thread()}
+        # At 9600 bps every draw runs on the pool; at 115200 bps the waiting
+        # main thread draws queued ones too.
+        for sc, helps in ((scn.single_point_scenario(bit_rate_bps=9600), False),
+                          (scn.multi_point_scenario(polls_per_slave=1), True)):
+            callers.clear()
+            assert hs._Sim(sc).draw_ahead.helps is helps
+            report = hs.run_scenario(sc)
+            assert report.nodes["master"].frames_received == len(sc.poll_schedule)
+            drawers = callers.pop("channel_noise")
+            sent = sum(stats.frames_sent for stats in report.nodes.values())
+            assert len(drawers) == sent * len(sc.slaves)
+            if not helps:
+                assert threading.main_thread() not in drawers
+            assert sorted(callers) == ["condition", "decode_frame", "deliver", "demodulate",
+                                       "propagate"]
+            assert {t for ts in callers.values() for t in ts} == {threading.main_thread()}
+
+    @pytest.mark.parametrize("make_scenario", [
+        lambda: scn.single_point_scenario(bit_rate_bps=9600),
+        lambda: scn.multi_point_scenario(polls_per_slave=1),
+    ], ids=["single_point_9600", "multi_point_115200"])
+    def test_each_draw_is_the_receivers_noise_alone(self, make_scenario, monkeypatch):
+        """Every buffer a draw returns is channel_noise(sigma, n, seed) drawn
+        serially, bit for bit, from the receiver's own seed: no signal in it."""
+        monkeypatch.setattr(hs, "_draw_threads", lambda: 4)
+        drawn, seeds = [], []
+        real_draw_ahead, real_receive = hs._draw_ahead, hs._Sim.receive
+
+        def draw_ahead(pool, draw, *rest):
+            def recorded(job, buffer):
+                result = draw(job, buffer)
+                drawn.append(result.tobytes())
+                return result
+            return real_draw_ahead(pool, recorded, *rest)
+
+        def receive(sim, now_s, tx):
+            seeds.extend(sim._rx_seed(tx.index, node) for node in sim.nodes if node != tx.sender)
+            return real_receive(sim, now_s, tx)
+
+        monkeypatch.setattr(hs, "_draw_ahead", draw_ahead)
+        monkeypatch.setattr(hs._Sim, "receive", receive)
+        sc = make_scenario()
+        hs.run_scenario(sc)
+        sigma = hs.derived_noise_sigma(sc)
+        n = hs._frame_samples(sc.modem) + ch.delay_samples(sc.channel, sc.modem.sample_rate_hz)
+        # Workers finish in any order, so the draws are compared as a multiset.
+        assert len(drawn) == len(seeds) > 1
+        assert sorted(drawn) == sorted(ch.channel_noise(sigma, n, seed).tobytes()
+                                       for seed in seeds)
 
     @pytest.mark.parametrize("make_scenario", [
         lambda: scn.single_point_scenario(bit_rate_bps=9600),
@@ -641,11 +684,11 @@ class TestStreamedReception:
             return (tmp_path / name).read_bytes()
 
         sim = hs._Sim(sc)
-        assert sim.block < len(sim.ring[0]) - sim.delay  # several blocks by default
+        assert len(sim.edges) > 2  # several blocks by default
         default = report_bytes("default.json")
         for symbols in (1, 7):
             monkeypatch.setattr(hs, "_BLOCK_SAMPLES", symbols * spb)
-            assert hs._Sim(sc).block == symbols * spb
+            assert hs._Sim(sc).edges[1] == sim.delay + symbols * spb
             assert report_bytes(f"{symbols}.json") == default, symbols
 
     def test_peak_memory_is_the_ring_and_the_propagated_signal(self):
@@ -653,7 +696,7 @@ class TestStreamedReception:
             sc = collided_4800_scenario()
             sc = replace(sc, channel=replace(sc.channel, interference=interference))
             sim = hs._Sim(sc)
-            ring, reception_bytes = len(sim.ring), sim.ring[0].nbytes
+            ring, reception_bytes = len(sim.draw_ahead.ring), sim.draw_ahead.ring[0].nbytes
             del sim
             # tracemalloc also sees numpy buffers, so a kept waveform would show.
             tracemalloc.start()

@@ -1,0 +1,149 @@
+"""Schema-driven fuzzing: random scenarios, typed as the scenario loader reads them, run whole.
+
+The strategies are built from the same dataclass annotations that
+``scenarios._convert`` reads, so they follow the schema as it changes.  Each
+value is the field's default, a value near it, or an in-type extreme.  Every
+draw must be rejected as ConfigInvalid or run, with no warning, to a sound
+Report.
+"""
+
+import dataclasses
+import json
+import math
+import types
+import typing
+import warnings
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from icsim import channel as ch
+from icsim import frame_codec as fc
+from icsim import harness as hs
+from icsim import modem as md
+from icsim import power as pw
+from icsim import scenarios as scn
+
+EXTREME_FLOATS = st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e308, -1e308])
+EXTREME_INTS = st.sampled_from([-1, 0, 1, 2**64])
+# Values drawn for a path in place of its type's strategy: small runs, and
+# strings, addresses and node ids that can name something in the scenario.
+ADDRESSES = [a.hex() for a in scn.MULTI_POINT_ADDRESSES[:3]]
+OVERRIDES = {
+    "duration_s": st.floats(1e-4, 0.02) | EXTREME_FLOATS,
+    "poll_schedule[][0]": st.floats(0.0, 0.02) | EXTREME_FLOATS,
+    "collision_injections[][0]": st.floats(0.0, 0.02) | EXTREME_FLOATS,
+    "collision_injections[][1]": st.sampled_from(["master", "slave1", "slave2", "slave3", "x"]),
+    "slaves[].mode": st.sampled_from(["function_test", "sensor", "relay"]),
+    "slaves[].budget.gating[]": st.sampled_from([*pw.UNIT_NAMES, "x"]),
+    "modem.bit_rate_bps": st.sampled_from([4800, 9600, 115200]) | EXTREME_INTS,
+    "channel.interference[][0]": st.floats(0.0, 1e7) | EXTREME_FLOATS,
+    "channel.interference[][1]": st.floats(0.0, 1.0) | EXTREME_FLOATS,
+}
+MAX_ITEMS = {"slaves": 3, "poll_schedule": 4, "collision_injections": 2,
+             "channel.interference": 2}
+# Receptions longer than this are skipped before the run: they only cost time.
+MAX_RUN_SAMPLES = 1 << 19
+
+
+def near(default):
+    """The default, a value within a factor of 4 of it, or an extreme of its type."""
+    if type(default) is float:
+        lo, hi = (default / 4, default * 4) if default > 0 else (0.0, 10.0)
+        return st.just(default) | st.floats(lo, hi) | EXTREME_FLOATS
+    if type(default) is int:
+        return st.just(default) | st.integers(max(0, default // 4), 4 * default + 4) | EXTREME_INTS
+    return st.just(default)
+
+
+def typed(tp, path, default=dataclasses.MISSING):
+    """Decoded JSON that ``scenarios._convert(tp, ..., path)`` reads."""
+    if path in OVERRIDES:
+        return OVERRIDES[path]
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        (tp,) = [a for a in args if a is not type(None)]
+        return st.none() | typed(tp, path, default)
+    if tp is fc.Address:
+        return st.sampled_from(ADDRESSES)
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        prefix = f"{path}." if path else ""
+        keys = {f.name: typed(hints[f.name], prefix + f.name, f.default)
+                for f in dataclasses.fields(tp)}
+        required = [f.name for f in dataclasses.fields(tp) if f.default is dataclasses.MISSING]
+        return st.fixed_dictionaries({k: keys.pop(k) for k in required}, optional=keys)
+    if origin in (tuple, frozenset):
+        if origin is frozenset or args[-1] is Ellipsis:
+            return st.lists(typed(args[0], f"{path}[]"), max_size=MAX_ITEMS.get(path, 3))
+        return st.tuples(*(typed(a, f"{path}[][{i}]") for i, a in enumerate(args))).map(list)
+    if default is not dataclasses.MISSING:
+        return near(default)
+    return {float: st.floats(0.0, 10.0) | EXTREME_FLOATS, int: EXTREME_INTS,
+            str: st.text(max_size=3)}[tp]
+
+
+SCENARIO_DICTS = typed(hs.Scenario, "")
+
+
+def check_scenario(d):
+    """d is ConfigInvalid, or runs with no warning to a sound report."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sim = hs._Sim(scn.scenario_from_dict(d))
+        except hs.ConfigInvalid:
+            return None
+        assume(len(sim.draw_ahead.ring[0]) <= MAX_RUN_SAMPLES)
+        try:
+            report = sim.run()
+        except hs.ConfigInvalid:
+            return None
+    sc = sim.sc
+    assert 0 <= report.link.measured_ber <= 1
+    for stats in report.nodes.values():
+        assert math.isfinite(stats.energy_uah) and stats.energy_uah >= 0
+        assert math.isfinite(stats.energy_joules) and stats.energy_joules >= 0
+    times = [entry["time_s"] for entry in report.timeline]
+    assert times == sorted(times) and all(t <= sc.duration_s for t in times)
+    sent = sum(stats.frames_sent for stats in report.nodes.values())
+    for stats in report.nodes.values():
+        assert stats.frames_received <= sent - stats.frames_sent
+    json.dumps(report.to_dict(), allow_nan=False)
+    return report
+
+
+class TestScenarioFuzz:
+    @given(SCENARIO_DICTS)
+    @settings(max_examples=250)
+    def test_a_scenario_is_config_invalid_or_runs_to_a_sound_report(self, d):
+        check_scenario(d)
+
+    def test_the_strategy_reaches_every_field(self):
+        """Every field of the schema can be drawn, and some draws run."""
+        seen, ran = set(), []
+
+        def paths(value, path=""):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    seen.add(f"{path}.{key}" if path else key)
+                    paths(item, f"{path}.{key}" if path else key)
+            elif isinstance(value, list):
+                for item in value:
+                    paths(item, f"{path}[]")
+
+        @given(SCENARIO_DICTS)
+        @settings(max_examples=150)
+        def collect(d):
+            paths(d)
+            if check_scenario(d) is not None:
+                ran.append(d)
+
+        collect()
+        assert ran
+        for tp, prefix in ((hs.Scenario, ""), (md.ModemConfig, "modem."),
+                           (ch.ChannelConfig, "channel."), (ch.FrontEndConfig, "front_end."),
+                           (hs.SlaveSpec, "slaves[]."), (pw.UnitBudget, "master_budget."),
+                           (pw.UnitBudget, "slaves[].budget.")):
+            for f in dataclasses.fields(tp):
+                assert prefix + f.name in seen
