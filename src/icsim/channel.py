@@ -80,6 +80,10 @@ def delay_samples(cfg: ChannelConfig, sample_rate_hz: float) -> int:
     return round(cfg.cable_length_m / cfg.propagation_speed_mps * sample_rate_hz)
 
 
+# channel_noise's samples lie within about 14 sigma; bounds allow for this many.
+NOISE_PEAK_SIGMAS = 64
+
+
 def channel_noise(sigma_v: float, n: int, seed, out: np.ndarray | None = None) -> np.ndarray:
     """The seeded noise of one reception: n samples of N(0, sigma_v).
 

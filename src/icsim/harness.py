@@ -7,8 +7,8 @@ noiseless channel.  Every other node adds its own noise to that signal,
 conditions and correlates it in blocks of whole symbols, and decodes it.
 Silent intervals generate no samples, and a transmission's signs are held
 only while it or one overlapping it is on air or awaiting reception, so run
-memory does not grow with run length.  The only arrays as long as a
-reception are the propagated signal and the noise buffers.
+memory does not grow with run length.  Only the propagated signal and the
+noise buffers, which a noiseless run lacks, are as long as a reception.
 Each reception's noise alone is drawn ahead on up to 4 threads; while the
 calling thread waits for a draw shorter than 2**16 samples, it draws queued
 ones itself.  Each receiver's noise comes from its own seed into its own
@@ -58,8 +58,6 @@ MAX_RECEPTION_SAMPLES = 2**24
 # rounded down to whole symbols: one block holds a whole 115200 bps reception,
 # and 9600 and 4800 bps receptions take 5 and 9 blocks.
 _BLOCK_SAMPLES = 1 << 16
-# numpy's normal draws lie within about 14 sigma; validate allows for this many.
-_NOISE_PEAK_SIGMAS = 64
 FRAME_LEN = nd.FRAME_LEN
 
 
@@ -101,16 +99,19 @@ class Scenario:
             sigma = derived_noise_sigma(self)
         except ValueError as err:
             raise ConfigInvalid(f"ebn0_db: at the receiver, {err}") from err
-        # superpose adds the transmissions on air, at most one per node, at
-        # their transmit amplitude, before the channel's gain.
-        if not math.isfinite((1 + len(self.slaves)) * self.modem.amplitude_v):
-            raise ConfigInvalid(f"modem.amplitude_v: {1 + len(self.slaves)} nodes on air at "
+        # A reception's peak in the run's order: a frame per node and one per injection (an
+        # injected node transmits whatever its phase) at the transmit amplitude (superpose),
+        # then the gain and the tones (propagate), then each receiver's noise.
+        on_air = 1 + len(self.slaves) + len(self.collision_injections)
+        if not math.isfinite(peak_v := on_air * self.modem.amplitude_v):
+            raise ConfigInvalid(f"modem.amplitude_v: {on_air} transmissions on air at "
                                 f"{self.modem.amplitude_v!r} V each sum past float64")
-        peak_v = sum((abs(a) for _, a in self.channel.interference), received_amplitude(self))
+        peak_v = sum((abs(a) for _, a in self.channel.interference),
+                     peak_v * ch.channel_gain(self.channel))
         if not math.isfinite(peak_v):
-            raise ConfigInvalid("channel.interference: the tone amplitudes and the received "
-                                "signal's sum past float64; lower them or modem.amplitude_v")
-        if not math.isfinite(peak_v + _NOISE_PEAK_SIGMAS * sigma):
+            raise ConfigInvalid(f"channel.interference: the tones and {on_air} received "
+                                "transmissions sum past float64; lower them or modem.amplitude_v")
+        if not math.isfinite(peak_v + ch.NOISE_PEAK_SIGMAS * sigma):
             path = "channel.noise_sigma_v" if self.ebn0_db is None else "ebn0_db"
             raise ConfigInvalid(f"{path}: noise of sigma {sigma!r} V added to a "
                                 f"{peak_v!r} V peak can pass float64")
@@ -125,7 +126,7 @@ class Scenario:
                                 "whatever modem.amplitude_v; choose front_end.passband_gain, "
                                 "center_hz and quality_factor that give a finite, stable "
                                 "filter") from err
-        frame_samples = _frame_samples(self.modem)
+        frame_samples = md.frame_samples(FRAME_LEN, self.modem)
         if frame_samples > MAX_RECEPTION_SAMPLES:
             raise ConfigInvalid(f"modem: a frame of {frame_samples} samples is over "
                                 f"the limit of {MAX_RECEPTION_SAMPLES}")
@@ -148,6 +149,10 @@ class Scenario:
         budgets = [("master_budget", self.master_budget),
                    *((f"slaves[{i}].budget", spec.budget) for i, spec in enumerate(self.slaves))]
         for path, budget in budgets:
+            for unit in pw.UNIT_NAMES:
+                ua = f"{unit}_ua"
+                if unit not in budget.gating and getattr(budget, ua) != getattr(pw.UnitBudget, ua):
+                    raise ConfigInvalid(f"{path}.{ua}: only used when {unit!r} is in gating")
             peak_ua = pw.MODE_TABLE["RUN"].mcu_current_ua + pw.standby_current(budget)
             if not math.isfinite(2 * peak_ua * self.duration_s * pw.SUPPLY_V):
                 raise ConfigInvalid(f"{path}: {peak_ua!r} uA over duration_s is more "
@@ -177,22 +182,12 @@ class Scenario:
                 raise ConfigInvalid(f"collision_injections[{i}].time_s: outside duration")
 
 
-def _frame_samples(cfg: md.ModemConfig) -> int:
-    """Samples in every modulated frame: the reference symbol and 8 * FRAME_LEN bits."""
-    return (8 * FRAME_LEN + 1) * cfg.samples_per_bit
-
-
-def received_amplitude(sc: Scenario) -> float:
-    """Amplitude in V of one transmission at the receive coil."""
-    return sc.modem.amplitude_v * ch.channel_gain(sc.channel)
-
-
 def derived_noise_sigma(sc: Scenario) -> float:
-    """Channel noise std dev giving the scenario's Eb/N0 at the receive coil."""
+    """Noise std dev giving the scenario's Eb/N0 for one transmission at the receive coil."""
     if sc.ebn0_db is None:
         return sc.channel.noise_sigma_v
-    return md.ebn0_to_noise_sigma(10 ** (sc.ebn0_db / 10),
-                                  replace(sc.modem, amplitude_v=received_amplitude(sc)))
+    rx_modem = replace(sc.modem, amplitude_v=sc.modem.amplitude_v * ch.channel_gain(sc.channel))
+    return md.ebn0_to_noise_sigma(10 ** (sc.ebn0_db / 10), rx_modem)
 
 
 # --- report -----------------------------------------------------------------
@@ -292,11 +287,11 @@ class _Sim:
         self.template = md.modulate((), sc.modem)
         # Every frame is FRAME_LEN bytes, so every reception is this long; its
         # block edges fall at the delay plus whole symbols.
-        n = _frame_samples(sc.modem) + self.delay
+        n = md.frame_samples(FRAME_LEN, sc.modem) + self.delay
         spb = sc.modem.samples_per_bit
         block = max(1, _BLOCK_SAMPLES // spb) * spb
         self.edges = [0, *range(self.delay + block, n, block), n]
-        self.draw_ahead = _DrawAhead(n)
+        self.draw_ahead = _DrawAhead(n) if self.sigma > 0 else None
 
         timeout = nd.default_master_timeout_s(FRAME_LEN, FRAME_LEN, sc.modem) + 2 * self.prop_delay_s
         self.nodes: dict[str, _Node] = {
@@ -368,7 +363,7 @@ class _Sim:
         ch.propagate(signal, self.sc.channel, self.fs, out=propagated)
         n_bits = len(tx.bits)
         receivers = [node for node in self.nodes.values() if node.id != tx.sender]
-        if self.sigma > 0:
+        if self.draw_ahead is not None:
             def draw(node, buffer):
                 """The receiver's noise alone, drawn into buffer."""
                 seed = self._rx_seed(tx.index, node.id)
@@ -461,7 +456,7 @@ class _Sim:
         for t, node_id in self.sc.collision_injections:
             self.push(t, "injection", node_id)
 
-        with self.draw_ahead:
+        with self.draw_ahead or contextlib.nullcontext():
             while self.queue:
                 time_s, _, kind, data = heapq.heappop(self.queue)
                 if time_s > self.sc.duration_s:

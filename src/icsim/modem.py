@@ -71,6 +71,11 @@ def frame_airtime_s(n_bytes: int, cfg: ModemConfig) -> float:
     return (8 * n_bytes + 1) * cfg.cycles_per_bit / cfg.carrier_hz
 
 
+def frame_samples(n_bytes: int, cfg: ModemConfig) -> int:
+    """Samples in a modulated n-byte frame: its data bits plus the reference symbol."""
+    return (8 * n_bytes + 1) * cfg.samples_per_bit
+
+
 def bytes_to_bits(data: bytes) -> np.ndarray:
     """LSB-first expansion, eight uint8 bits per byte (serial-port order)."""
     return np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")

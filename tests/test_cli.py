@@ -196,6 +196,40 @@ def test_run_rejects_colliding_transmissions_past_float64_with_exit_2(tmp_path):
     assert "config error: modem.amplitude_v: " in result.output
 
 
+def test_run_rejects_a_tone_and_colliding_transmissions_past_float64_with_exit_2(tmp_path):
+    # slave1 starts a frame 528 samples into the master's command, so the two
+    # carriers add in phase; one of them with the tone stays finite.
+    address = SCENARIO["slaves"][0]["address"]
+    result = run_with_warnings_as_errors(tmp_path, dict(
+        SCENARIO, duration_s=0.001, ebn0_db=None, modem={"amplitude_v": 5.9e307},
+        channel=dict(SCENARIO["channel"], interference=[[1000.0, 1.777e308]]),
+        poll_schedule=[[0.0, address]], collision_injections=[[1.976e-5, "slave1"]]))
+    assert result.exit_code == 2, result.output
+    assert "config error: channel.interference: " in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_run_rejects_stacked_injections_past_float64_with_exit_2(tmp_path):
+    # Three master injections at once put five transmissions on air.
+    result = run_with_warnings_as_errors(tmp_path, dict(
+        SCENARIO, duration_s=0.001, ebn0_db=None, modem={"amplitude_v": 8e307},
+        poll_schedule=[], collision_injections=[[1e-4, "master"]] * 3))
+    assert result.exit_code == 2, result.output
+    assert "config error: modem.amplitude_v: 5 transmissions on air" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_run_rejects_the_current_of_an_ungated_unit_with_exit_2(tmp_path):
+    # The carrier is not powered, so its current would change nothing.
+    slave = dict(SCENARIO["slaves"][0], budget={"carrier_ua": 100.0, "gating": ["master"]})
+    result = run_with_warnings_as_errors(tmp_path, dict(SCENARIO, slaves=[slave]))
+    assert result.exit_code == 2, result.output
+    assert ("config error: slaves[0].budget.carrier_ua: only used when 'carrier' is in gating"
+            in result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_ber_sweep_writes_csv(tmp_path):
     out = tmp_path / "ber.csv"
     result = CliRunner().invoke(main, ["ber-sweep", "--ebn0", "20,30",

@@ -624,7 +624,8 @@ class TestReceiveThreads:
         sc = make_scenario()
         hs.run_scenario(sc)
         sigma = hs.derived_noise_sigma(sc)
-        n = hs._frame_samples(sc.modem) + ch.delay_samples(sc.channel, sc.modem.sample_rate_hz)
+        n = (md.frame_samples(hs.FRAME_LEN, sc.modem)
+             + ch.delay_samples(sc.channel, sc.modem.sample_rate_hz))
         # Workers finish in any order, so the draws are compared as a multiset.
         assert len(drawn) == len(seeds) > 1
         assert sorted(drawn) == sorted(ch.channel_noise(sigma, n, seed).tobytes()
@@ -709,6 +710,23 @@ class TestStreamedReception:
             # everything else is a block, a frame's signs or the report.  Tones
             # are added a block at a time.
             assert peak <= (ring + 2) * reception_bytes, interference
+
+    def test_a_noiseless_run_holds_no_noise_ring(self):
+        base = scn.multi_point_scenario(polls_per_slave=1, bit_rate_bps=4800, ebn0_db=None)
+        sc = replace(base, poll_schedule=base.poll_schedule[:2])
+        ring_bytes = sum(buffer.nbytes for buffer in
+                         hs._Sim(replace(sc, ebn0_db=6.0)).draw_ahead.ring)
+        tracemalloc.start()
+        try:
+            report = hs.run_scenario(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.nodes["master"].frames_received == 2
+        # The propagated signal is the one whole reception; the noise ring a
+        # noisy run of the same scenario holds would be more than all of it.
+        assert peak < ring_bytes
+        assert hs._Sim(sc).draw_ahead is None
 
 
 class TestReportIo:
@@ -946,6 +964,21 @@ class TestScenarioFiles:
         loads_or_config_invalid(d)
 
 
+# One slave's reply injected 528 samples into the master's command, at an
+# amplitude and with a tone that each pass validate alone.
+TONE_AND_COLLISION = {
+    "duration_s": 0.001, "ebn0_db": None, "modem": {"amplitude_v": 5.9e307},
+    "channel": {"turns": 4, "cable_length_m": 2.0, "interference": [[1000.0, 1.777e308]]},
+    "slaves": [{"address": ADDRESS, "mode": "function_test"}],
+    "poll_schedule": [[0.0, ADDRESS]], "collision_injections": [[1.976e-5, "slave1"]],
+}
+# Three master injections at once, at an amplitude two nodes on air can hold.
+STACKED_INJECTIONS = {
+    "duration_s": 0.001, "ebn0_db": None, "modem": {"amplitude_v": 8e307},
+    "slaves": [{"address": ADDRESS}], "collision_injections": [[1e-4, "master"]] * 3,
+}
+
+
 class TestValidate:
     """Values of the right type that would crash the run are rejected up front."""
 
@@ -1060,6 +1093,39 @@ class TestValidate:
         with pytest.raises(hs.ConfigInvalid, match=r"^modem\.amplitude_v: "):
             hs._Sim(loud)
         hs._Sim(replace(loud, slaves=loud.slaves[:1], poll_schedule=loud.poll_schedule[:1]))
+
+    def test_tones_and_overlapping_transmissions_past_float64_are_config_invalid(self):
+        # slave1 is injected 528 samples into the master's command, so the two
+        # carriers add in phase.  Either one with the tone stays finite; both
+        # with the tone pass float64 in propagate.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(hs.ConfigInvalid, match=r"^channel\.interference: "):
+                hs.run_scenario(scn.scenario_from_dict(TONE_AND_COLLISION))
+
+    def test_stacked_injections_past_float64_are_config_invalid(self):
+        # The master's three injections are on air together, beside one frame
+        # per node: five transmissions at 8e307 V pass float64 in superpose.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(hs.ConfigInvalid,
+                               match=r"^modem\.amplitude_v: 5 transmissions on air"):
+                hs.run_scenario(scn.scenario_from_dict(STACKED_INJECTIONS))
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda sc, b: replace(sc, master_budget=b), "master_budget.carrier_ua"),
+        (lambda sc, b: replace(sc, slaves=(replace(sc.slaves[0], budget=b),)),
+         "slaves[0].budget.carrier_ua"),
+    ])
+    def test_a_current_of_an_ungated_unit_is_config_invalid(self, edit, path):
+        sc = scn.single_point_scenario()
+        ungated = pw.UnitBudget(carrier_ua=100.0, gating=frozenset({"master"}))
+        with pytest.raises(hs.ConfigInvalid,
+                           match=f"^{re.escape(path)}: only used when 'carrier' is in gating"):
+            hs._Sim(edit(sc, ungated))
+        # The default current of an ungated unit, or any current of a gated one, counts.
+        hs._Sim(edit(sc, replace(ungated, carrier_ua=130.0)))
+        hs._Sim(edit(sc, replace(ungated, gating=frozenset({"master", "carrier"}))))
 
     def test_an_infinite_duration_is_config_invalid(self):
         with pytest.raises(hs.ConfigInvalid, match=r"^duration_s: "):

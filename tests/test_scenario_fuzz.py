@@ -10,6 +10,7 @@ Report.
 import dataclasses
 import json
 import math
+import sys
 import types
 import typing
 import warnings
@@ -24,7 +25,8 @@ from icsim import modem as md
 from icsim import power as pw
 from icsim import scenarios as scn
 
-EXTREME_FLOATS = st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e308, -1e308])
+EXTREME_FLOATS = st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e308, -1e308,
+                                  sys.float_info.max / 2, sys.float_info.max / 3])
 EXTREME_INTS = st.sampled_from([-1, 0, 1, 2**64])
 # Values drawn for a path in place of its type's strategy: small runs, and
 # strings, addresses and node ids that can name something in the scenario.
@@ -40,7 +42,7 @@ OVERRIDES = {
     "channel.interference[][0]": st.floats(0.0, 1e7) | EXTREME_FLOATS,
     "channel.interference[][1]": st.floats(0.0, 1.0) | EXTREME_FLOATS,
 }
-MAX_ITEMS = {"slaves": 3, "poll_schedule": 4, "collision_injections": 2,
+MAX_ITEMS = {"slaves": 3, "poll_schedule": 4, "collision_injections": 3,
              "channel.interference": 2}
 # Receptions longer than this are skipped before the run: they only cost time.
 MAX_RUN_SAMPLES = 1 << 19
@@ -94,7 +96,7 @@ def check_scenario(d):
             sim = hs._Sim(scn.scenario_from_dict(d))
         except hs.ConfigInvalid:
             return None
-        assume(len(sim.draw_ahead.ring[0]) <= MAX_RUN_SAMPLES)
+        assume(sim.edges[-1] <= MAX_RUN_SAMPLES)
         try:
             report = sim.run()
         except hs.ConfigInvalid:
