@@ -15,8 +15,10 @@ ones itself.  Each receiver's noise comes from its own seed into its own
 buffer, whichever thread draws it.  The calling thread adds the signal into
 that noise a block at a time as it conditions it, and does everything else
 in node order, so reports are bitwise those of a serial run.
-A run is a pure function of the Scenario, seed included, so identical
-scenarios produce byte-identical reports.
+The event loop is the only clock: a node's wake is an event, at which it
+enters its mode and acts on, so the timeline is recorded in time order as it
+happens; ``nodes`` decides every frame, timer and frame end.  A run is a pure
+function of the Scenario, seed included: equal scenarios, byte-identical reports.
 """
 
 from __future__ import annotations
@@ -244,6 +246,7 @@ class _Transmission:
     signs: np.ndarray  # md.symbol_signs(bits): symbol k is signs[k] * the template
     start_s: float
     end_s: float
+    injected: bool
     # (sample offset from start_s, signs) of each overlapping transmission,
     # in index order.
     overlapping: list = field(default_factory=list)
@@ -261,17 +264,13 @@ class _Node:
         self.last_change_s = 0.0
         self.trace: list[pw.TraceRecord] = []
 
-    def _close_record(self, now_s):
-        if now_s > self.last_change_s:
-            self.trace.append(pw.TraceRecord(self.power_mode, now_s - self.last_change_s))
-            self.last_change_s = now_s
-
     def set_power_mode(self, now_s, mode):
-        self._close_record(now_s)
-        self.power_mode = mode
+        """Close the stretch in the current mode at now_s, and enter mode."""
+        self.trace.append(pw.TraceRecord(self.power_mode, now_s - self.last_change_s))
+        self.power_mode, self.last_change_s = mode, now_s
 
     def finish(self, end_s):
-        self._close_record(end_s)
+        self.set_power_mode(end_s, self.power_mode)
 
 
 class _Sim:
@@ -306,14 +305,11 @@ class _Sim:
         self.queue: list = []
         self.seq = 0
         self.tx_count = 0
-        # Transmissions whose tx_done has not run, in index order.  A reply
-        # starts a wake latency after it is scheduled, so a transmission
-        # scheduled later may start earlier: only tx_done retires one.
+        # Transmissions whose tx_done has not run, in index (start) order.
         self.on_air: list[_Transmission] = []
         self.timeline: list = []
         self.link = LinkStats(nominal_bps=float(sc.modem.bit_rate_bps),
                               effective_bps=sc.modem.effective_bit_rate_bps)
-        self.master_poll_gen = 0
 
     # -- plumbing --
 
@@ -332,15 +328,15 @@ class _Sim:
 
     # -- transmissions --
 
-    def start_transmission(self, now_s, sender, frame: fc.Frame):
+    def start_transmission(self, now_s, sender, frame: fc.Frame, injected: bool):
         data = fc.encode_frame(frame)
         bits = md.bytes_to_bits(data)
         signs = md.symbol_signs(bits)
         end_s = now_s + md.frame_airtime_s(len(data), self.sc.modem)
-        tx = _Transmission(self.tx_count, sender, bits, signs, now_s, end_s)
+        tx = _Transmission(self.tx_count, sender, bits, signs, now_s, end_s, injected)
         self.tx_count += 1
         for o in self.on_air:
-            if o.start_s < end_s and now_s < o.end_s:
+            if now_s < o.end_s:
                 tx.overlapping.append((round((o.start_s - now_s) * self.fs), o.signs))
                 o.overlapping.append((round((now_s - o.start_s) * self.fs), signs))
         self.on_air.append(tx)
@@ -424,29 +420,32 @@ class _Sim:
         self.run_actions(now_s, node, actions)
 
     def run_actions(self, now_s, node: _Node, actions):
-        t = now_s
-        for action in actions:
+        for i, action in enumerate(actions):
+            if isinstance(action, nd.SetPowerMode) and action.latency_s > 0:
+                # The node reaches the mode, and acts on, at its own event.
+                self.push(now_s + action.latency_s, "wake", (node, action, actions[i + 1:]))
+                return
             if isinstance(action, nd.SetPowerMode):
-                t = now_s + action.latency_s
-                if t > self.sc.duration_s:
-                    return  # this action and the ones after it fall after the run
-                node.set_power_mode(t, action.mode)
-                kind = "wake" if action.mode == "RUN" and action.latency_s > 0 else "power_mode"
-                self.record(t, node.id, kind, mode=action.mode, latency_s=action.latency_s)
+                self.set_power_mode(now_s, node, action)
             elif isinstance(action, nd.TransmitFrame):
-                self.start_transmission(t, node.id, action.frame)
+                self.start_transmission(now_s, node.id, action.frame, action.injected)
             elif isinstance(action, nd.StartTimer):
-                self.push(t + action.timeout_s, "timeout", self.master_poll_gen)
+                self.push(now_s + action.timeout_s, "timeout", action.poll)
             elif isinstance(action, nd.Report):
                 if action.payload is None:
                     node.stats.timeouts += 1
-                    self.record(t, node.id, "report_timeout", target=action.target.hex())
+                    self.record(now_s, node.id, "timeout")
+                    self.record(now_s, node.id, "report_timeout", target=action.target.hex())
                 else:
-                    self.record(t, node.id, "report", target=action.target.hex(),
+                    self.record(now_s, node.id, "report", target=action.target.hex(),
                                 payload_hex=action.payload.hex(" "))
-                self.master_poll_gen += 1
             elif isinstance(action, nd.Log):
-                self.record(t, node.id, "log", message=action.message)
+                self.record(now_s, node.id, "log", message=action.message)
+
+    def set_power_mode(self, now_s, node: _Node, action: nd.SetPowerMode):
+        node.set_power_mode(now_s, action.mode)
+        kind = "wake" if action.mode == "RUN" and action.latency_s > 0 else "power_mode"
+        self.record(now_s, node.id, kind, mode=action.mode, latency_s=action.latency_s)
 
     # -- event loop --
 
@@ -466,13 +465,15 @@ class _Sim:
                     self.dispatch(time_s, self.nodes["master"], nd.PollRequest(data))
                 elif kind == "tx_done":
                     self.on_air.remove(data)
-                    self.dispatch(time_s, self.nodes[data.sender], nd.TxDone())
+                    self.dispatch(time_s, self.nodes[data.sender], nd.TxDone(data.injected))
                 elif kind == "rx_complete":
                     self.receive(time_s, data)
+                elif kind == "wake":
+                    node, action, rest = data
+                    self.set_power_mode(time_s, node, action)
+                    self.run_actions(time_s, node, rest)
                 elif kind == "timeout":
-                    if data == self.master_poll_gen:
-                        self.record(time_s, "master", "timeout")
-                        self.dispatch(time_s, self.nodes["master"], nd.Timeout())
+                    self.dispatch(time_s, self.nodes["master"], nd.Timeout(data))
                 elif kind == "injection":
                     self.record(time_s, data, "injection")
                     self.dispatch(time_s, self.nodes[data], nd.Inject())
@@ -485,7 +486,6 @@ class _Sim:
             node.stats.energy_joules = joules
         if self.link.physical_bits:
             self.link.measured_ber = self.link.bit_errors / self.link.physical_bits
-        self.timeline.sort(key=lambda e: e["time_s"])
         return Report(nodes={k: v.stats for k, v in self.nodes.items()},
                       link=self.link, timeline=self.timeline)
 

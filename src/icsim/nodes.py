@@ -5,6 +5,9 @@ event and returns the successor state plus a list of actions for the
 simulation harness to execute (power transitions, frame transmissions,
 reports).  ``accepts`` decides which frames a node takes: a sleeping node
 whose address does not match an incoming frame stays exactly where it is.
+The machines decide every timer and frame end too: the master ignores a
+timeout of a poll already answered, and a slave leaves TRANSMIT only when
+its reply ends, not when a frame injected into it does.
 """
 
 from __future__ import annotations
@@ -46,11 +49,13 @@ class SetPowerMode:
 @dataclass(frozen=True)
 class TransmitFrame:
     frame: Frame
+    injected: bool = False  # sent for an Inject, not as the node's protocol step
 
 
 @dataclass(frozen=True)
 class StartTimer:
     timeout_s: float
+    poll: int  # the poll it times
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ class FrameReceived:
 
 @dataclass(frozen=True)
 class TxDone:
-    pass
+    injected: bool = False  # the ended frame's TransmitFrame.injected
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,7 @@ class PollRequest:
 
 @dataclass(frozen=True)
 class Timeout:
-    pass
+    poll: int  # its StartTimer's poll
 
 
 @dataclass(frozen=True)
@@ -114,17 +119,17 @@ def slave_step(state: SlaveState, event) -> tuple[SlaveState, list[Action]]:
     """Advance a slave by one event.
 
     A matching command while in standby runs the whole wake -> acquire ->
-    transmit pipeline in one step: the harness spaces the emitted actions in
-    time using the returned wake latency.
+    transmit pipeline in one step: the harness runs the actions after the
+    wake once the node is in RUN, the returned wake latency later.
     """
     if isinstance(event, Inject):
-        return state, [TransmitFrame(slave_reply_frame(state))]
+        return state, [TransmitFrame(slave_reply_frame(state), injected=True)]
     if state.phase == "STANDBY" and isinstance(event, FrameReceived):
         if not accepts(state, event.frame):
             return state, []  # stay asleep, no power change
         wake = SetPowerMode("RUN", MODE_TABLE["STOP1"].wakeup_time_s)
         return replace(state, phase="TRANSMIT"), [wake, TransmitFrame(slave_reply_frame(state))]
-    if state.phase == "TRANSMIT" and isinstance(event, TxDone):
+    if state.phase == "TRANSMIT" and isinstance(event, TxDone) and not event.injected:
         return replace(state, phase="STANDBY"), [SetPowerMode("STOP1", 0.0)]
     return state, [Log(f"slave ignored {type(event).__name__} in {state.phase}")]
 
@@ -136,6 +141,7 @@ class MasterState:
     phase: str = "IDLE"  # IDLE | AWAIT_REPLY
     pending_target: Optional[Address] = None
     timeout_s: float = 0.1
+    polls: int = 0  # polls sent; the last one is pending in AWAIT_REPLY
 
     def __post_init__(self):
         if self.phase == "AWAIT_REPLY" and self.pending_target is None:
@@ -145,19 +151,22 @@ class MasterState:
 def master_step(state: MasterState, event) -> tuple[MasterState, list[Action]]:
     if isinstance(event, Inject):  # a command to the all-zero address
         return state, [TransmitFrame(Frame(REPLY_RELAY_DEPTH, Address(bytes(ADDRESS_LEN)),
-                                           COMMAND_PAYLOAD))]
+                                           COMMAND_PAYLOAD), injected=True)]
     if isinstance(event, PollRequest):
         if state.phase != "IDLE":
             return state, [Log("poll refused: command already outstanding")]
         cmd = Frame(REPLY_RELAY_DEPTH, event.target, COMMAND_PAYLOAD)
-        next_state = replace(state, phase="AWAIT_REPLY", pending_target=event.target)
-        return next_state, [TransmitFrame(cmd), StartTimer(state.timeout_s)]
+        next_state = replace(state, phase="AWAIT_REPLY", pending_target=event.target,
+                             polls=state.polls + 1)
+        return next_state, [TransmitFrame(cmd), StartTimer(state.timeout_s, next_state.polls)]
     if state.phase == "AWAIT_REPLY" and isinstance(event, FrameReceived):
         if not accepts(state, event.frame):
             return state, []  # someone else's reply; timer keeps running
         report = Report(state.pending_target, event.frame.payload)
         return replace(state, phase="IDLE", pending_target=None), [report]
-    if state.phase == "AWAIT_REPLY" and isinstance(event, Timeout):
+    if isinstance(event, Timeout):
+        if state.phase != "AWAIT_REPLY" or event.poll != state.polls:
+            return state, []  # the timer of a poll already answered
         report = Report(state.pending_target, None)
         return replace(state, phase="IDLE", pending_target=None), [report]
     if isinstance(event, TxDone):

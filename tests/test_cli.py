@@ -4,7 +4,9 @@ import warnings
 import pytest
 from click.testing import CliRunner
 
+from icsim import harness as hs
 from icsim import modem as md
+from icsim import scenarios as scn
 from icsim.cli import main
 
 SCENARIO = {
@@ -228,6 +230,30 @@ def test_run_rejects_the_current_of_an_ungated_unit_with_exit_2(tmp_path):
             in result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_run_with_a_frame_injected_mid_reply_sleeps_the_slave_when_its_reply_ends(tmp_path):
+    # slave1 is injected 1 us after the command ends, so its injected frame
+    # ends at 8263.94 us, while its reply is on air until 8274.25 us.
+    sc = scn.single_point_scenario(ebn0_db=None)
+    poll_s, address = sc.poll_schedule[0]
+    airtime_s = md.frame_airtime_s(hs.FRAME_LEN, sc.modem)
+    result = run_with_warnings_as_errors(tmp_path, {
+        "duration_s": sc.duration_s, "seed": sc.seed, "ebn0_db": None,
+        "modem": {"bit_rate_bps": sc.modem.bit_rate_bps}, "channel": {"cable_length_m": 700.0},
+        "slaves": [{"address": address.hex(), "mode": "function_test"}],
+        "poll_schedule": [[poll_s, address.hex()]],
+        "collision_injections": [[poll_s + airtime_s + 1e-6, "slave1"]]})
+    assert result.exit_code == 0, result.output
+    lines = (tmp_path / "out" / "timeline.jsonl").read_text().splitlines()
+    slave = [e for e in map(json.loads, lines) if e["node"] == "slave1"]
+    injected, reply = [e["time_s"] for e in slave if e["kind"] == "tx_start"]
+    assert [e["time_s"] for e in slave if e["kind"] == "injection"] == [injected]
+    sleeps = [e["time_s"] for e in slave if e.get("mode") == "STOP1"]
+    assert sleeps == [reply + airtime_s]
+    assert round(sleeps[0] * 1e6, 2) == 8274.25
+    assert [e["message"] for e in slave if e["kind"] == "log"] == [
+        "slave ignored TxDone in TRANSMIT"]
 
 
 def test_ber_sweep_writes_csv(tmp_path):

@@ -67,6 +67,29 @@ class TestSlave:
         assert after == state
         assert len(actions) == 1 and isinstance(actions[0], nd.Log)
 
+    def test_an_injected_frame_ending_leaves_the_slave_in_transmit(self):
+        state = nd.SlaveState(address=SLAVE_ADDR, phase="TRANSMIT")
+        after, actions = nd.slave_step(state, nd.TxDone(injected=True))
+        assert after == state
+        assert actions == [nd.Log("slave ignored TxDone in TRANSMIT")]
+
+    @pytest.mark.parametrize("injection_ends_first", [True, False])
+    def test_the_reply_ending_ends_transmit_whichever_frame_ends_first(self, injection_ends_first):
+        standby = nd.SlaveState(address=SLAVE_ADDR)
+        transmit, _ = nd.slave_step(standby, nd.FrameReceived(command_frame()))
+        state = transmit
+        if injection_ends_first:
+            state, actions = nd.slave_step(state, nd.TxDone(injected=True))
+            assert state == transmit
+            assert actions == [nd.Log("slave ignored TxDone in TRANSMIT")]
+        state, actions = nd.slave_step(state, nd.TxDone())
+        assert state == standby
+        assert actions == [nd.SetPowerMode("STOP1", 0.0)]
+        if not injection_ends_first:
+            state, actions = nd.slave_step(state, nd.TxDone(injected=True))
+            assert state == standby
+            assert actions == [nd.Log("slave ignored TxDone in STANDBY")]
+
 
 class TestMaster:
     def test_poll_emits_command_and_timer(self):
@@ -76,7 +99,8 @@ class TestMaster:
         assert after.pending_target == SLAVE_ADDR
         tx = next(a for a in actions if isinstance(a, nd.TransmitFrame))
         assert fc.encode_frame(tx.frame).hex(" ") == "01 64 49 46 68 00 53 02 12 34 f7 75"
-        assert nd.StartTimer(0.01) in actions
+        assert after.polls == 1
+        assert nd.StartTimer(0.01, 1) in actions
 
     def test_matching_reply_reports_payload(self):
         state = nd.MasterState(phase="AWAIT_REPLY", pending_target=SLAVE_ADDR)
@@ -93,10 +117,22 @@ class TestMaster:
         assert actions == []
 
     def test_timeout_reports_marker(self):
-        state = nd.MasterState(phase="AWAIT_REPLY", pending_target=SLAVE_ADDR)
-        after, actions = nd.master_step(state, nd.Timeout())
+        state = nd.MasterState(phase="AWAIT_REPLY", pending_target=SLAVE_ADDR, polls=1)
+        after, actions = nd.master_step(state, nd.Timeout(1))
         assert after.phase == "IDLE"
         assert actions == [nd.Report(SLAVE_ADDR, None)]
+
+    @pytest.mark.parametrize("next_poll", [False, True])
+    def test_a_stale_timeout_leaves_the_master_unchanged(self, next_poll):
+        """The timer of an answered poll does nothing, in IDLE or awaiting the next poll."""
+        state, (_, timer) = nd.master_step(nd.MasterState(), nd.PollRequest(SLAVE_ADDR))
+        state, _ = nd.master_step(state, nd.FrameReceived(fc.Frame(1, SLAVE_ADDR, bytes(2))))
+        if next_poll:
+            state, _ = nd.master_step(state, nd.PollRequest(OTHER_ADDR))
+        assert state.phase == ("AWAIT_REPLY" if next_poll else "IDLE")
+        after, actions = nd.master_step(state, nd.Timeout(timer.poll))
+        assert after == state
+        assert actions == []
 
     def test_at_most_one_outstanding_command(self):
         state = nd.MasterState(phase="AWAIT_REPLY", pending_target=SLAVE_ADDR)
@@ -161,4 +197,5 @@ class TestInject:
         state = nd.SlaveState(address=SLAVE_ADDR, mode="sensor", temperature_c=24.8)
         _, injected = nd.slave_step(state, nd.Inject())
         _, replied = nd.slave_step(state, nd.FrameReceived(command_frame()))
-        assert injected[0] == replied[1] == nd.TransmitFrame(nd.slave_reply_frame(state))
+        assert injected[0] == nd.TransmitFrame(nd.slave_reply_frame(state), injected=True)
+        assert replied[1] == nd.TransmitFrame(nd.slave_reply_frame(state), injected=False)

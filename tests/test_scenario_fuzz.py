@@ -2,9 +2,11 @@
 
 The strategies are built from the same dataclass annotations that
 ``scenarios._convert`` reads, so they follow the schema as it changes.  Each
-value is the field's default, a value near it, or an in-type extreme.  Every
-draw must be rejected as ConfigInvalid or run, with no warning, to a sound
-Report.
+value is the field's default, a value near it, or an in-type extreme.  About
+a third of the draws keep only the fields that set what is on air at once,
+with ``modem.amplitude_v`` near float64's largest value over that count.
+Every draw must be rejected as ConfigInvalid or run, with no warning, to a
+sound Report.
 """
 
 import dataclasses
@@ -78,14 +80,54 @@ def typed(tp, path, default=dataclasses.MISSING):
     if origin in (tuple, frozenset):
         if origin is frozenset or args[-1] is Ellipsis:
             return st.lists(typed(args[0], f"{path}[]"), max_size=MAX_ITEMS.get(path, 3))
-        return st.tuples(*(typed(a, f"{path}[][{i}]") for i, a in enumerate(args))).map(list)
+        return st.tuples(*(typed(a, f"{path}[{i}]") for i, a in enumerate(args))).map(list)
     if default is not dataclasses.MISSING:
         return near(default)
     return {float: st.floats(0.0, 10.0) | EXTREME_FLOATS, int: EXTREME_INTS,
             str: st.text(max_size=3)}[tp]
 
 
-SCENARIO_DICTS = typed(hs.Scenario, "")
+def near_on_air_overflow(d):
+    """d, or the draw of d's on-air fields alone, with no noise and modem.amplitude_v
+    near float64's max over k transmissions on air, for k up to d's on-air
+    count: one per node, plus one per injection.
+
+    The on-air fields are the ones that set which transmissions overlap and
+    what they sum to: the schedules, the slaves' addresses, the bit rate and
+    the tones.  Each other field left at its default keeps the draw valid.
+    """
+    on_air = 1 + len(d.get("slaves", [])) + len(d.get("collision_injections", []))
+    amplitude = st.builds(lambda k, f: sys.float_info.max / k * f,
+                          st.integers(1, on_air), st.floats(0.5, 1.0))
+    on_air_fields = {k: d[k] for k in ("duration_s", "poll_schedule", "collision_injections")
+                     if k in d}
+    on_air_fields.update(
+        ebn0_db=None, slaves=[{"address": slave["address"]} for slave in d.get("slaves", [])],
+        channel={"interference": d.get("channel", {}).get("interference", [])})
+    modem = {k: v for k, v in d.get("modem", {}).items() if k == "bit_rate_bps"}
+    return st.just(d) | amplitude.map(
+        lambda a: {**on_air_fields, "modem": {**modem, "amplitude_v": a}})
+
+
+SCENARIO_DICTS = typed(hs.Scenario, "").flatmap(near_on_air_overflow)
+
+
+def assert_replies_in_run(report, sc):
+    """Each slave's reply lies, from its tx_start for its airtime, inside one RUN
+    stretch of the slave's power entries.  A reply is a tx_start with no
+    injection entry of the slave at the same time."""
+    airtime = md.frame_airtime_s(hs.FRAME_LEN, sc.modem)
+    for node in (f"slave{i + 1}" for i in range(len(sc.slaves))):
+        entries = [e for e in report.timeline if e["node"] == node]
+        changes = [(e["time_s"], e["mode"]) for e in entries if "mode" in e]
+        # A slave starts in STOP1 and stays in its last mode past the run's end.
+        stretches = zip([(0.0, "STOP1"), *changes], [*changes, (math.inf, None)])
+        runs = [(lo, hi) for (lo, mode), (hi, _) in stretches if mode == "RUN"]
+        injected = {e["time_s"] for e in entries if e["kind"] == "injection"}
+        for e in entries:
+            if e["kind"] == "tx_start" and e["time_s"] not in injected:
+                t = e["time_s"]
+                assert any(lo <= t and t + airtime <= hi for lo, hi in runs), (node, t)
 
 
 def check_scenario(d):
@@ -108,6 +150,7 @@ def check_scenario(d):
         assert math.isfinite(stats.energy_joules) and stats.energy_joules >= 0
     times = [entry["time_s"] for entry in report.timeline]
     assert times == sorted(times) and all(t <= sc.duration_s for t in times)
+    assert_replies_in_run(report, sc)
     sent = sum(stats.frames_sent for stats in report.nodes.values())
     for stats in report.nodes.values():
         assert stats.frames_received <= sent - stats.frames_sent
@@ -120,6 +163,16 @@ class TestScenarioFuzz:
     @settings(max_examples=250)
     def test_a_scenario_is_config_invalid_or_runs_to_a_sound_report(self, d):
         check_scenario(d)
+
+    def test_a_frame_injected_mid_reply_leaves_the_reply_in_run(self):
+        # slave1 is injected 1 us after the command ends, so its injected
+        # frame ends while its reply is still on air.
+        sc = scn.single_point_scenario(ebn0_db=None)
+        command_end_s = sc.poll_schedule[0][0] + md.frame_airtime_s(hs.FRAME_LEN, sc.modem)
+        sc = dataclasses.replace(sc, channel=ch.ChannelConfig(cable_length_m=700.0),
+                                 collision_injections=((command_end_s + 1e-6, "slave1"),))
+        report = hs.run_scenario(sc)
+        assert_replies_in_run(report, sc)
 
     def test_the_strategy_reaches_every_field(self):
         """Every field of the schema can be drawn, and some draws run."""
