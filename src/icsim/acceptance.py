@@ -192,10 +192,10 @@ def criterion_7_address_isolation():
             continue
         if node.state.phase != "STANDBY" or node.power_mode != "STOP1":
             return False, f"{node_id} left standby"
-        modes = {rec.mode for rec in node.trace}
-        if modes != {"STOP1"}:
-            return False, f"{node_id} changed power mode: {sorted(modes)}"
-        if node.stats.frames_received or node.stats.decode_errors:
+        modes = [e["mode"] for e in report.timeline if e["node"] == node_id and "mode" in e]
+        if modes:
+            return False, f"{node_id} changed power mode: {modes}"
+        if report.nodes[node_id].frames_received or report.nodes[node_id].decode_errors:
             return False, f"{node_id} accepted or failed a frame"
     # The same claim directly on the state machine.
     state = nd.SlaveState(address=scn.MULTI_POINT_ADDRESSES[0])

@@ -75,9 +75,9 @@ def ber_sweep(ebn0, bits, rate, seed, out_path):
         cfg = md.ModemConfig(bit_rate_bps=int(rate))
     except ValueError as err:
         config_error(err)
-    # Opened before the sweep, so an unwritable path fails at once.
+    # Opened before the sweep, so an unwritable path fails at once; whole or not at all.
     try:
-        with open(out_path, "w", newline="") as fh:
+        with hs._written_whole(out_path, newline="") as fh:
             results = hs.measure_ber(cfg, grid, bits, seed)
             writer = csv.writer(fh)
             writer.writerow(["ebn0_db", "measured_ber", "theoretical_ber"])

@@ -146,8 +146,8 @@ class Scenario:
                 raise ConfigInvalid(f"channel.interference[{i}]: the phase of a {freq_hz!r} Hz "
                                     "tone passes float64 within a reception; lower freq_hz")
         # A node draws at most RUN's controller current and all its units.
-        # charge_consumed's joules pass through its charge in uA s times
-        # SUPPLY_V; twice that leaves room for the rounding of its sum.
+        # uah_to_joules passes a node's charge through uA s times SUPPLY_V;
+        # twice that leaves room for the rounding of the charge's sum.
         budgets = [("master_budget", self.master_budget),
                    *((f"slaves[{i}].budget", spec.budget) for i, spec in enumerate(self.slaves))]
         for path, budget in budgets:
@@ -262,15 +262,13 @@ class _Node:
         self.stats = NodeStats()
         self.power_mode = mode
         self.last_change_s = 0.0
-        self.trace: list[pw.TraceRecord] = []
 
     def set_power_mode(self, now_s, mode):
-        """Close the stretch in the current mode at now_s, and enter mode."""
-        self.trace.append(pw.TraceRecord(self.power_mode, now_s - self.last_change_s))
+        """Charge the stretch in the current mode up to now_s, and enter mode."""
+        stretch = [pw.TraceRecord(self.power_mode, now_s - self.last_change_s)]
+        self.stats.energy_uah += pw.charge_consumed(stretch, self.budget,
+                                                    pw.STANDBY_BUDGET_MODES)[0]
         self.power_mode, self.last_change_s = mode, now_s
-
-    def finish(self, end_s):
-        self.set_power_mode(end_s, self.power_mode)
 
 
 class _Sim:
@@ -479,11 +477,8 @@ class _Sim:
                     self.dispatch(time_s, self.nodes[data], nd.Inject())
 
         for node in self.nodes.values():
-            node.finish(self.sc.duration_s)
-            uah, joules = pw.charge_consumed(node.trace, node.budget,
-                                             pw.STANDBY_BUDGET_MODES)
-            node.stats.energy_uah = uah
-            node.stats.energy_joules = joules
+            node.set_power_mode(self.sc.duration_s, node.power_mode)
+            node.stats.energy_joules = pw.uah_to_joules(node.stats.energy_uah)
         if self.link.physical_bits:
             self.link.measured_ber = self.link.bit_errors / self.link.physical_bits
         return Report(nodes={k: v.stats for k, v in self.nodes.items()},

@@ -5,7 +5,8 @@ mode-comparison table; the four functional units (carrier, signal
 processing, power conversion, master) carry independently gateable static
 currents whose default sum is the 660 uA standby budget.
 
-STOP1 has two figures, and a run uses one.  A run charges
+STOP1 has two figures, and a run uses one.  A run keeps no trace: it charges
+each power stretch as it closes, through ``charge_consumed`` with
 ``STANDBY_BUDGET_MODES``, in which the controller's STOP1 share is the 50 uA
 master unit of the standby budget, so STOP1 adds no controller current of
 its own.  ``MODE_TABLE``'s 566 uA is the STOP1 controller measured alone; it
@@ -89,6 +90,11 @@ def standby_current(budget: UnitBudget) -> float:
     return sum(getattr(budget, f"{u}_ua") for u in UNIT_NAMES if u in budget.gating)
 
 
+def uah_to_joules(uah: float) -> float:
+    """Energy of a charge in microamp-hours drawn at SUPPLY_V."""
+    return uah * 3600.0 * SUPPLY_V * 1e-6
+
+
 def charge_consumed(trace: list[TraceRecord], budget: UnitBudget,
                     modes=MODE_TABLE) -> tuple[float, float]:
     """Accumulated (microamp-hours, joules) over a trace at SUPPLY_V.
@@ -100,5 +106,4 @@ def charge_consumed(trace: list[TraceRecord], budget: UnitBudget,
     uah = 0.0
     for rec in trace:
         uah += (modes[rec.mode].mcu_current_ua + units) * rec.duration_s / 3600.0
-    joules = uah * 3600.0 * SUPPLY_V * 1e-6
-    return uah, joules
+    return uah, uah_to_joules(uah)

@@ -266,6 +266,25 @@ def test_ber_sweep_writes_csv(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("existing", [None, b"ebn0_db,measured_ber,theoretical_ber\r\n"],
+                         ids=["absent", "existing"])
+def test_ber_sweep_that_fails_leaves_no_csv_and_an_existing_one_untouched(
+        tmp_path, monkeypatch, existing):
+    def fail(*args, **kwargs):
+        raise RuntimeError("sweep failed")
+
+    monkeypatch.setattr(hs, "measure_ber", fail)
+    out = tmp_path / "ber.csv"
+    if existing is not None:
+        out.write_bytes(existing)
+    result = CliRunner().invoke(main, ["ber-sweep", "--ebn0", "5", "--bits", "100",
+                                       "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, RuntimeError)
+    assert (out.read_bytes() if out.exists() else None) == existing
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["ber.csv"] if existing else [])
+
+
 def test_seed_override_changes_report(tmp_path):
     scenario_path = tmp_path / "scenario.json"
     noisy = dict(SCENARIO, ebn0_db=6.0)

@@ -1,5 +1,6 @@
 import copy
 import csv
+import gc
 import itertools
 import json
 import math
@@ -27,6 +28,7 @@ from icsim import modem as md
 from icsim import power as pw
 from icsim import scenarios as scn
 from icsim.cli import main
+from power_timeline import charge_of_stretches, power_stretches
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +59,12 @@ class TestRunScenario:
         sim = hs._Sim(sc)
         report = sim.run()
         for node_id, node in sim.nodes.items():
+            modes = {mode for _, _, mode in power_stretches(report, sc, node_id)}
             if node_id == "master":
-                assert {r.mode for r in node.trace} == {"RUN"}
+                assert modes == {"RUN"}
                 continue
             assert node.state.phase == "STANDBY"
-            assert {r.mode for r in node.trace} == {"STOP1"}
+            assert modes == {"STOP1"}
         assert report.link.physical_bits == 0
 
     def test_multi_point_correct_temperatures(self, multi_point_small):
@@ -194,9 +197,9 @@ class TestBoundedMemory:
     def test_ten_times_longer_run_stays_flat(self):
         short = self.peak_traced_bytes(scn.multi_point_scenario(polls_per_slave=20))
         long = self.peak_traced_bytes(scn.multi_point_scenario(polls_per_slave=200))
-        # The report itself (timeline, energy traces) grows by about 5 kB per
-        # poll, 4 MB over the extra 900 polls.  A kept waveform pair costs
-        # about 350 kB per poll.
+        # The report's timeline grows by about 4.3 kB per poll, 3.9 MB over
+        # the extra 900 polls; energy is charged as it goes and keeps no
+        # trace.  A kept waveform pair costs about 350 kB per poll.
         assert long - short < 8 * 2**20
 
     def test_completed_transmissions_are_retired(self):
@@ -208,23 +211,37 @@ class TestBoundedMemory:
 
 class TestEnergyConsistency:
     def test_report_energy_matches_charge_consumed(self):
+        # Charged stretch by stretch as the run goes, bitwise the sum over
+        # the stretches its timeline records.
         sc = scn.single_point_scenario()
-        sim = hs._Sim(sc)
-        report = sim.run()
-        budgets = {"master": sc.master_budget, "slave1": sc.slaves[0].budget}
-        for node_id, node in sim.nodes.items():
-            uah, joules = pw.charge_consumed(node.trace, budgets[node_id],
-                                             pw.STANDBY_BUDGET_MODES)
-            assert report.nodes[node_id].energy_uah == pytest.approx(uah)
-            assert report.nodes[node_id].energy_joules == pytest.approx(joules)
+        report = hs.run_scenario(sc)
+        for node_id, stats in report.nodes.items():
+            uah, joules = charge_of_stretches(report, sc, node_id)
+            assert uah > 0
+            assert (stats.energy_uah, stats.energy_joules) == (uah, joules)
 
     def test_trace_durations_cover_scenario(self):
+        # The timeline's power stretches tile the run, each in order.
         sc = scn.single_point_scenario()
-        sim = hs._Sim(sc)
-        sim.run()
-        for node in sim.nodes.values():
-            total = sum(r.duration_s for r in node.trace)
-            assert total == pytest.approx(sc.duration_s)
+        report = hs.run_scenario(sc)
+        for node_id in report.nodes:
+            stretches = power_stretches(report, sc, node_id)
+            assert stretches[0][0] == 0.0 and stretches[-1][1] == sc.duration_s
+            assert all(lo <= hi for lo, hi, _ in stretches)
+            assert sum(hi - lo for lo, hi, _ in stretches) == pytest.approx(sc.duration_s)
+
+    def test_a_run_keeps_no_power_trace(self):
+        # Each stretch is charged as it closes, so no record of one is left,
+        # even while the simulator is alive.
+        def alive():
+            gc.collect()
+            return sum(isinstance(o, pw.TraceRecord) for o in gc.get_objects())
+
+        before = alive()
+        sim = hs._Sim(scn.multi_point_scenario(polls_per_slave=20, ebn0_db=None))
+        report = sim.run()
+        assert report.nodes["slave1"].frames_sent == 20
+        assert alive() == before
 
     def test_actions_past_the_end_of_the_run_are_dropped(self):
         # End the run 3 us after slave1 decodes its command: its 7.8 us wake
@@ -233,12 +250,13 @@ class TestEnergyConsistency:
         decoded = next(e["time_s"] for e in hs.run_scenario(base).timeline
                        if e["kind"] == "frame_decoded" and e["node"] == "slave1")
         sc = replace(base, duration_s=decoded + 3e-6)
-        sim = hs._Sim(sc)
-        report = sim.run()
+        report = hs.run_scenario(sc)
         assert all(e["time_s"] <= sc.duration_s for e in report.timeline)
         assert report.nodes["slave1"].frames_sent == 0
-        for node in sim.nodes.values():
-            assert sum(r.duration_s for r in node.trace) == pytest.approx(sc.duration_s)
+        # slave1's wake falls after the run, so it is charged at STOP1 to the end.
+        assert power_stretches(report, sc, "slave1") == [(0.0, sc.duration_s, "STOP1")]
+        for node_id, stats in report.nodes.items():
+            assert (stats.energy_uah, stats.energy_joules) == charge_of_stretches(report, sc, node_id)
 
 
 MASTER_ONLY = pw.UnitBudget(gating=frozenset({"master"}))
@@ -251,15 +269,14 @@ class TestGating:
         all_on = hs.run_scenario(multi_point_small)
         gated_sc = replace(multi_point_small, slaves=tuple(
             replace(spec, budget=MASTER_ONLY) for spec in multi_point_small.slaves))
-        sim = hs._Sim(gated_sc)
-        gated = sim.run()
-        for node_id, node in sim.nodes.items():
+        gated = hs.run_scenario(gated_sc)
+        for node_id, stats in gated.nodes.items():
             if node_id == "master":
-                assert gated.nodes[node_id] == all_on.nodes[node_id]
+                assert stats == all_on.nodes[node_id]
                 continue
-            assert gated.nodes[node_id].energy_uah < all_on.nodes[node_id].energy_uah
-            uah, _ = pw.charge_consumed(node.trace, MASTER_ONLY, pw.STANDBY_BUDGET_MODES)
-            assert gated.nodes[node_id].energy_uah == uah
+            assert stats.energy_uah < all_on.nodes[node_id].energy_uah
+            assert (stats.energy_uah, stats.energy_joules) == charge_of_stretches(
+                gated, gated_sc, node_id)
 
     def test_gating_from_scenario_file(self):
         d = {

@@ -5,8 +5,10 @@ The strategies are built from the same dataclass annotations that
 value is the field's default, a value near it, or an in-type extreme.  About
 a third of the draws keep only the fields that set what is on air at once,
 with ``modem.amplitude_v`` near float64's largest value over that count.
+Another share are valid scenarios whose injections are timed inside an
+exchange: the command, the polled slave's wake, its reply or after it.
 Every draw must be rejected as ConfigInvalid or run, with no warning, to a
-sound Report.
+sound Report, whose energy is charge_consumed over its timeline's stretches.
 """
 
 import dataclasses
@@ -26,6 +28,7 @@ from icsim import harness as hs
 from icsim import modem as md
 from icsim import power as pw
 from icsim import scenarios as scn
+from power_timeline import charge_of_stretches, power_stretches
 
 EXTREME_FLOATS = st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e308, -1e308,
                                   sys.float_info.max / 2, sys.float_info.max / 3])
@@ -109,25 +112,56 @@ def near_on_air_overflow(d):
         lambda a: {**on_air_fields, "modem": {**modem, "amplitude_v": a}})
 
 
-SCENARIO_DICTS = typed(hs.Scenario, "").flatmap(near_on_air_overflow)
+@st.composite
+def injections_in_exchanges(draw):
+    """A valid scenario of 1-3 slaves and 1-3 polls, noiseless or not, with
+    1-3 injections, each timed inside one span of a poll's exchange: the
+    command until the slave has it, the slave's wake, its reply, or the
+    reply's airtime after it.  Each goes to the polled slave or any node."""
+    n_slaves = draw(st.integers(1, 3))
+    modem = md.ModemConfig(bit_rate_bps=115200)
+    channel = ch.ChannelConfig(cable_length_m=draw(st.sampled_from([0.0, 2.0, 700.0])))
+    spacing = scn.poll_spacing_s(modem)
+    polls = [((i + 1) * spacing, draw(st.integers(1, n_slaves)))
+             for i in range(draw(st.integers(1, 3)))]
+    airtime = md.frame_airtime_s(hs.FRAME_LEN, modem)
+    heard = airtime + ch.delay_samples(channel, modem.sample_rate_hz) / modem.sample_rate_hz
+    replied = heard + pw.MODE_TABLE["STOP1"].wakeup_time_s
+    spans = [(0.0, heard), (heard, replied), (replied, replied + airtime),
+             (replied + airtime, replied + 2 * airtime)]
+    injections = []
+    for _ in range(draw(st.integers(1, 3))):
+        t, slave = draw(st.sampled_from(polls))
+        lo, hi = draw(st.sampled_from(spans))
+        node = draw(st.sampled_from([slave, 0, *range(1, n_slaves + 1)]))
+        injections.append([t + lo + draw(st.floats(0.0, 1.0, exclude_max=True)) * (hi - lo),
+                           f"slave{node}" if node else "master"])
+    return {"duration_s": (len(polls) + 1) * spacing, "seed": draw(st.integers(0, 2**32)),
+            "modem": {"bit_rate_bps": modem.bit_rate_bps},
+            "channel": {"cable_length_m": channel.cable_length_m},
+            "slaves": [{"address": a} for a in ADDRESSES[:n_slaves]],
+            "poll_schedule": [[t, ADDRESSES[slave - 1]] for t, slave in polls],
+            "collision_injections": injections,
+            "ebn0_db": draw(st.none() | st.floats(5.0, 30.0))}
+
+
+SCHEMA_DICTS = typed(hs.Scenario, "").flatmap(near_on_air_overflow)
+SCENARIO_DICTS = SCHEMA_DICTS | injections_in_exchanges()
 
 
 def assert_replies_in_run(report, sc):
-    """Each slave's reply lies, from its tx_start for its airtime, inside one RUN
-    stretch of the slave's power entries.  A reply is a tx_start with no
-    injection entry of the slave at the same time."""
+    """Each slave's reply lies, from its tx_start for its airtime or to the
+    run's end, inside one RUN stretch of the slave.  A reply is a tx_start
+    with no injection entry of the slave at the same time."""
     airtime = md.frame_airtime_s(hs.FRAME_LEN, sc.modem)
     for node in (f"slave{i + 1}" for i in range(len(sc.slaves))):
+        runs = [(lo, hi) for lo, hi, mode in power_stretches(report, sc, node) if mode == "RUN"]
         entries = [e for e in report.timeline if e["node"] == node]
-        changes = [(e["time_s"], e["mode"]) for e in entries if "mode" in e]
-        # A slave starts in STOP1 and stays in its last mode past the run's end.
-        stretches = zip([(0.0, "STOP1"), *changes], [*changes, (math.inf, None)])
-        runs = [(lo, hi) for (lo, mode), (hi, _) in stretches if mode == "RUN"]
         injected = {e["time_s"] for e in entries if e["kind"] == "injection"}
         for e in entries:
             if e["kind"] == "tx_start" and e["time_s"] not in injected:
-                t = e["time_s"]
-                assert any(lo <= t and t + airtime <= hi for lo, hi in runs), (node, t)
+                t, end = e["time_s"], min(e["time_s"] + airtime, sc.duration_s)
+                assert any(lo <= t and end <= hi for lo, hi in runs), (node, t)
 
 
 def check_scenario(d):
@@ -145,9 +179,10 @@ def check_scenario(d):
             return None
     sc = sim.sc
     assert 0 <= report.link.measured_ber <= 1
-    for stats in report.nodes.values():
+    for node_id, stats in report.nodes.items():
         assert math.isfinite(stats.energy_uah) and stats.energy_uah >= 0
         assert math.isfinite(stats.energy_joules) and stats.energy_joules >= 0
+        assert (stats.energy_uah, stats.energy_joules) == charge_of_stretches(report, sc, node_id)
     times = [entry["time_s"] for entry in report.timeline]
     assert times == sorted(times) and all(t <= sc.duration_s for t in times)
     assert_replies_in_run(report, sc)
@@ -187,7 +222,7 @@ class TestScenarioFuzz:
                 for item in value:
                     paths(item, f"{path}[]")
 
-        @given(SCENARIO_DICTS)
+        @given(SCHEMA_DICTS)
         @settings(max_examples=150)
         def collect(d):
             paths(d)
