@@ -9,12 +9,14 @@ Silent intervals generate no samples, and a transmission's signs are held
 only while it or one overlapping it is on air or awaiting reception, so run
 memory does not grow with run length.  Only the propagated signal and the
 noise buffers, which a noiseless run lacks, are as long as a reception.
-Each reception's noise alone is drawn ahead on up to 4 threads; while the
-calling thread waits for a draw shorter than 2**16 samples, it draws queued
-ones itself.  Each receiver's noise comes from its own seed into its own
-buffer, whichever thread draws it.  The calling thread adds the signal into
-that noise a block at a time as it conditions it, and does everything else
-in node order, so reports are bitwise those of a serial run.
+Each reception's noise alone is drawn ahead on up to 4 threads, a block at
+a time; while the calling thread waits for a draw shorter than 2**16
+samples, it draws queued ones itself.  Each receiver's noise comes from its
+own seeded Generator into its own buffer, whichever thread draws it.  The
+calling thread adds the signal into each block of that noise and conditions
+it as soon as the block is drawn, while the later blocks are still being
+drawn, and does everything else in node order, so reports are bitwise those
+of a serial run.
 The event loop is the only clock: a node's wake is an event, at which it
 enters its mode and acts on, so the timeline is recorded in time order as it
 happens; ``nodes`` decides every frame, timer and frame end.  A run is a pure
@@ -34,6 +36,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -288,7 +291,7 @@ class _Sim:
         spb = sc.modem.samples_per_bit
         block = max(1, _BLOCK_SAMPLES // spb) * spb
         self.edges = [0, *range(self.delay + block, n, block), n]
-        self.draw_ahead = _DrawAhead(n) if self.sigma > 0 else None
+        self.draw_ahead = _DrawAhead(n, len(self.edges) - 1) if self.sigma > 0 else None
 
         timeout = nd.default_master_timeout_s(FRAME_LEN, FRAME_LEN, sc.modem) + 2 * self.prop_delay_s
         self.nodes: dict[str, _Node] = {
@@ -348,6 +351,19 @@ class _Sim:
 
     def receive(self, now_s, tx: _Transmission):
         """Demodulate and decode a transmission at every node but its sender."""
+        receivers = [node for node in self.nodes.values() if node.id != tx.sender]
+        # The noise does not depend on the signal, so its draws start first.
+        if self.draw_ahead is not None:
+            def draw(node, buffer):
+                """The receiver's noise alone, drawn into buffer a block at a
+                time from its one seeded Generator, yielding each block."""
+                rng = np.random.default_rng(self._rx_seed(tx.index, node.id))
+                for lo, hi in zip(self.edges, self.edges[1:]):
+                    yield ch.channel_noise(self.sigma, hi - lo, rng, buffer[lo:hi])
+
+            noises = self.draw_ahead(draw, receivers)
+        else:
+            noises = itertools.repeat(None)
         # The transmissions on air are superposed from their signs straight
         # into the channel's output, after the delay, and propagated there.
         propagated = np.zeros(self.edges[-1])
@@ -356,16 +372,6 @@ class _Sim:
         ch.superpose(signs, offsets, len(signal), self.template, out=signal)
         ch.propagate(signal, self.sc.channel, self.fs, out=propagated)
         n_bits = len(tx.bits)
-        receivers = [node for node in self.nodes.values() if node.id != tx.sender]
-        if self.draw_ahead is not None:
-            def draw(node, buffer):
-                """The receiver's noise alone, drawn into buffer."""
-                seed = self._rx_seed(tx.index, node.id)
-                return ch.channel_noise(self.sigma, len(buffer), seed, buffer)
-
-            noises = self.draw_ahead(draw, receivers)
-        else:
-            noises = itertools.repeat(None)
         # zip takes the next receiver first, so it stops with no draw pending.
         for node, noise in zip(receivers, noises):
             try:
@@ -388,13 +394,15 @@ class _Sim:
 
     def conditioned_blocks(self, propagated, noise):
         """Yield the conditioned reception past the delay, a block at a time:
-        propagated plus noise, summed into noise, or propagated alone (noise None)."""
+        propagated plus each of noise's blocks as it is drawn, summed into
+        that block, or propagated alone (noise None)."""
         state = np.zeros(2)
-        for lo, hi in zip(self.edges, self.edges[1:]):
+        noise = itertools.repeat(None) if noise is None else noise
+        for lo, hi, drawn in zip(self.edges, self.edges[1:], noise):
             received = propagated[lo:hi]
-            if noise is not None:
+            if drawn is not None:
                 # Elementwise, and addition commutes: bitwise signal + noise.
-                received = np.add(noise[lo:hi], received, out=noise[lo:hi])
+                received = np.add(drawn, received, out=drawn)
             block = ch.condition(received, self.sc.front_end, self.fs, state)
             yield block if lo else block[self.delay:]
 
@@ -496,18 +504,21 @@ def run_scenario(sc: Scenario, wave_dir=None) -> Report:
 
 # --- noise drawn ahead ---------------------------------------------------------
 
-# While it waits for a result, the calling thread draws queued draws shorter
-# than this itself.  The benchmark's 500 polls at 115200 bps make 5,000 draws
-# of 21,822 samples (about 0.35 ms each).  Drawn ahead on a pool alone, they
-# saved no wall time on 2 vCPUs and added about 1 s of CPU time: a short draw
-# does not pay for the wait on a handoff.  With one worker and the calling
-# thread drawing too, run_ref fell 20% over 20 pairs, and the main thread
-# drew 1,648 to 1,958 of the draws.  Two workers and the calling thread gave
-# about half that gain for twice the added CPU time.  Longer draws, those at
-# 9600 and 4800 bps and measure_ber's 2000-bit chunks, stay on the pool:
-# drawing them on the calling thread too raised run_ref 6% on
-# poll-4800-collide and 10% on ber-sweep (over 5 and 4 pairs), because the
-# main thread's own work waits meanwhile.
+# While it waits for a draw's first block, the calling thread draws queued
+# draws shorter than this itself.  The benchmark's 500 polls at 115200 bps
+# make 5,000 draws of 21,822 samples (about 0.35 ms each), one block each.
+# Drawn ahead on a pool alone, they saved no wall time on 2 vCPUs and added
+# about 1 s of CPU time: a short draw does not pay for the wait on a handoff.
+# With one worker and the calling thread drawing too, run_ref fell 20% over
+# 20 pairs, and the main thread drew 1,648 to 1,958 of the draws.  Two
+# workers and the calling thread gave about half that gain for twice the
+# added CPU time.  Longer draws, those at 9600 and 4800 bps and measure_ber's
+# 2000-bit chunks, stay on the pool: drawing them on the calling thread too
+# raised run_ref 6% on poll-4800-collide and 10% on ber-sweep (over 5 and 4
+# pairs), because the main thread's own work waits meanwhile.  A 9600 or
+# 4800 bps reception is drawn in 5 or 9 blocks instead, and the main thread
+# conditions each block as soon as it is drawn, so it waits for a whole draw
+# no longer, only for a reception's first block.
 _HELP_BELOW_SAMPLES = 1 << 16
 
 
@@ -527,18 +538,22 @@ def _draw_threads() -> int:
 
 
 class _DrawAhead:
-    """Noise buffers of n samples, the pool drawing into them ahead, and
-    whether the calling thread helps (draws below _HELP_BELOW_SAMPLES).
+    """Noise buffers of n samples, each drawn in ``blocks`` blocks, the pool
+    drawing into them ahead, and whether the calling thread helps (draws
+    below _HELP_BELOW_SAMPLES).
 
     One buffer per drawing thread, the helping calling thread among them,
     and one for the draw in use, with at most MAX_RECEPTION_SAMPLES samples
     drawn ahead.  Entering starts a pool of the other drawing threads, at
-    least one; a ring of one has none.
+    least one; a ring of one has none.  A draw of more than one block is
+    handed over a block at a time, so its consumer reads each block as soon
+    as it is drawn.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, blocks: int = 1):
         ahead = min(_draw_threads(), MAX_RECEPTION_SAMPLES // n)
         self.ring = [np.empty(n) for _ in range(1 + ahead)]
+        self.blocks = blocks
         self.helps = n < _HELP_BELOW_SAMPLES
 
     def __enter__(self):
@@ -551,8 +566,8 @@ class _DrawAhead:
             self.pool.shutdown()
 
     def __call__(self, draw, jobs):
-        """_draw_ahead with this ring, pool and helping rule."""
-        return _draw_ahead(self.pool, draw, jobs, self.ring, self.helps)
+        """_draw_ahead with this ring, pool, helping rule and block count."""
+        return _draw_ahead(self.pool, draw, jobs, self.ring, self.helps, self.blocks)
 
 
 def _drawn_here(draw, *args) -> Future:
@@ -565,37 +580,85 @@ def _drawn_here(draw, *args) -> Future:
     return future
 
 
-def _draw_ahead(pool, draw, jobs, ring, helps):
-    """Yield ``draw(job, buffer)`` for each job in order, drawing ahead on pool.
+def _drawing(draw, job, buffer, drawn: SimpleQueue) -> None:
+    """Put each block that ``draw(job, buffer)`` yields on drawn as it is
+    drawn, then None once the draw ends or raises."""
+    try:
+        for block in draw(job, buffer):
+            drawn.put(block)
+    finally:
+        drawn.put(None)
 
-    Jobs take ring's buffers in turn, len(ring) - 1 draws ahead of the one in
-    use, which a consumer may use until it asks for the next.  With no pool,
-    each draw runs on the calling thread as it is submitted.  With helps,
-    while the oldest result is not ready, the calling thread claims each
-    draw no worker has started, the oldest first, and draws it itself.
-    Results come in job order whichever thread drew them, and a draw that
-    raises raises when its result is due.
+
+def _drawn_blocks(future, drawn: SimpleQueue, blocks: int):
+    """Yield a draw's blocks in order: each but the last once it is drawn,
+    and the last once the draw has completed.  A draw that raises raises
+    when the block it did not draw, or its last, is due."""
+    for _ in range(blocks - 1):
+        block = drawn.get()
+        if block is None:
+            future.result()  # the draw raised: its error
+        yield block
+    future.result()
+    yield drawn.get()
+
+
+def _draw_ahead(pool, draw, jobs, ring, helps, blocks=1):
+    """An iterator over the blocks of ``draw(job, buffer)`` for each job, in
+    job order, drawn ahead on pool.
+
+    ``draw`` is a generator function that draws ``blocks`` blocks into
+    buffer and yields each as it is drawn.  Jobs take ring's buffers in
+    turn, len(ring) - 1 draws ahead of the one in use.  Without helps the
+    first len(ring) draws start when this is called, so they run while the
+    caller works on; with helps, when the caller asks for the first job.
+    Each later draw starts when the consumer asks for the next job.  A job's
+    iterator waits for each block as it is drawn, and for the draw to
+    complete before the last.  A consumer reads every block of a job before
+    it asks for the next, so a buffer goes to a new draw only after its
+    previous draw has completed.  With no pool, each draw runs on the
+    calling thread as it starts.  With helps, while the oldest draw's first
+    block is not drawn, the calling thread claims each draw no worker has
+    started, the oldest first, and draws it itself.  Blocks come in job
+    order whichever thread drew them, and a draw that raises raises when a
+    block it did not draw, or its last, is due.
     """
     submit = _drawn_here if pool is None else pool.submit
-    buffers = itertools.cycle(ring)
-    pending = deque()  # [future, job, buffer] in job order
+    jobs, buffers = iter(jobs), itertools.cycle(ring)
+    pending = deque()  # [future, job, buffer, drawn] in job order
 
-    def oldest_result():
+    def start(job):
+        buffer, drawn = next(buffers), SimpleQueue()
+        pending.append([submit(_drawing, draw, job, buffer, drawn), job, buffer, drawn])
+
+    def oldest_blocks():
         if helps:
             for entry in pending:
-                if pending[0][0].done():
+                if not pending[0][3].empty():
                     break
                 if entry[0].cancel():
-                    entry[0] = _drawn_here(draw, *entry[1:])
-        return pending.popleft()[0].result()
+                    entry[0] = _drawn_here(_drawing, draw, *entry[1:])
+        future, _, _, drawn = pending.popleft()
+        return _drawn_blocks(future, drawn, blocks)
 
-    for job in jobs:
-        buffer = next(buffers)
-        pending.append([submit(draw, job, buffer), job, buffer])
-        if len(pending) == len(ring):
-            yield oldest_result()
-    while pending:
-        yield oldest_result()
+    def results():
+        for job in itertools.islice(jobs, len(ring) - len(pending)):
+            start(job)
+        while pending:
+            yield oldest_blocks()
+            # The consumer has read that draw's blocks, so its buffer is free.
+            for job in itertools.islice(jobs, 1):
+                start(job)
+
+    # Long draws start at once, so a reception's draws run while the main
+    # thread superposes and propagates it: that cut poll-4800-collide's run_s
+    # a further 2-4% over 20 pairs.  Short draws started at once ran
+    # poll-115k about 10% slower over 12 in-process pairs, and the main
+    # thread drew 1,457 to 1,704 of the 5,000 draws instead of 1,871 to 2,113.
+    if not helps:
+        for job in itertools.islice(jobs, len(ring)):
+            start(job)
+    return results()
 
 
 # --- BER measurement ---------------------------------------------------------
@@ -627,14 +690,14 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
     errors = [0] * len(grid)
 
     def draw(job, buffer):
-        """One chunk's n data bits and its noise, drawn into buffer."""
+        """One chunk's n data bits and its noise, drawn into buffer as one block."""
         gi, ci, n = job
         rng = np.random.default_rng(np.random.SeedSequence([seed, gi, ci]))
         bits = rng.integers(0, 2, n)
-        return gi, bits, ch.channel_noise(sigmas[gi], (n + 1) * spb, rng, buffer[:(n + 1) * spb])
+        yield gi, bits, ch.channel_noise(sigmas[gi], (n + 1) * spb, rng, buffer[:(n + 1) * spb])
 
     with _DrawAhead((min(chunk_bits, n_bits) + 1) * spb) as draw_ahead:
-        for gi, bits, noise in draw_ahead(draw, jobs):
+        for [(gi, bits, noise)] in draw_ahead(draw, jobs):
             # channel_noise draws what normal(0, sigma) does, and addition
             # commutes, so this is signal + normal(0, sigma) bit for bit.
             ch.superpose([md.symbol_signs(bits)], [0], len(noise), template, out=noise)

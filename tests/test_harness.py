@@ -470,6 +470,13 @@ def collided_4800_scenario() -> hs.Scenario:
                    collision_injections=((base.poll_schedule[0][0] + half_command, "slave3"),))
 
 
+def block_in_buffer(out):
+    """(start, end, buffer length) of the noise block ``out``, in samples."""
+    base = out if out.base is None else out.base
+    lo = (out.ctypes.data - base.ctypes.data) // out.itemsize
+    return lo, lo + len(out), len(base)
+
+
 class TestDrawAhead:
     """While the oldest result is not ready, the consumer draws the queued
     short draws itself; long draws stay on the pool."""
@@ -502,7 +509,7 @@ class TestDrawAhead:
                 release.set()
             if job == fail:
                 raise RuntimeError(f"draw {job}")
-            return job, buffer
+            yield job, buffer
 
         pool = ThreadPoolExecutor(1)
         submit = pool.submit
@@ -521,7 +528,7 @@ class TestDrawAhead:
                     pool.submit(hold)
                 ring = [np.empty(n) for _ in range(3)]
                 helps = hs._DrawAhead(n).helps
-                for job, buffer in hs._draw_ahead(pool, draw, range(8), ring, helps):
+                for [(job, buffer)] in hs._draw_ahead(pool, draw, range(8), ring, helps):
                     in_use[0] = buffer
                     time.sleep(1e-3)  # room for a worker to overwrite it
                     assert (buffer == job).all(), job
@@ -607,7 +614,9 @@ class TestReceiveThreads:
             assert report.nodes["master"].frames_received == len(sc.poll_schedule)
             drawers = callers.pop("channel_noise")
             sent = sum(stats.frames_sent for stats in report.nodes.values())
-            assert len(drawers) == sent * len(sc.slaves)
+            # One call per block of each reception: 5 at 9600 bps, 1 at 115200 bps.
+            blocks = len(hs._Sim(sc).edges) - 1
+            assert len(drawers) == sent * len(sc.slaves) * blocks
             if not helps:
                 assert threading.main_thread() not in drawers
             assert sorted(callers) == ["condition", "decode_frame", "deliver", "demodulate",
@@ -627,9 +636,12 @@ class TestReceiveThreads:
 
         def draw_ahead(pool, draw, *rest):
             def recorded(job, buffer):
-                result = draw(job, buffer)
-                drawn.append(result.tobytes())
-                return result
+                # Each block as it is drawn, before the signal is added to it.
+                blocks = []
+                for block in draw(job, buffer):
+                    blocks.append(block.tobytes())
+                    yield block
+                drawn.append(b"".join(blocks))
             return real_draw_ahead(pool, recorded, *rest)
 
         def receive(sim, now_s, tx):
@@ -667,10 +679,11 @@ class TestReceiveThreads:
         calls = itertools.count(1)
         real = ch.channel_noise
 
-        def fail_third(*args, **kwargs):
-            if next(calls) == 3:
+        def fail_third(sigma, n, seed, out):
+            # A draw starts with the block at the start of its buffer.
+            if block_in_buffer(out)[0] == 0 and next(calls) == 3:
                 raise RuntimeError("third draw")
-            return real(*args, **kwargs)
+            return real(sigma, n, seed, out)
 
         monkeypatch.setattr(ch, "channel_noise", fail_third)
         threads_before = set(threading.enumerate())
@@ -708,6 +721,71 @@ class TestStreamedReception:
             monkeypatch.setattr(hs, "_BLOCK_SAMPLES", symbols * spb)
             assert hs._Sim(sc).edges[1] == sim.delay + symbols * spb
             assert report_bytes(f"{symbols}.json") == default, symbols
+
+    @pytest.mark.parametrize("bit_rate_bps, blocks", [(4800, 9), (9600, 5), (115200, 1)])
+    def test_noise_drawn_a_block_at_a_time_is_one_draw(self, bit_rate_bps, blocks):
+        sc = scn.single_point_scenario(bit_rate_bps=bit_rate_bps)
+        edges = hs._Sim(sc).edges
+        assert len(edges) - 1 == blocks
+        sigma = hs.derived_noise_sigma(sc)
+        rng, buffer = np.random.default_rng(2024), np.empty(edges[-1])
+        for lo, hi in zip(edges, edges[1:]):
+            ch.channel_noise(sigma, hi - lo, rng, buffer[lo:hi])
+        assert np.array_equal(buffer, ch.channel_noise(sigma, edges[-1], 2024))
+
+    def test_the_first_block_is_conditioned_while_the_last_is_undrawn(self, monkeypatch):
+        """Every draw holds its last block until condition has run once; the
+        hold gives up after 5 s, so a run that waits for whole draws fails."""
+        monkeypatch.setattr(hs, "_draw_threads", lambda: 2)
+        conditioned, timed_out = threading.Event(), []
+        real_condition, real_noise = ch.condition, ch.channel_noise
+
+        def condition(*args, **kwargs):
+            conditioned.set()
+            return real_condition(*args, **kwargs)
+
+        def channel_noise(sigma, n, seed, out):
+            _, hi, length = block_in_buffer(out)
+            if hi == length and not conditioned.wait(5):
+                timed_out.append(None)
+            return real_noise(sigma, n, seed, out)
+
+        monkeypatch.setattr(ch, "condition", condition)
+        monkeypatch.setattr(ch, "channel_noise", channel_noise)
+        sc = scn.single_point_scenario(bit_rate_bps=4800)
+        assert len(hs._Sim(sc).edges) - 1 == 9
+        report = hs.run_scenario(sc)
+        assert timed_out == []
+        assert report.nodes["master"].frames_received == len(sc.poll_schedule)
+
+    def test_the_draws_start_before_the_channel_runs(self, monkeypatch):
+        """The noise does not depend on the signal, so a reception's draws
+        start before superpose; with no pool the first runs there and then."""
+        monkeypatch.setattr(hs, "_draw_threads", lambda: 0)
+        calls = []
+        for name in ("superpose", "channel_noise"):
+            def record(*args, _real=getattr(ch, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(ch, name, record)
+        hs.run_scenario(scn.single_point_scenario(bit_rate_bps=4800))
+        assert calls[:10] == ["channel_noise"] * 9 + ["superpose"]
+
+    @pytest.mark.parametrize("threads", [2, 0])
+    def test_a_draw_that_raises_after_its_first_block_raises(self, threads, monkeypatch):
+        monkeypatch.setattr(hs, "_draw_threads", lambda: threads)
+        real = ch.channel_noise
+
+        def fail_second_block(sigma, n, seed, out):
+            if block_in_buffer(out)[0] > 0:
+                raise RuntimeError("second block")
+            return real(sigma, n, seed, out)
+
+        monkeypatch.setattr(ch, "channel_noise", fail_second_block)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second block"):
+            hs.run_scenario(collided_4800_scenario())
+        assert threading.active_count() == threads_before
 
     def test_peak_memory_is_the_ring_and_the_propagated_signal(self):
         for interference in ((), ((50e3, 0.5), (3e6, 0.1))):
