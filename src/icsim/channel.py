@@ -96,8 +96,8 @@ def channel_noise(sigma_v: float, n: int, seed, out: np.ndarray | None = None) -
     return noise
 
 
-# Interference tones are added this many samples at a time, so no tone is
-# built over a whole reception.
+# Interference tones and superposed symbols are added this many samples at a
+# time, so no temporary is built over a whole reception.
 _TONE_SAMPLES = 1 << 16
 
 
@@ -194,19 +194,22 @@ def superpose(waves, offsets, length: int, template: np.ndarray,
     ``waves[k]``'s first sample.  Samples outside the span are dropped and
     gaps are zero.  The waves are added in list order, so the floating-point
     sum is reproducible, and in place into ``out``, zeros of ``length``
-    samples unless given: the template is added where a sign is +1 and
-    subtracted where it is -1, which is bitwise adding ``sign * template``.
+    samples unless given: each symbol adds the template or its negation,
+    which is bitwise adding ``sign * template``.  Whole symbols are added
+    as rows gathered from (template, -template), as many at a time as fit
+    in _TONE_SAMPLES samples (at least one), so no temporary outgrows that.
     """
     out = np.zeros(length) if out is None else out
     spb = len(template)
+    both, group = np.stack((template, -template)), max(1, _TONE_SAMPLES // spb)
     for signs, off in zip(waves, offsets):
         # Symbols lo to hi - 1 lie wholly in the span and are added as the
-        # rows of one view of out; only symbols lo - 1 and hi can be clipped.
+        # rows of views of out; only symbols lo - 1 and hi can be clipped.
         lo, hi = max(0, -(off // spb)), min(len(signs), (length - off) // spb)
-        if lo < hi:
-            rows = out[off + lo * spb : off + hi * spb].reshape(hi - lo, spb)
-            np.add(rows, template, out=rows, where=signs[lo:hi, None] > 0)
-            np.subtract(rows, template, out=rows, where=signs[lo:hi, None] < 0)
+        for a in range(lo, hi, group):
+            b = min(hi, a + group)
+            rows = out[off + a * spb : off + b * spb].reshape(b - a, spb)
+            rows += both[(signs[a:b] < 0).view(np.uint8)]
         for k in {lo - 1, hi}:
             if 0 <= k < len(signs):
                 start = off + k * spb

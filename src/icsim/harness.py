@@ -3,20 +3,20 @@
 Every transmission is carried at waveform level.  It is framed and held as
 its symbol signs; when it is received, it and every transmission that
 overlaps it are added in place from their signs into one pass through the
-noiseless channel.  Every other node adds its own noise to that signal,
-conditions and correlates it in blocks of whole symbols, and decodes it.
-Silent intervals generate no samples, and a transmission's signs are held
-only while it or one overlapping it is on air or awaiting reception, so run
-memory does not grow with run length.  Only the propagated signal and the
-noise buffers, which a noiseless run lacks, are as long as a reception.
-Each reception's noise alone is drawn ahead on up to 4 threads, a block at
-a time; while the calling thread waits for a draw shorter than 2**16
-samples, it draws queued ones itself.  Each receiver's noise comes from its
-own seeded Generator into its own buffer, whichever thread draws it.  The
-calling thread adds the signal into each block of that noise and conditions
-it as soon as the block is drawn, while the later blocks are still being
-drawn, and does everything else in node order, so reports are bitwise those
-of a serial run.
+noiseless channel.  Every other node's detector adds its own noise to that
+signal, conditions and correlates it in blocks of whole symbols, and the
+calling thread decodes the bits.  Silent intervals generate no samples, and
+a transmission's signs are held only while it or one overlapping it is on
+air or awaiting reception, so run memory does not grow with run length.
+The propagated signal is the only array as long as a reception.  A
+receiver's noise comes from its own seeded Generator, whichever thread
+draws it.  A reception of 2**16 samples or more is detected by one job per
+receiver on up to 4 threads, which draws its noise a block at a time into
+one block's buffer; a shorter one, a single block, has its noise alone
+drawn ahead, the calling thread drawing queued draws itself while it waits,
+and is detected on the calling thread.  Every detector is a pure function
+of its inputs, and the calling thread takes their bits in node order, so
+reports are bitwise those of a serial run.
 The event loop is the only clock: a node's wake is an event, at which it
 enters its mode and acts on, so the timeline is recorded in time order as it
 happens; ``nodes`` decides every frame, timer and frame end.  A run is a pure
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import heapq
 import itertools
 import json
@@ -36,7 +37,6 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from queue import SimpleQueue
 
 import numpy as np
 
@@ -51,13 +51,12 @@ class ConfigInvalid(ValueError):
     """Scenario validation failure; message carries the offending field path."""
 
 
-# Only the propagated signal and the noise buffers hold a whole reception, as
-# float64 samples; the rest of a reception is handled a block at a time.
+# Only the propagated signal holds a whole reception, as float64 samples; the
+# rest of a reception, its noise included, is handled a block at a time.
 # 2**24 samples is 128 MiB, 31 times a 4800 bps frame at the default 16
 # samples per cycle.  The frame and the propagation delay are each checked
 # against it, so a reception, the frame plus the delay, can reach 2**25
-# samples.  The noise drawn ahead of the reception in use is capped at 2**24
-# samples, so the noise ring holds at most 2**25 samples (256 MiB).
+# samples (256 MiB).
 MAX_RECEPTION_SAMPLES = 2**24
 # Receptions are conditioned and correlated in blocks of this many samples,
 # rounded down to whole symbols: one block holds a whole 115200 bps reception,
@@ -291,7 +290,19 @@ class _Sim:
         spb = sc.modem.samples_per_bit
         block = max(1, _BLOCK_SAMPLES // spb) * spb
         self.edges = [0, *range(self.delay + block, n, block), n]
-        self.draw_ahead = _DrawAhead(n, len(self.edges) - 1) if self.sigma > 0 else None
+        # Each receiver of a reception is detected by one job on a pool of
+        # self.threads workers, or here with none.  But a reception shorter
+        # than _HELP_BELOW_SAMPLES is one block, detected here; its noise is
+        # drawn ahead into a ring of one buffer per drawing thread, this one
+        # among them, and one for the draw in use, and the pool is the other
+        # drawing threads, at least one.
+        threads, self.ring = _draw_threads(), None
+        if n < _HELP_BELOW_SAMPLES:
+            if self.sigma > 0:
+                self.ring = [np.empty(n) for _ in range(1 + threads)]
+            threads = max(1, threads - 1) if threads and self.ring else 0
+        self.threads = threads
+        self.pool = None  # while the run is on, the pool, if any
 
         timeout = nd.default_master_timeout_s(FRAME_LEN, FRAME_LEN, sc.modem) + 2 * self.prop_delay_s
         self.nodes: dict[str, _Node] = {
@@ -352,18 +363,6 @@ class _Sim:
     def receive(self, now_s, tx: _Transmission):
         """Demodulate and decode a transmission at every node but its sender."""
         receivers = [node for node in self.nodes.values() if node.id != tx.sender]
-        # The noise does not depend on the signal, so its draws start first.
-        if self.draw_ahead is not None:
-            def draw(node, buffer):
-                """The receiver's noise alone, drawn into buffer a block at a
-                time from its one seeded Generator, yielding each block."""
-                rng = np.random.default_rng(self._rx_seed(tx.index, node.id))
-                for lo, hi in zip(self.edges, self.edges[1:]):
-                    yield ch.channel_noise(self.sigma, hi - lo, rng, buffer[lo:hi])
-
-            noises = self.draw_ahead(draw, receivers)
-        else:
-            noises = itertools.repeat(None)
         # The transmissions on air are superposed from their signs straight
         # into the channel's output, after the delay, and propagated there.
         propagated = np.zeros(self.edges[-1])
@@ -371,18 +370,16 @@ class _Sim:
         offsets, signs = zip((0, tx.signs), *tx.overlapping)
         ch.superpose(signs, offsets, len(signal), self.template, out=signal)
         ch.propagate(signal, self.sc.channel, self.fs, out=propagated)
-        n_bits = len(tx.bits)
-        # zip takes the next receiver first, so it stops with no draw pending.
-        for node, noise in zip(receivers, noises):
-            try:
-                blocks = self.conditioned_blocks(propagated, noise)
-                bits = md.demodulate(blocks, self.sc.modem, n_bits)
-            except md.NonFiniteSignal as err:
-                raise ConfigInvalid(f"front_end: the conditioned reception overflowed "
-                                    f"float64 ({err}); lower modem.amplitude_v or "
-                                    f"front_end.passband_gain, or channel.interference "
-                                    f"or channel.noise_sigma_v") from err
-            self.link.physical_bits += n_bits
+        detect = functools.partial(self.detect, propagated, tx)
+        if self.ring is not None:
+            noises = _draw_ahead(self.pool, lambda node, buffer: tuple(
+                self.noise(tx, node, buffer)), receivers, self.ring)
+            detected = map(detect, receivers, noises)
+        else:
+            detected = _in_order(self.pool, detect, receivers)
+        # zip and map take the next receiver first, so they stop with no job pending.
+        for node, bits in zip(receivers, detected):
+            self.link.physical_bits += len(bits)
             self.link.bit_errors += int(np.count_nonzero(bits != tx.bits))
             try:
                 frame = fc.decode_frame(md.bits_to_bytes(bits))
@@ -392,19 +389,39 @@ class _Sim:
                 continue
             self.deliver(now_s, node, frame)
 
-    def conditioned_blocks(self, propagated, noise):
-        """Yield the conditioned reception past the delay, a block at a time:
-        propagated plus each of noise's blocks as it is drawn, summed into
-        that block, or propagated alone (noise None)."""
+    def noise(self, tx, node, buffer):
+        """Yield node's noise for tx a block at a time, each drawn into the
+        start of buffer from the receiver's one seeded Generator."""
+        rng = np.random.default_rng(self._rx_seed(tx.index, node.id))
+        return _noise_blocks(self.sigma, self.edges, rng, buffer)
+
+    def detect(self, propagated, tx, node, noise=None):
+        """The bits node demodulates from tx's propagated signal plus its
+        noise: noise's blocks when given, else drawn here a block at a time
+        into one block's buffer (none when the run is noiseless).  As
+        demodulate asks for each block, the signal is added into the noise
+        and the sum conditioned with the biquad state carried from the last."""
+        if noise is None:
+            noise = (self.noise(tx, node, np.empty(self.edges[1])) if self.sigma > 0
+                     else itertools.repeat(None))
         state = np.zeros(2)
-        noise = itertools.repeat(None) if noise is None else noise
-        for lo, hi, drawn in zip(self.edges, self.edges[1:], noise):
-            received = propagated[lo:hi]
-            if drawn is not None:
-                # Elementwise, and addition commutes: bitwise signal + noise.
-                received = np.add(drawn, received, out=drawn)
-            block = ch.condition(received, self.sc.front_end, self.fs, state)
-            yield block if lo else block[self.delay:]
+
+        def conditioned():
+            for lo, hi, drawn in zip(self.edges, self.edges[1:], noise):
+                received = propagated[lo:hi]
+                if drawn is not None:
+                    # Elementwise, and addition commutes: bitwise signal + noise.
+                    received = np.add(drawn, received, out=drawn)
+                block = ch.condition(received, self.sc.front_end, self.fs, state)
+                yield block if lo else block[self.delay:]
+
+        try:
+            return md.demodulate(conditioned(), self.sc.modem, len(tx.bits))
+        except md.NonFiniteSignal as err:
+            raise ConfigInvalid(f"front_end: the conditioned reception overflowed "
+                                f"float64 ({err}); lower modem.amplitude_v or "
+                                f"front_end.passband_gain, or channel.interference "
+                                f"or channel.noise_sigma_v") from err
 
     # -- protocol glue --
 
@@ -461,7 +478,7 @@ class _Sim:
         for t, node_id in self.sc.collision_injections:
             self.push(t, "injection", node_id)
 
-        with self.draw_ahead or contextlib.nullcontext():
+        with _pool(self.threads) as self.pool:
             while self.queue:
                 time_s, _, kind, data = heapq.heappop(self.queue)
                 if time_s > self.sc.duration_s:
@@ -502,34 +519,25 @@ def run_scenario(sc: Scenario, wave_dir=None) -> Report:
     return _Sim(sc, wave_dir).run()
 
 
-# --- noise drawn ahead ---------------------------------------------------------
+# --- noise drawn ahead, and pooled detection ----------------------------------
 
-# While it waits for a draw's first block, the calling thread draws queued
-# draws shorter than this itself.  The benchmark's 500 polls at 115200 bps
-# make 5,000 draws of 21,822 samples (about 0.35 ms each), one block each.
-# Drawn ahead on a pool alone, they saved no wall time on 2 vCPUs and added
-# about 1 s of CPU time: a short draw does not pay for the wait on a handoff.
-# With one worker and the calling thread drawing too, run_ref fell 20% over
-# 20 pairs, and the main thread drew 1,648 to 1,958 of the draws.  Two
-# workers and the calling thread gave about half that gain for twice the
-# added CPU time.  Longer draws, those at 9600 and 4800 bps and measure_ber's
-# 2000-bit chunks, stay on the pool: drawing them on the calling thread too
-# raised run_ref 6% on poll-4800-collide and 10% on ber-sweep (over 5 and 4
-# pairs), because the main thread's own work waits meanwhile.  A 9600 or
-# 4800 bps reception is drawn in 5 or 9 blocks instead, and the main thread
-# conditions each block as soon as it is drawn, so it waits for a whole draw
-# no longer, only for a reception's first block.
+# Receptions shorter than this, one block each, have their noise drawn ahead,
+# and while the calling thread waits for a draw it draws queued ones itself;
+# longer ones are each detected whole by one pooled job.  The benchmark's 500
+# polls at 115200 bps make 5,000 draws of 21,822 samples (about 0.35 ms
+# each).  Drawn ahead on a pool alone, they saved no wall time on 2 vCPUs and
+# added about 1 s of CPU time: a short draw does not pay for the wait on a
+# handoff.  With one worker and the calling thread drawing too, run_ref fell
+# 20% over 20 pairs, and the main thread drew 1,648 to 1,958 of the draws.
+# Two workers and the calling thread gave about half that gain for twice the
+# added CPU time.  Detecting them as whole pooled jobs instead ran poll-115k
+# 13% slower (in-process wall time, 10 pairs, 9 of them slower).
 _HELP_BELOW_SAMPLES = 1 << 16
 
 
 def _draw_threads() -> int:
-    """Threads drawing noise ahead: the usable cores, at most 4.
-
-    In measure_ber a 2000-bit chunk at 115200 bps takes about 7.4 ms to draw
-    and 1.3 ms on the main thread (0.85 ms superpose, 0.45 ms demodulate;
-    timed in-process on 2 vCPUs).  Four threads deliver a chunk every 1.9 ms,
-    close to the main thread's pace, so more would mostly hold more buffers.
-    """
+    """Threads drawing noise ahead, or detecting on the pool: the usable
+    cores, at most 4, since each running job holds its own buffers."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -537,37 +545,39 @@ def _draw_threads() -> int:
     return min(cores, 4)
 
 
-class _DrawAhead:
-    """Noise buffers of n samples, each drawn in ``blocks`` blocks, the pool
-    drawing into them ahead, and whether the calling thread helps (draws
-    below _HELP_BELOW_SAMPLES).
+@contextlib.contextmanager
+def _pool(threads: int):
+    """A pool of ``threads`` workers, or None for none; leaving it cancels
+    its queued jobs and waits for its running ones."""
+    pool = ThreadPoolExecutor(threads) if threads else None
+    try:
+        yield pool
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
-    One buffer per drawing thread, the helping calling thread among them,
-    and one for the draw in use, with at most MAX_RECEPTION_SAMPLES samples
-    drawn ahead.  Entering starts a pool of the other drawing threads, at
-    least one; a ring of one has none.  A draw of more than one block is
-    handed over a block at a time, so its consumer reads each block as soon
-    as it is drawn.
-    """
 
-    def __init__(self, n: int, blocks: int = 1):
-        ahead = min(_draw_threads(), MAX_RECEPTION_SAMPLES // n)
-        self.ring = [np.empty(n) for _ in range(1 + ahead)]
-        self.blocks = blocks
-        self.helps = n < _HELP_BELOW_SAMPLES
+def _in_order(pool, fn, jobs):
+    """fn(job) for each job, in job order: on pool, at most twice its
+    threads' count of jobs ahead of the one due, or with no pool on the
+    calling thread.  A job that raises raises when its result is due."""
+    if pool is None:
+        yield from map(fn, jobs)
+        return
+    pending = deque()
+    for job in jobs:
+        pending.append(pool.submit(fn, job))
+        if len(pending) > 2 * _draw_threads():
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
-    def __enter__(self):
-        threads = max(1, len(self.ring) - 1 - self.helps)
-        self.pool = ThreadPoolExecutor(threads) if len(self.ring) > 1 else None
-        return self
 
-    def __exit__(self, *exc_info):
-        if self.pool is not None:
-            self.pool.shutdown()
-
-    def __call__(self, draw, jobs):
-        """_draw_ahead with this ring, pool, helping rule and block count."""
-        return _draw_ahead(self.pool, draw, jobs, self.ring, self.helps, self.blocks)
+def _noise_blocks(sigma, edges, rng, buffer):
+    """Yield the noise of each block between edges: rng's next samples of
+    N(0, sigma), drawn into the start of buffer, bitwise one draw over them all."""
+    for lo, hi in zip(edges, edges[1:]):
+        yield ch.channel_noise(sigma, hi - lo, rng, buffer[: hi - lo])
 
 
 def _drawn_here(draw, *args) -> Future:
@@ -580,85 +590,39 @@ def _drawn_here(draw, *args) -> Future:
     return future
 
 
-def _drawing(draw, job, buffer, drawn: SimpleQueue) -> None:
-    """Put each block that ``draw(job, buffer)`` yields on drawn as it is
-    drawn, then None once the draw ends or raises."""
-    try:
-        for block in draw(job, buffer):
-            drawn.put(block)
-    finally:
-        drawn.put(None)
+def _draw_ahead(pool, draw, jobs, ring):
+    """``draw(job, buffer)`` for each job, in job order, drawn ahead on pool.
 
-
-def _drawn_blocks(future, drawn: SimpleQueue, blocks: int):
-    """Yield a draw's blocks in order: each but the last once it is drawn,
-    and the last once the draw has completed.  A draw that raises raises
-    when the block it did not draw, or its last, is due."""
-    for _ in range(blocks - 1):
-        block = drawn.get()
-        if block is None:
-            future.result()  # the draw raised: its error
-        yield block
-    future.result()
-    yield drawn.get()
-
-
-def _draw_ahead(pool, draw, jobs, ring, helps, blocks=1):
-    """An iterator over the blocks of ``draw(job, buffer)`` for each job, in
-    job order, drawn ahead on pool.
-
-    ``draw`` is a generator function that draws ``blocks`` blocks into
-    buffer and yields each as it is drawn.  Jobs take ring's buffers in
-    turn, len(ring) - 1 draws ahead of the one in use.  Without helps the
-    first len(ring) draws start when this is called, so they run while the
-    caller works on; with helps, when the caller asks for the first job.
-    Each later draw starts when the consumer asks for the next job.  A job's
-    iterator waits for each block as it is drawn, and for the draw to
-    complete before the last.  A consumer reads every block of a job before
-    it asks for the next, so a buffer goes to a new draw only after its
-    previous draw has completed.  With no pool, each draw runs on the
-    calling thread as it starts.  With helps, while the oldest draw's first
-    block is not drawn, the calling thread claims each draw no worker has
-    started, the oldest first, and draws it itself.  Blocks come in job
-    order whichever thread drew them, and a draw that raises raises when a
-    block it did not draw, or its last, is due.
+    Jobs take ring's buffers in turn, len(ring) - 1 draws ahead of the one
+    in use.  The first len(ring) draws start when the caller asks for the
+    first job, and each later one when it asks for the next job, so a buffer
+    goes to a new draw only once the consumer is done with it.  With no
+    pool, each draw runs on the calling thread as it starts.  While the
+    oldest draw is not done, the calling thread claims each draw no worker
+    has started, the oldest first, and draws it itself.  Results come in job
+    order whichever thread drew them, and a draw that raises raises when its
+    result is due.
     """
     submit = _drawn_here if pool is None else pool.submit
     jobs, buffers = iter(jobs), itertools.cycle(ring)
-    pending = deque()  # [future, job, buffer, drawn] in job order
+    pending = deque()  # [future, job, buffer] in job order
 
     def start(job):
-        buffer, drawn = next(buffers), SimpleQueue()
-        pending.append([submit(_drawing, draw, job, buffer, drawn), job, buffer, drawn])
+        buffer = next(buffers)
+        pending.append([submit(draw, job, buffer), job, buffer])
 
-    def oldest_blocks():
-        if helps:
-            for entry in pending:
-                if not pending[0][3].empty():
-                    break
-                if entry[0].cancel():
-                    entry[0] = _drawn_here(_drawing, draw, *entry[1:])
-        future, _, _, drawn = pending.popleft()
-        return _drawn_blocks(future, drawn, blocks)
-
-    def results():
-        for job in itertools.islice(jobs, len(ring) - len(pending)):
+    for job in itertools.islice(jobs, len(ring)):
+        start(job)
+    while pending:
+        for entry in pending:
+            if pending[0][0].done():
+                break
+            if entry[0].cancel():
+                entry[0] = _drawn_here(draw, *entry[1:])
+        yield pending.popleft()[0].result()
+        # The consumer is done with that draw's buffer.
+        for job in itertools.islice(jobs, 1):
             start(job)
-        while pending:
-            yield oldest_blocks()
-            # The consumer has read that draw's blocks, so its buffer is free.
-            for job in itertools.islice(jobs, 1):
-                start(job)
-
-    # Long draws start at once, so a reception's draws run while the main
-    # thread superposes and propagates it: that cut poll-4800-collide's run_s
-    # a further 2-4% over 20 pairs.  Short draws started at once ran
-    # poll-115k about 10% slower over 12 in-process pairs, and the main
-    # thread drew 1,457 to 1,704 of the 5,000 draws instead of 1,871 to 2,113.
-    if not helps:
-        for job in itertools.islice(jobs, len(ring)):
-            start(job)
-    return results()
 
 
 # --- BER measurement ---------------------------------------------------------
@@ -671,11 +635,13 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
     (seed, grid index, chunk index), so results are reproducible for a given
     seed and ``chunk_bits``; another chunk size draws other trials.
 
-    Each chunk's bits and noise alone are drawn ahead, as receptions' noise
-    is, into reused chunk buffers, so memory does not grow with ``n_bits``.
-    The calling thread superposes each chunk's signal onto its noise in place
-    and detects it, chunk by chunk in order, so the results are bitwise those
-    of drawing, modulating and receiving each chunk in turn.
+    Each chunk is one job on up to 4 threads, as a long reception is: it
+    draws its bits, then its noise a block at a time into one block's
+    buffer, superposes its signal onto each block in place and correlates
+    it, so memory does not grow with ``n_bits``, and with ``chunk_bits``
+    only by the chunk's bits and their symbol correlations.
+    The error counts are summed chunk by chunk in order, so the results are
+    bitwise those of drawing, modulating and receiving each chunk in turn.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be at least 1")
@@ -684,25 +650,30 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
     grid = list(ebn0_db_list)
     sigmas = [md.ebn0_to_noise_sigma(10 ** (ebn0_db / 10), cfg) for ebn0_db in grid]
     spb = cfg.samples_per_bit
+    block = max(1, _BLOCK_SAMPLES // spb) * spb
     template = md.modulate((), cfg)
     jobs = ((gi, ci, min(chunk_bits, n_bits - done))
             for gi in range(len(grid)) for ci, done in enumerate(range(0, n_bits, chunk_bits)))
     errors = [0] * len(grid)
 
-    def draw(job, buffer):
-        """One chunk's n data bits and its noise, drawn into buffer as one block."""
+    def chunk_errors(job):
+        """One chunk's grid index and bit errors."""
         gi, ci, n = job
         rng = np.random.default_rng(np.random.SeedSequence([seed, gi, ci]))
         bits = rng.integers(0, 2, n)
-        yield gi, bits, ch.channel_noise(sigmas[gi], (n + 1) * spb, rng, buffer[:(n + 1) * spb])
+        signs, edges = md.symbol_signs(bits), [*range(0, (n + 1) * spb, block), (n + 1) * spb]
 
-    with _DrawAhead((min(chunk_bits, n_bits) + 1) * spb) as draw_ahead:
-        for [(gi, bits, noise)] in draw_ahead(draw, jobs):
-            # channel_noise draws what normal(0, sigma) does, and addition
-            # commutes, so this is signal + normal(0, sigma) bit for bit.
-            ch.superpose([md.symbol_signs(bits)], [0], len(noise), template, out=noise)
-            out = md.demodulate(noise, cfg, len(bits))
-            errors[gi] += int(np.count_nonzero(bits != out))
+        def received():
+            for lo, noise in zip(edges, _noise_blocks(sigmas[gi], edges, rng, np.empty(edges[1]))):
+                # channel_noise draws what normal(0, sigma) does, and addition
+                # commutes, so this is signal + normal(0, sigma) bit for bit.
+                yield ch.superpose([signs], [-lo], len(noise), template, out=noise)
+
+        return gi, int(np.count_nonzero(bits != md.demodulate(received(), cfg, n)))
+
+    with _pool(_draw_threads()) as pool:
+        for gi, e in _in_order(pool, chunk_errors, jobs):
+            errors[gi] += e
     return [(float(ebn0_db), e / n_bits) for ebn0_db, e in zip(grid, errors)]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from icsim import channel as ch
+from icsim import modem as md
 
 FS = 16 * 1.67e6
 
@@ -271,6 +272,19 @@ class TestSuperpose:
         out = np.zeros(n)
         assert ch.superpose(self.SIGNS, [0, offset], n, self.TEMPLATE, out=out) is out
         assert np.array_equal(out, expanded_sum(self.SIGNS, [0, offset], n, self.TEMPLATE))
+
+    def test_long_symbols_clipped_at_both_ends_are_bitwise(self):
+        # 4800 bps symbols of 5568 samples: whole ones are added 11 at a time,
+        # so 28 take three groups, and the first and last are clipped.
+        template = md.modulate((), md.ModemConfig(bit_rate_bps=4800))
+        assert len(template) == 5568 and ch._TONE_SAMPLES // 5568 == 11
+        rng = np.random.default_rng(4)
+        waves, offsets = [1 - 2 * rng.integers(0, 2, 31), 1 - 2 * rng.integers(0, 2, 9)], [-2000, 7]
+        noise = rng.standard_normal(29 * 5568)
+        out = noise.copy()
+        ch.superpose(waves, offsets, len(out), template, out=out)
+        ref = expanded_sum(waves, offsets, len(noise), template, noise)
+        assert out.tobytes() == ref.tobytes()
 
     def test_adds_into_out_in_list_order(self):
         # Onto noise, the order of the additions shows in the rounding.

@@ -1,7 +1,6 @@
 import copy
 import csv
 import gc
-import itertools
 import json
 import math
 import re
@@ -394,28 +393,32 @@ class TestMeasureBer:
         assert hs.measure_ber(cfg, [2.0, 4.0], 250, seed=3, chunk_bits=100) == ref
         assert ref[0][1] > 0
 
-    def test_memory_does_not_grow_with_the_bit_count(self):
+    def test_memory_does_not_grow_with_the_bit_count(self, monkeypatch):
+        monkeypatch.setattr(hs, "_draw_threads", lambda: 2)
         cfg = md.ModemConfig()
         assert cfg.samples_per_bit == 224
+        block_bytes = hs._BLOCK_SAMPLES // 224 * 224 * 8
 
-        def peak_traced_bytes(chunks):
+        def peak_traced_bytes(n_bits, chunk_bits):
             tracemalloc.start()
             try:
-                hs.measure_ber(cfg, [6.0], chunks * 2000, seed=5, chunk_bits=2000)
+                hs.measure_ber(cfg, [6.0], n_bits, seed=5, chunk_bits=chunk_bits)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        short, long = peak_traced_bytes(10), peak_traced_bytes(40)
+        short, long = peak_traced_bytes(20_000, 2000), peak_traced_bytes(80_000, 2000)
         assert abs(long - short) <= 0.1 * short
-        # The noise buffers, one per drawing thread plus one, onto which each
-        # chunk's signal is superposed in place, and a quarter chunk to spare.
-        chunk_bytes = 2001 * 224 * 8
-        assert max(short, long) <= (hs._draw_threads() + 1.25) * chunk_bytes
+        # Each of the two running chunk jobs holds a block of noise and a
+        # block-sized group of symbols to add to it, whatever the chunk's
+        # length; only its bits and per-symbol correlations grow with it,
+        # about 1.5 MB for 20000 bits.  Whole chunks of noise would be 36 MB each.
+        assert long <= 2 * 3 * block_bytes
+        assert peak_traced_bytes(80_000, 20_000) - long <= 4 * block_bytes
 
 
 class TestMeasureBerThreads:
-    """The noise draws run on worker threads; everything else stays on the main thread."""
+    """Each chunk is one job on the pool: its draws, superpose and demodulate."""
 
     CFG = md.ModemConfig()
 
@@ -431,18 +434,25 @@ class TestMeasureBerThreads:
             sys.setswitchinterval(interval)
         assert got == ref
 
-    def test_modem_runs_only_on_the_main_thread(self, monkeypatch):
-        callers = []
-        for module, name in ((ch, "superpose"), (md, "demodulate")):
-            def record(*args, _real=getattr(module, name), **kwargs):
-                callers.append(threading.current_thread())
+    @pytest.mark.parametrize("threads", [2, 0])
+    def test_each_chunk_is_one_job_on_the_pool(self, threads, monkeypatch):
+        monkeypatch.setattr(hs, "_draw_threads", lambda: threads)
+        calls = {}
+        for module, name in ((ch, "channel_noise"), (ch, "superpose"), (md, "demodulate")):
+            def record(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.setdefault(threading.current_thread(), []).append(_name)
                 return _real(*args, **kwargs)
             monkeypatch.setattr(module, name, record)
         hs.measure_ber(self.CFG, [3.0, 6.0], 9000, seed=5, chunk_bits=700)
-        assert len(callers) == 2 * 2 * 13
-        assert set(callers) == {threading.main_thread()}
+        # 26 chunks of 701 symbols, each drawn and superposed in 3 blocks
+        # inside its demodulate, on one thread; with no pool, the calling one.
+        chunk = ["demodulate", *["channel_noise", "superpose"] * 3]
+        assert sum(len(names) for names in calls.values()) == 26 * len(chunk)
+        assert all(names == chunk * (len(names) // len(chunk)) for names in calls.values())
+        assert (threading.main_thread() in calls) is (threads == 0)
 
     def test_a_failed_chunk_raises_and_shuts_the_pool_down(self, monkeypatch):
+        monkeypatch.setattr(hs, "_draw_threads", lambda: 2)
         calls = []
         real = md.demodulate
 
@@ -455,8 +465,10 @@ class TestMeasureBerThreads:
         monkeypatch.setattr(md, "demodulate", fail_third)
         threads_before = threading.active_count()
         with pytest.raises(RuntimeError, match="third chunk"):
-            hs.measure_ber(self.CFG, [6.0], 20_000, seed=5)
-        assert len(calls) == 3
+            hs.measure_ber(self.CFG, [6.0], 40_000, seed=5)
+        # At most twice the threads' count of the 20 chunks are submitted
+        # past the one due; the queued ones are cancelled.
+        assert 3 <= len(calls) <= 3 + 2 * 2
         assert threading.active_count() == threads_before
 
 
@@ -470,21 +482,14 @@ def collided_4800_scenario() -> hs.Scenario:
                    collision_injections=((base.poll_schedule[0][0] + half_command, "slave3"),))
 
 
-def block_in_buffer(out):
-    """(start, end, buffer length) of the noise block ``out``, in samples."""
-    base = out if out.base is None else out.base
-    lo = (out.ctypes.data - base.ctypes.data) // out.itemsize
-    return lo, lo + len(out), len(base)
-
-
 class TestDrawAhead:
     """While the oldest result is not ready, the consumer draws the queued
-    short draws itself; long draws stay on the pool."""
+    draws itself."""
 
-    def window(self, n, fail=None, block_first=True, release_after=10.0):
+    def window(self, n, fail=None, block_first=True):
         """Consume _draw_ahead over 8 jobs, a ring of 3 buffers of n samples
         and a pool of one worker, which is held until the main thread has
-        drawn job 2, or for release_after seconds.
+        drawn job 2, or for 10 s.
 
         With block_first the worker is held in job 0; otherwise in a job
         submitted before the window, with job 0 queued behind it.  Records
@@ -509,7 +514,7 @@ class TestDrawAhead:
                 release.set()
             if job == fail:
                 raise RuntimeError(f"draw {job}")
-            yield job, buffer
+            return job, buffer
 
         pool = ThreadPoolExecutor(1)
         submit = pool.submit
@@ -520,15 +525,14 @@ class TestDrawAhead:
             return future
 
         pool.submit = submit_once_held
-        timer = threading.Timer(release_after, release.set)
+        timer = threading.Timer(10.0, release.set)
         timer.start()
         try:
             with pool:
                 if not block_first:
                     pool.submit(hold)
                 ring = [np.empty(n) for _ in range(3)]
-                helps = hs._DrawAhead(n).helps
-                for [(job, buffer)] in hs._draw_ahead(pool, draw, range(8), ring, helps):
+                for job, buffer in hs._draw_ahead(pool, draw, range(8), ring):
                     in_use[0] = buffer
                     time.sleep(1e-3)  # room for a worker to overwrite it
                     assert (buffer == job).all(), job
@@ -550,11 +554,6 @@ class TestDrawAhead:
         assert self.yielded == list(range(8)) and self.clobbered == []
         assert all(self.drawers[job] is threading.main_thread() for job in range(3))
 
-    def test_the_consumer_never_draws_a_long_job(self):
-        self.window(hs._HELP_BELOW_SAMPLES, release_after=0.1)
-        assert self.yielded == list(range(8)) and self.clobbered == []
-        assert threading.main_thread() not in self.drawers.values()
-
     def test_a_claimed_draw_that_raises_raises_in_job_order(self):
         threads_before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="draw 2"):
@@ -565,9 +564,10 @@ class TestDrawAhead:
 
 
 class TestReceiveThreads:
-    """Receptions draw their noise ahead on worker threads, the main thread
-    drawing short ones too while it waits; everything else stays on the main
-    thread."""
+    """A one-block reception's noise is drawn ahead on worker threads, the
+    main thread drawing too while it waits; a longer reception is detected,
+    noise, condition and demodulate, by one job per receiver on the pool.
+    The channel, decoding and delivery stay on the main thread."""
 
     @pytest.mark.parametrize("make_scenario, min_bit_errors", [
         (lambda: scn.single_point_scenario(bit_rate_bps=9600), 0),
@@ -582,8 +582,12 @@ class TestReceiveThreads:
             hs.emit_report(hs.run_scenario(sc), "json", tmp_path / name)
             return (tmp_path / name).read_bytes()
 
+        def workers():
+            sim = hs._Sim(sc)
+            return len(sim.ring) - 1 if sim.ring else sim.threads
+
         monkeypatch.setattr(hs, "_draw_threads", lambda: 8)
-        assert len(hs._Sim(sc).draw_ahead.ring) == 9
+        assert workers() == 8
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -591,64 +595,80 @@ class TestReceiveThreads:
         finally:
             sys.setswitchinterval(interval)
         monkeypatch.setattr(hs, "_draw_threads", lambda: 0)
-        assert len(hs._Sim(sc).draw_ahead.ring) == 1
+        assert workers() == 0
         assert threaded == report_bytes("serial.json")
         assert json.loads(threaded)["link"]["bit_errors"] >= min_bit_errors
 
-    def test_only_the_draw_leaves_the_main_thread(self, monkeypatch):
-        callers = {}
+    @staticmethod
+    def record_callers(monkeypatch, callers):
+        """Record each thread's calls of the reception's layers in callers."""
         for module, name in ((ch, "propagate"), (ch, "condition"), (md, "demodulate"),
                              (fc, "decode_frame"), (hs._Sim, "deliver"),
                              (ch, "channel_noise")):
             def record(*args, _real=getattr(module, name), _name=name, **kwargs):
-                callers.setdefault(_name, []).append(threading.current_thread())
+                callers.setdefault(threading.current_thread(), []).append(_name)
                 return _real(*args, **kwargs)
             monkeypatch.setattr(module, name, record)
-        # At 9600 bps every draw runs on the pool; at 115200 bps the waiting
-        # main thread draws queued ones too.
-        for sc, helps in ((scn.single_point_scenario(bit_rate_bps=9600), False),
-                          (scn.multi_point_scenario(polls_per_slave=1), True)):
-            callers.clear()
-            assert hs._Sim(sc).draw_ahead.helps is helps
-            report = hs.run_scenario(sc)
-            assert report.nodes["master"].frames_received == len(sc.poll_schedule)
-            drawers = callers.pop("channel_noise")
-            sent = sum(stats.frames_sent for stats in report.nodes.values())
-            # One call per block of each reception: 5 at 9600 bps, 1 at 115200 bps.
-            blocks = len(hs._Sim(sc).edges) - 1
-            assert len(drawers) == sent * len(sc.slaves) * blocks
-            if not helps:
-                assert threading.main_thread() not in drawers
-            assert sorted(callers) == ["condition", "decode_frame", "deliver", "demodulate",
-                                       "propagate"]
-            assert {t for ts in callers.values() for t in ts} == {threading.main_thread()}
+
+    def test_only_the_draw_leaves_the_main_thread(self, monkeypatch):
+        # At 115200 bps a reception is one block: its draws run on the pool
+        # and on the waiting main thread, which does everything else.
+        monkeypatch.setattr(hs, "_draw_threads", lambda: 2)
+        callers = {}
+        self.record_callers(monkeypatch, callers)
+        sc = scn.multi_point_scenario(polls_per_slave=1)
+        assert len(hs._Sim(sc).ring) == 3
+        report = hs.run_scenario(sc)
+        assert report.nodes["master"].frames_received == len(sc.poll_schedule)
+        main = callers.pop(threading.main_thread())
+        assert {name for names in callers.values() for name in names} <= {"channel_noise"}
+        drawn = main.count("channel_noise") + sum(map(len, callers.values()))
+        sent = sum(stats.frames_sent for stats in report.nodes.values())
+        assert drawn == sent * len(sc.slaves)
+        assert {"condition", "decode_frame", "deliver", "demodulate", "propagate"} <= set(main)
+
+    @pytest.mark.parametrize("threads", [2, 8])
+    def test_long_receptions_are_detected_on_the_pool(self, threads, monkeypatch):
+        monkeypatch.setattr(hs, "_draw_threads", lambda: threads)
+        callers = {}
+        self.record_callers(monkeypatch, callers)
+        sc = scn.single_point_scenario(bit_rate_bps=9600)
+        assert len(hs._Sim(sc).edges) - 1 == 5
+        report = hs.run_scenario(sc)
+        assert report.nodes["master"].frames_received == len(sc.poll_schedule)
+        main = callers.pop(threading.main_thread())
+        assert sorted(set(main)) == ["decode_frame", "deliver", "propagate"]
+        # Each receiver's whole detector runs on one worker: its demodulate
+        # draws and conditions its 5 blocks in turn.
+        detector = ["demodulate", *["channel_noise", "condition"] * 5]
+        sent = sum(stats.frames_sent for stats in report.nodes.values())
+        assert sum(map(len, callers.values())) == sent * len(detector)
+        assert all(names == detector * (len(names) // len(detector))
+                   for names in callers.values())
 
     @pytest.mark.parametrize("make_scenario", [
         lambda: scn.single_point_scenario(bit_rate_bps=9600),
         lambda: scn.multi_point_scenario(polls_per_slave=1),
     ], ids=["single_point_9600", "multi_point_115200"])
     def test_each_draw_is_the_receivers_noise_alone(self, make_scenario, monkeypatch):
-        """Every buffer a draw returns is channel_noise(sigma, n, seed) drawn
-        serially, bit for bit, from the receiver's own seed: no signal in it."""
+        """Each receiver's noise blocks, joined, are channel_noise(sigma, n,
+        seed) drawn serially, bit for bit, from its own seed: no signal in it."""
         monkeypatch.setattr(hs, "_draw_threads", lambda: 4)
-        drawn, seeds = [], []
-        real_draw_ahead, real_receive = hs._draw_ahead, hs._Sim.receive
+        blocks, seeds = {}, []
+        real_noise, real_receive = ch.channel_noise, hs._Sim.receive
 
-        def draw_ahead(pool, draw, *rest):
-            def recorded(job, buffer):
-                # Each block as it is drawn, before the signal is added to it.
-                blocks = []
-                for block in draw(job, buffer):
-                    blocks.append(block.tobytes())
-                    yield block
-                drawn.append(b"".join(blocks))
-            return real_draw_ahead(pool, recorded, *rest)
+        def channel_noise(sigma, n, rng, out=None):
+            # Each block as it is drawn, before the signal is added to it;
+            # a reception's blocks all come from its one Generator.
+            noise = real_noise(sigma, n, rng, out)
+            blocks.setdefault(rng, []).append(noise.tobytes())
+            return noise
 
         def receive(sim, now_s, tx):
             seeds.extend(sim._rx_seed(tx.index, node) for node in sim.nodes if node != tx.sender)
             return real_receive(sim, now_s, tx)
 
-        monkeypatch.setattr(hs, "_draw_ahead", draw_ahead)
+        monkeypatch.setattr(ch, "channel_noise", channel_noise)
         monkeypatch.setattr(hs._Sim, "receive", receive)
         sc = make_scenario()
         hs.run_scenario(sc)
@@ -656,6 +676,7 @@ class TestReceiveThreads:
         n = (md.frame_samples(hs.FRAME_LEN, sc.modem)
              + ch.delay_samples(sc.channel, sc.modem.sample_rate_hz))
         # Workers finish in any order, so the draws are compared as a multiset.
+        drawn = [b"".join(parts) for parts in blocks.values()]
         assert len(drawn) == len(seeds) > 1
         assert sorted(drawn) == sorted(ch.channel_noise(sigma, n, seed).tobytes()
                                        for seed in seeds)
@@ -676,21 +697,22 @@ class TestReceiveThreads:
         assert counts["propagate"] == counts["receive"]
 
     def test_a_failed_draw_raises_and_shuts_the_pool_down(self, monkeypatch):
-        calls = itertools.count(1)
+        draws = []  # each draw's Generator, as its first block is drawn
         real = ch.channel_noise
 
-        def fail_third(sigma, n, seed, out):
-            # A draw starts with the block at the start of its buffer.
-            if block_in_buffer(out)[0] == 0 and next(calls) == 3:
-                raise RuntimeError("third draw")
-            return real(sigma, n, seed, out)
+        def fail_third(sigma, n, rng, out):
+            if not any(rng is seen for seen in draws):
+                draws.append(rng)
+                if len(draws) == 3:
+                    raise RuntimeError("third draw")
+            return real(sigma, n, rng, out)
 
         monkeypatch.setattr(ch, "channel_noise", fail_third)
         threads_before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="third draw"):
             hs.run_scenario(collided_4800_scenario())
         # The first reception's five draws, and none after it.
-        assert next(calls) <= 6
+        assert len(draws) <= 5
         assert set(threading.enumerate()) == threads_before
 
 
@@ -744,84 +766,88 @@ class TestStreamedReception:
             conditioned.set()
             return real_condition(*args, **kwargs)
 
+        sc = scn.single_point_scenario(bit_rate_bps=4800)
+        edges = hs._Sim(sc).edges
+        last = edges[-1] - edges[-2]
+        assert len(edges) - 1 == 9 and last not in np.diff(edges)[:-1]
+
         def channel_noise(sigma, n, seed, out):
-            _, hi, length = block_in_buffer(out)
-            if hi == length and not conditioned.wait(5):
+            if n == last and not conditioned.wait(5):
                 timed_out.append(None)
             return real_noise(sigma, n, seed, out)
 
         monkeypatch.setattr(ch, "condition", condition)
         monkeypatch.setattr(ch, "channel_noise", channel_noise)
-        sc = scn.single_point_scenario(bit_rate_bps=4800)
-        assert len(hs._Sim(sc).edges) - 1 == 9
         report = hs.run_scenario(sc)
         assert timed_out == []
         assert report.nodes["master"].frames_received == len(sc.poll_schedule)
 
-    def test_the_draws_start_before_the_channel_runs(self, monkeypatch):
-        """The noise does not depend on the signal, so a reception's draws
-        start before superpose; with no pool the first runs there and then."""
+    def test_each_block_is_drawn_then_conditioned(self, monkeypatch):
+        """With no pool, the calling thread runs the channel once, then each
+        receiver's detector, drawing and conditioning one block at a time."""
         monkeypatch.setattr(hs, "_draw_threads", lambda: 0)
         calls = []
-        for name in ("superpose", "channel_noise"):
+        for name in ("superpose", "propagate", "channel_noise", "condition"):
             def record(*args, _real=getattr(ch, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
             monkeypatch.setattr(ch, name, record)
         hs.run_scenario(scn.single_point_scenario(bit_rate_bps=4800))
-        assert calls[:10] == ["channel_noise"] * 9 + ["superpose"]
+        detector = ["channel_noise", "condition"] * 9
+        assert calls[:21] == ["superpose", "propagate", *detector, "superpose"]
 
     @pytest.mark.parametrize("threads", [2, 0])
     def test_a_draw_that_raises_after_its_first_block_raises(self, threads, monkeypatch):
         monkeypatch.setattr(hs, "_draw_threads", lambda: threads)
+        sc = collided_4800_scenario()
+        first = hs._Sim(sc).edges[1]  # the delay and a block, longer than any other block
         real = ch.channel_noise
 
         def fail_second_block(sigma, n, seed, out):
-            if block_in_buffer(out)[0] > 0:
+            if n != first:
                 raise RuntimeError("second block")
             return real(sigma, n, seed, out)
 
         monkeypatch.setattr(ch, "channel_noise", fail_second_block)
         threads_before = threading.active_count()
         with pytest.raises(RuntimeError, match="second block"):
-            hs.run_scenario(collided_4800_scenario())
+            hs.run_scenario(sc)
         assert threading.active_count() == threads_before
 
-    def test_peak_memory_is_the_ring_and_the_propagated_signal(self):
-        for interference in ((), ((50e3, 0.5), (3e6, 0.1))):
-            sc = collided_4800_scenario()
-            sc = replace(sc, channel=replace(sc.channel, interference=interference))
-            sim = hs._Sim(sc)
-            ring, reception_bytes = len(sim.draw_ahead.ring), sim.draw_ahead.ring[0].nbytes
-            del sim
-            # tracemalloc also sees numpy buffers, so a kept waveform would show.
-            tracemalloc.start()
-            try:
-                hs.run_scenario(sc)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            # The noise ring and the one propagated signal are whole receptions;
-            # everything else is a block, a frame's signs or the report.  Tones
-            # are added a block at a time.
-            assert peak <= (ring + 2) * reception_bytes, interference
-
-    def test_a_noiseless_run_holds_no_noise_ring(self):
-        base = scn.multi_point_scenario(polls_per_slave=1, bit_rate_bps=4800, ebn0_db=None)
-        sc = replace(base, poll_schedule=base.poll_schedule[:2])
-        ring_bytes = sum(buffer.nbytes for buffer in
-                         hs._Sim(replace(sc, ebn0_db=6.0)).draw_ahead.ring)
+    @pytest.mark.parametrize("threads", [2, 4])
+    @pytest.mark.parametrize("edit", [
+        lambda sc: sc,
+        lambda sc: replace(sc, channel=replace(sc.channel, interference=((50e3, 0.5), (3e6, 0.1)))),
+        lambda sc: replace(sc, ebn0_db=None),
+    ], ids=["noise", "tones", "noiseless"])
+    def test_peak_is_the_signal_and_a_few_blocks(self, edit, threads, monkeypatch):
+        monkeypatch.setattr(hs, "_draw_threads", lambda: threads)
+        sc = edit(collided_4800_scenario())
+        edges = hs._Sim(sc).edges
+        # tracemalloc also sees numpy buffers, so a kept waveform would show.
         tracemalloc.start()
         try:
             report = hs.run_scenario(sc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert report.link.physical_bits > 0
+        # The one propagated signal is the only whole reception.  Each
+        # detector holds its noise block and that block conditioned, and the
+        # main thread a block of tones or symbols; the rest is a frame's signs
+        # or the report.  Noise buffers of whole receptions would be 4.3 MB each.
+        assert peak <= 8 * edges[-1] + 3 * (threads + 1) * 8 * edges[1]
+
+    def test_a_noiseless_run_holds_no_noise_ring(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ch, "channel_noise", lambda *args: calls.append(args))
+        base = scn.multi_point_scenario(polls_per_slave=1, ebn0_db=None)
+        sc = replace(base, poll_schedule=base.poll_schedule[:2])
+        assert hs._Sim(replace(sc, ebn0_db=6.0)).ring is not None
+        assert hs._Sim(sc).ring is None
+        report = hs.run_scenario(sc)
         assert report.nodes["master"].frames_received == 2
-        # The propagated signal is the one whole reception; the noise ring a
-        # noisy run of the same scenario holds would be more than all of it.
-        assert peak < ring_bytes
-        assert hs._Sim(sc).draw_ahead is None
+        assert calls == []
 
 
 class TestReportIo:
