@@ -10,13 +10,11 @@ a transmission's signs are held only while it or one overlapping it is on
 air or awaiting reception, so run memory does not grow with run length.
 The propagated signal is the only array as long as a reception.  A
 receiver's noise comes from its own seeded Generator, whichever thread
-draws it.  A reception of 2**16 samples or more is detected by one job per
-receiver on up to 4 threads, which draws its noise a block at a time into
-one block's buffer; a shorter one, a single block, has its noise alone
-drawn ahead, the calling thread drawing queued draws itself while it waits,
-and is detected on the calling thread.  Every detector is a pure function
-of its inputs, and the calling thread takes their bits in node order, so
-reports are bitwise those of a serial run.
+draws it.  Each receiver is detected by one job on up to 4 threads, the
+calling thread among them, which draws its noise a block at a time into one
+block's buffer.  Every detector is a pure function of its inputs, and the
+calling thread takes their bits in node order, so reports are bitwise those
+of a serial run.
 The event loop is the only clock: a node's wake is an event, at which it
 enters its mode and acts on, so the timeline is recorded in time order as it
 happens; ``nodes`` decides every frame, timer and frame end.  A run is a pure
@@ -290,18 +288,9 @@ class _Sim:
         spb = sc.modem.samples_per_bit
         block = max(1, _BLOCK_SAMPLES // spb) * spb
         self.edges = [0, *range(self.delay + block, n, block), n]
-        # Each receiver of a reception is detected by one job on a pool of
-        # self.threads workers, or here with none.  But a reception shorter
-        # than _HELP_BELOW_SAMPLES is one block, detected here; its noise is
-        # drawn ahead into a ring of one buffer per drawing thread, this one
-        # among them, and one for the draw in use, and the pool is the other
-        # drawing threads, at least one.
-        threads, self.ring = _draw_threads(), None
-        if n < _HELP_BELOW_SAMPLES:
-            if self.sigma > 0:
-                self.ring = [np.empty(n) for _ in range(1 + threads)]
-            threads = max(1, threads - 1) if threads and self.ring else 0
-        self.threads = threads
+        # Each receiver of a reception is detected by one job on self.threads
+        # threads: the calling one and a pool of the others, if any.
+        self.threads = _draw_threads()
         self.pool = None  # while the run is on, the pool, if any
 
         timeout = nd.default_master_timeout_s(FRAME_LEN, FRAME_LEN, sc.modem) + 2 * self.prop_delay_s
@@ -370,14 +359,8 @@ class _Sim:
         offsets, signs = zip((0, tx.signs), *tx.overlapping)
         ch.superpose(signs, offsets, len(signal), self.template, out=signal)
         ch.propagate(signal, self.sc.channel, self.fs, out=propagated)
-        detect = functools.partial(self.detect, propagated, tx)
-        if self.ring is not None:
-            noises = _draw_ahead(self.pool, lambda node, buffer: tuple(
-                self.noise(tx, node, buffer)), receivers, self.ring)
-            detected = map(detect, receivers, noises)
-        else:
-            detected = _in_order(self.pool, detect, receivers)
-        # zip and map take the next receiver first, so they stop with no job pending.
+        detected = _in_order(self.pool, functools.partial(self.detect, propagated, tx), receivers)
+        # zip takes the next receiver first, so it stops with no job pending.
         for node, bits in zip(receivers, detected):
             self.link.physical_bits += len(bits)
             self.link.bit_errors += int(np.count_nonzero(bits != tx.bits))
@@ -389,21 +372,16 @@ class _Sim:
                 continue
             self.deliver(now_s, node, frame)
 
-    def noise(self, tx, node, buffer):
-        """Yield node's noise for tx a block at a time, each drawn into the
-        start of buffer from the receiver's one seeded Generator."""
-        rng = np.random.default_rng(self._rx_seed(tx.index, node.id))
-        return _noise_blocks(self.sigma, self.edges, rng, buffer)
-
-    def detect(self, propagated, tx, node, noise=None):
+    def detect(self, propagated, tx, node):
         """The bits node demodulates from tx's propagated signal plus its
-        noise: noise's blocks when given, else drawn here a block at a time
-        into one block's buffer (none when the run is noiseless).  As
-        demodulate asks for each block, the signal is added into the noise
-        and the sum conditioned with the biquad state carried from the last."""
-        if noise is None:
-            noise = (self.noise(tx, node, np.empty(self.edges[1])) if self.sigma > 0
-                     else itertools.repeat(None))
+        noise, drawn a block at a time from the receiver's one seeded
+        Generator into one block's buffer (none when the run is noiseless).
+        As demodulate asks for each block, the signal is added into the
+        noise and the sum conditioned with the biquad state carried from the last."""
+        noise = itertools.repeat(None)
+        if self.sigma > 0:
+            rng = np.random.default_rng(self._rx_seed(tx.index, node.id))
+            noise = _noise_blocks(self.sigma, self.edges, rng, np.empty(self.edges[1]))
         state = np.zeros(2)
 
         def conditioned():
@@ -478,7 +456,7 @@ class _Sim:
         for t, node_id in self.sc.collision_injections:
             self.push(t, "injection", node_id)
 
-        with _pool(self.threads) as self.pool:
+        with _pool(self.threads - 1) as self.pool:
             while self.queue:
                 time_s, _, kind, data = heapq.heappop(self.queue)
                 if time_s > self.sc.duration_s:
@@ -519,25 +497,12 @@ def run_scenario(sc: Scenario, wave_dir=None) -> Report:
     return _Sim(sc, wave_dir).run()
 
 
-# --- noise drawn ahead, and pooled detection ----------------------------------
-
-# Receptions shorter than this, one block each, have their noise drawn ahead,
-# and while the calling thread waits for a draw it draws queued ones itself;
-# longer ones are each detected whole by one pooled job.  The benchmark's 500
-# polls at 115200 bps make 5,000 draws of 21,822 samples (about 0.35 ms
-# each).  Drawn ahead on a pool alone, they saved no wall time on 2 vCPUs and
-# added about 1 s of CPU time: a short draw does not pay for the wait on a
-# handoff.  With one worker and the calling thread drawing too, run_ref fell
-# 20% over 20 pairs, and the main thread drew 1,648 to 1,958 of the draws.
-# Two workers and the calling thread gave about half that gain for twice the
-# added CPU time.  Detecting them as whole pooled jobs instead ran poll-115k
-# 13% slower (in-process wall time, 10 pairs, 9 of them slower).
-_HELP_BELOW_SAMPLES = 1 << 16
-
+# --- pooled detection ----------------------------------------------------------
 
 def _draw_threads() -> int:
-    """Threads drawing noise ahead, or detecting on the pool: the usable
-    cores, at most 4, since each running job holds its own buffers."""
+    """Threads detecting receptions or BER chunks, the calling thread among
+    them: the usable cores, at most 4, since each running job holds its own
+    buffers."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -549,7 +514,7 @@ def _draw_threads() -> int:
 def _pool(threads: int):
     """A pool of ``threads`` workers, or None for none; leaving it cancels
     its queued jobs and waits for its running ones."""
-    pool = ThreadPoolExecutor(threads) if threads else None
+    pool = ThreadPoolExecutor(threads) if threads > 0 else None
     try:
         yield pool
     finally:
@@ -558,19 +523,29 @@ def _pool(threads: int):
 
 
 def _in_order(pool, fn, jobs):
-    """fn(job) for each job, in job order: on pool, at most twice its
-    threads' count of jobs ahead of the one due, or with no pool on the
-    calling thread.  A job that raises raises when its result is due."""
+    """fn(job) for each job, in job order, whichever thread ran it.
+
+    Jobs are submitted to pool at most 2 * _draw_threads() ahead of the one
+    due.  While the due job is not done, the calling thread claims each
+    queued job no worker has started, the oldest first, and runs it itself;
+    with no pool, it runs each as it falls due.  A job that raises raises
+    when its result is due.
+    """
     if pool is None:
         yield from map(fn, jobs)
         return
-    pending = deque()
-    for job in jobs:
-        pending.append(pool.submit(fn, job))
-        if len(pending) > 2 * _draw_threads():
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+    jobs, pending = iter(jobs), deque()  # [future, job] in job order
+    while True:
+        for job in itertools.islice(jobs, 1 + 2 * _draw_threads() - len(pending)):
+            pending.append([pool.submit(fn, job), job])
+        if not pending:
+            return
+        for entry in pending:
+            if pending[0][0].done():
+                break
+            if entry[0].cancel():
+                entry[0] = _ran_here(fn, entry[1])
+        yield pending.popleft()[0].result()
 
 
 def _noise_blocks(sigma, edges, rng, buffer):
@@ -580,49 +555,14 @@ def _noise_blocks(sigma, edges, rng, buffer):
         yield ch.channel_noise(sigma, hi - lo, rng, buffer[: hi - lo])
 
 
-def _drawn_here(draw, *args) -> Future:
-    """Run ``draw(*args)`` on the calling thread; its result or exception in a done Future."""
+def _ran_here(fn, job) -> Future:
+    """Run ``fn(job)`` on the calling thread; its result or exception in a done Future."""
     future = Future()
     try:
-        future.set_result(draw(*args))
+        future.set_result(fn(job))
     except Exception as err:
         future.set_exception(err)
     return future
-
-
-def _draw_ahead(pool, draw, jobs, ring):
-    """``draw(job, buffer)`` for each job, in job order, drawn ahead on pool.
-
-    Jobs take ring's buffers in turn, len(ring) - 1 draws ahead of the one
-    in use.  The first len(ring) draws start when the caller asks for the
-    first job, and each later one when it asks for the next job, so a buffer
-    goes to a new draw only once the consumer is done with it.  With no
-    pool, each draw runs on the calling thread as it starts.  While the
-    oldest draw is not done, the calling thread claims each draw no worker
-    has started, the oldest first, and draws it itself.  Results come in job
-    order whichever thread drew them, and a draw that raises raises when its
-    result is due.
-    """
-    submit = _drawn_here if pool is None else pool.submit
-    jobs, buffers = iter(jobs), itertools.cycle(ring)
-    pending = deque()  # [future, job, buffer] in job order
-
-    def start(job):
-        buffer = next(buffers)
-        pending.append([submit(draw, job, buffer), job, buffer])
-
-    for job in itertools.islice(jobs, len(ring)):
-        start(job)
-    while pending:
-        for entry in pending:
-            if pending[0][0].done():
-                break
-            if entry[0].cancel():
-                entry[0] = _drawn_here(draw, *entry[1:])
-        yield pending.popleft()[0].result()
-        # The consumer is done with that draw's buffer.
-        for job in itertools.islice(jobs, 1):
-            start(job)
 
 
 # --- BER measurement ---------------------------------------------------------
@@ -635,8 +575,8 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
     (seed, grid index, chunk index), so results are reproducible for a given
     seed and ``chunk_bits``; another chunk size draws other trials.
 
-    Each chunk is one job on up to 4 threads, as a long reception is: it
-    draws its bits, then its noise a block at a time into one block's
+    Each chunk is one job on up to 4 threads, the calling thread among them,
+    as a receiver's detector is: it draws its bits, then its noise a block at a time into one block's
     buffer, superposes its signal onto each block in place and correlates
     it, so memory does not grow with ``n_bits``, and with ``chunk_bits``
     only by the chunk's bits and their symbol correlations.
@@ -671,7 +611,7 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
 
         return gi, int(np.count_nonzero(bits != md.demodulate(received(), cfg, n)))
 
-    with _pool(_draw_threads()) as pool:
+    with _pool(_draw_threads() - 1) as pool:
         for gi, e in _in_order(pool, chunk_errors, jobs):
             errors[gi] += e
     return [(float(ebn0_db), e / n_bits) for ebn0_db, e in zip(grid, errors)]
@@ -683,12 +623,13 @@ _CSV_BLOCK_ROWS = 1 << 16
 
 
 def write_waveform_csv(samples: np.ndarray, sample_rate_hz: float, path) -> None:
-    """Two-column (time_s, volts) dump for plotting, values in repr form.
+    """Two-column (time_s, volts) dump for plotting, values in repr form,
+    whole or not at all.
 
     Rows are formatted a block at a time, so memory stays bounded for long
     waveforms.
     """
-    with open(path, "w", newline="") as fh:
+    with _written_whole(path, newline="") as fh:
         fh.write("time_s,volts\r\n")
         for lo in range(0, len(samples), _CSV_BLOCK_ROWS):
             volts = samples[lo : lo + _CSV_BLOCK_ROWS]

@@ -6,7 +6,6 @@ import math
 import re
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -445,11 +444,13 @@ class TestMeasureBerThreads:
             monkeypatch.setattr(module, name, record)
         hs.measure_ber(self.CFG, [3.0, 6.0], 9000, seed=5, chunk_bits=700)
         # 26 chunks of 701 symbols, each drawn and superposed in 3 blocks
-        # inside its demodulate, on one thread; with no pool, the calling one.
+        # inside its demodulate, on one thread: a worker or the calling one,
+        # which with no pool runs them all.
         chunk = ["demodulate", *["channel_noise", "superpose"] * 3]
         assert sum(len(names) for names in calls.values()) == 26 * len(chunk)
         assert all(names == chunk * (len(names) // len(chunk)) for names in calls.values())
-        assert (threading.main_thread() in calls) is (threads == 0)
+        assert len(calls) <= max(threads, 1)
+        assert threads > 1 or list(calls) == [threading.main_thread()]
 
     def test_a_failed_chunk_raises_and_shuts_the_pool_down(self, monkeypatch):
         monkeypatch.setattr(hs, "_draw_threads", lambda: 2)
@@ -482,45 +483,43 @@ def collided_4800_scenario() -> hs.Scenario:
                    collision_injections=((base.poll_schedule[0][0] + half_command, "slave3"),))
 
 
-class TestDrawAhead:
-    """While the oldest result is not ready, the consumer draws the queued
-    draws itself."""
+class TestInOrder:
+    """While the due job is not done, the calling thread runs the queued
+    jobs no worker has started itself, and results come in job order."""
 
-    def window(self, n, fail=None, block_first=True):
-        """Consume _draw_ahead over 8 jobs, a ring of 3 buffers of n samples
-        and a pool of one worker, which is held until the main thread has
-        drawn job 2, or for 10 s.
+    def run(self, monkeypatch, fail=None, block_first=True):
+        """Consume _in_order over 8 jobs on a pool of one worker, which is
+        held until the main thread has run job 2, or for 10 s.
 
         With block_first the worker is held in job 0; otherwise in a job
-        submitted before the window, with job 0 queued behind it.  Records
-        the thread of each draw, the jobs yielded, and the jobs drawn into
-        the buffer the consumer was using.
+        submitted before _in_order's, with job 0 queued behind it.  Records
+        the thread of each job, the results yielded, and the most jobs
+        submitted past the one due.
         """
+        monkeypatch.setattr(hs, "_draw_threads", lambda: 2)
         started, release = threading.Event(), threading.Event()
-        self.drawers, self.yielded, self.clobbered, in_use = {}, [], [], [None]
+        self.runners, self.yielded, self.ahead = {}, [], 0
 
         def hold():
             started.set()
             release.wait()
 
-        def draw(job, buffer):
-            self.drawers[job] = threading.current_thread()
-            if buffer is in_use[0]:
-                self.clobbered.append(job)
-            if job == 0 and block_first:
+        def job(n):
+            self.runners[n] = threading.current_thread()
+            if n == 0 and block_first:
                 hold()
-            buffer[:] = job
-            if job == 2 and self.drawers[job] is threading.main_thread():
+            if n == 2 and self.runners[n] is threading.main_thread():
                 release.set()
-            if job == fail:
-                raise RuntimeError(f"draw {job}")
-            return job, buffer
+            if n == fail:
+                raise RuntimeError(f"job {n}")
+            return n
 
         pool = ThreadPoolExecutor(1)
-        submit = pool.submit
+        submit, submitted = pool.submit, []
 
         def submit_once_held(fn, *args):
             future = submit(fn, *args)
+            submitted.append(args)
             assert started.wait(10)
             return future
 
@@ -530,44 +529,40 @@ class TestDrawAhead:
         try:
             with pool:
                 if not block_first:
-                    pool.submit(hold)
-                ring = [np.empty(n) for _ in range(3)]
-                for job, buffer in hs._draw_ahead(pool, draw, range(8), ring):
-                    in_use[0] = buffer
-                    time.sleep(1e-3)  # room for a worker to overwrite it
-                    assert (buffer == job).all(), job
-                    self.yielded.append(job)
-                    in_use[0] = None
+                    submit(hold)
+                for n in hs._in_order(pool, job, range(8)):
+                    self.ahead = max(self.ahead, len(submitted) - n - 1)
+                    self.yielded.append(n)
         finally:
             timer.cancel()
             timer.join()
 
-    def test_the_consumer_draws_queued_short_jobs(self):
-        self.window(hs._HELP_BELOW_SAMPLES - 1)
-        assert self.yielded == list(range(8)) and self.clobbered == []
+    def test_the_caller_runs_queued_jobs(self, monkeypatch):
+        self.run(monkeypatch)
+        assert self.yielded == list(range(8))
         main = threading.main_thread()
-        assert self.drawers[0] is not main
-        assert self.drawers[1] is main and self.drawers[2] is main
+        assert self.runners[0] is not main
+        assert self.runners[1] is main and self.runners[2] is main
+        assert self.ahead == 2 * 2
 
-    def test_the_consumer_draws_an_unstarted_oldest_job(self):
-        self.window(hs._HELP_BELOW_SAMPLES - 1, block_first=False)
-        assert self.yielded == list(range(8)) and self.clobbered == []
-        assert all(self.drawers[job] is threading.main_thread() for job in range(3))
+    def test_the_caller_runs_an_unstarted_oldest_job(self, monkeypatch):
+        self.run(monkeypatch, block_first=False)
+        assert self.yielded == list(range(8))
+        assert all(self.runners[n] is threading.main_thread() for n in range(3))
 
-    def test_a_claimed_draw_that_raises_raises_in_job_order(self):
+    def test_a_claimed_job_that_raises_raises_in_job_order(self, monkeypatch):
         threads_before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="draw 2"):
-            self.window(hs._HELP_BELOW_SAMPLES - 1, fail=2)
-        assert self.drawers[2] is threading.main_thread()
+        with pytest.raises(RuntimeError, match="job 2"):
+            self.run(monkeypatch, fail=2)
+        assert self.runners[2] is threading.main_thread()
         assert self.yielded == [0, 1]
         assert set(threading.enumerate()) == threads_before
 
 
 class TestReceiveThreads:
-    """A one-block reception's noise is drawn ahead on worker threads, the
-    main thread drawing too while it waits; a longer reception is detected,
-    noise, condition and demodulate, by one job per receiver on the pool.
-    The channel, decoding and delivery stay on the main thread."""
+    """Each receiver is detected, noise, condition and demodulate, by one
+    job on the pool or the main thread.  The channel, decoding and delivery
+    stay on the main thread."""
 
     @pytest.mark.parametrize("make_scenario, min_bit_errors", [
         (lambda: scn.single_point_scenario(bit_rate_bps=9600), 0),
@@ -582,20 +577,16 @@ class TestReceiveThreads:
             hs.emit_report(hs.run_scenario(sc), "json", tmp_path / name)
             return (tmp_path / name).read_bytes()
 
-        def workers():
-            sim = hs._Sim(sc)
-            return len(sim.ring) - 1 if sim.ring else sim.threads
-
         monkeypatch.setattr(hs, "_draw_threads", lambda: 8)
-        assert workers() == 8
+        assert hs._Sim(sc).threads == 8
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threaded = report_bytes("threaded.json")
         finally:
             sys.setswitchinterval(interval)
-        monkeypatch.setattr(hs, "_draw_threads", lambda: 0)
-        assert workers() == 0
+        monkeypatch.setattr(hs, "_draw_threads", lambda: 1)
+        assert hs._Sim(sc).threads == 1
         assert threaded == report_bytes("serial.json")
         assert json.loads(threaded)["link"]["bit_errors"] >= min_bit_errors
 
@@ -610,41 +601,28 @@ class TestReceiveThreads:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(module, name, record)
 
-    def test_only_the_draw_leaves_the_main_thread(self, monkeypatch):
-        # At 115200 bps a reception is one block: its draws run on the pool
-        # and on the waiting main thread, which does everything else.
+    @pytest.mark.parametrize("bit_rate_bps, blocks", [(115200, 1), (9600, 5)],
+                             ids=["115200", "9600"])
+    def test_each_detector_runs_whole_on_one_thread(self, bit_rate_bps, blocks, monkeypatch):
         monkeypatch.setattr(hs, "_draw_threads", lambda: 2)
         callers = {}
         self.record_callers(monkeypatch, callers)
-        sc = scn.multi_point_scenario(polls_per_slave=1)
-        assert len(hs._Sim(sc).ring) == 3
+        base = scn.multi_point_scenario(polls_per_slave=1, bit_rate_bps=bit_rate_bps)
+        sc = replace(base, poll_schedule=base.poll_schedule[:2])
+        assert len(hs._Sim(sc).edges) - 1 == blocks
         report = hs.run_scenario(sc)
         assert report.nodes["master"].frames_received == len(sc.poll_schedule)
-        main = callers.pop(threading.main_thread())
-        assert {name for names in callers.values() for name in names} <= {"channel_noise"}
-        drawn = main.count("channel_noise") + sum(map(len, callers.values()))
+        pinned, main = {"decode_frame", "deliver", "propagate"}, threading.main_thread()
+        assert pinned <= set(callers[main])
+        assert all(pinned.isdisjoint(names) for thread, names in callers.items() if thread is not main)
+        # Each receiver's whole detector runs on one thread, the main one or
+        # a worker: its demodulate draws and conditions its blocks in turn.
+        detector = ["demodulate", *["channel_noise", "condition"] * blocks]
+        detected = [[name for name in names if name not in pinned]
+                    for names in callers.values()]
         sent = sum(stats.frames_sent for stats in report.nodes.values())
-        assert drawn == sent * len(sc.slaves)
-        assert {"condition", "decode_frame", "deliver", "demodulate", "propagate"} <= set(main)
-
-    @pytest.mark.parametrize("threads", [2, 8])
-    def test_long_receptions_are_detected_on_the_pool(self, threads, monkeypatch):
-        monkeypatch.setattr(hs, "_draw_threads", lambda: threads)
-        callers = {}
-        self.record_callers(monkeypatch, callers)
-        sc = scn.single_point_scenario(bit_rate_bps=9600)
-        assert len(hs._Sim(sc).edges) - 1 == 5
-        report = hs.run_scenario(sc)
-        assert report.nodes["master"].frames_received == len(sc.poll_schedule)
-        main = callers.pop(threading.main_thread())
-        assert sorted(set(main)) == ["decode_frame", "deliver", "propagate"]
-        # Each receiver's whole detector runs on one worker: its demodulate
-        # draws and conditions its 5 blocks in turn.
-        detector = ["demodulate", *["channel_noise", "condition"] * 5]
-        sent = sum(stats.frames_sent for stats in report.nodes.values())
-        assert sum(map(len, callers.values())) == sent * len(detector)
-        assert all(names == detector * (len(names) // len(detector))
-                   for names in callers.values())
+        assert sum(map(len, detected)) == sent * len(sc.slaves) * len(detector)
+        assert all(names == detector * (len(names) // len(detector)) for names in detected)
 
     @pytest.mark.parametrize("make_scenario", [
         lambda: scn.single_point_scenario(bit_rate_bps=9600),
@@ -838,13 +816,13 @@ class TestStreamedReception:
         # or the report.  Noise buffers of whole receptions would be 4.3 MB each.
         assert peak <= 8 * edges[-1] + 3 * (threads + 1) * 8 * edges[1]
 
-    def test_a_noiseless_run_holds_no_noise_ring(self, monkeypatch):
+    @pytest.mark.parametrize("bit_rate_bps", [115200, 9600])
+    def test_a_noiseless_run_draws_no_noise(self, bit_rate_bps, monkeypatch):
         calls = []
         monkeypatch.setattr(ch, "channel_noise", lambda *args: calls.append(args))
-        base = scn.multi_point_scenario(polls_per_slave=1, ebn0_db=None)
+        base = scn.multi_point_scenario(polls_per_slave=1, bit_rate_bps=bit_rate_bps,
+                                        ebn0_db=None)
         sc = replace(base, poll_schedule=base.poll_schedule[:2])
-        assert hs._Sim(replace(sc, ebn0_db=6.0)).ring is not None
-        assert hs._Sim(sc).ring is None
         report = hs.run_scenario(sc)
         assert report.nodes["master"].frames_received == 2
         assert calls == []
@@ -919,6 +897,26 @@ class TestReportIo:
             for i, v in enumerate(samples):
                 writer.writerow([i / fs, repr(float(v))])
         assert (tmp_path / "wave.csv").read_bytes() == ref.read_bytes()
+
+    def test_a_waveform_that_fails_midway_leaves_no_file(self, tmp_path):
+        class FailsOnSecondBlock:
+            """Samples whose second block of rows cannot be read."""
+
+            def __init__(self, samples):
+                self.samples = samples
+
+            def __len__(self):
+                return len(self.samples)
+
+            def __getitem__(self, rows):
+                if rows.start:
+                    raise OSError("second block")
+                return self.samples[rows]
+
+        samples = FailsOnSecondBlock(np.zeros(hs._CSV_BLOCK_ROWS + 1))
+        with pytest.raises(OSError, match="second block"):
+            hs.write_waveform_csv(samples, 10.0, tmp_path / "wave.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 ADDRESS = "64 49 46 68 00 53"
