@@ -601,14 +601,13 @@ class TestReceiveThreads:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(module, name, record)
 
-    @pytest.mark.parametrize("bit_rate_bps, blocks", [(115200, 1), (9600, 5)],
-                             ids=["115200", "9600"])
-    def test_each_detector_runs_whole_on_one_thread(self, bit_rate_bps, blocks, monkeypatch):
-        monkeypatch.setattr(hs, "_draw_threads", lambda: 2)
+    def check_detectors(self, sc, threads, blocks, monkeypatch):
+        """Run sc on threads draw threads and check that each receiver's
+        whole detector, blocks noise blocks, runs on one thread while the
+        channel, decoding and delivery stay on the main thread."""
+        monkeypatch.setattr(hs, "_draw_threads", lambda: threads)
         callers = {}
         self.record_callers(monkeypatch, callers)
-        base = scn.multi_point_scenario(polls_per_slave=1, bit_rate_bps=bit_rate_bps)
-        sc = replace(base, poll_schedule=base.poll_schedule[:2])
         assert len(hs._Sim(sc).edges) - 1 == blocks
         report = hs.run_scenario(sc)
         assert report.nodes["master"].frames_received == len(sc.poll_schedule)
@@ -623,6 +622,20 @@ class TestReceiveThreads:
         sent = sum(stats.frames_sent for stats in report.nodes.values())
         assert sum(map(len, detected)) == sent * len(sc.slaves) * len(detector)
         assert all(names == detector * (len(names) // len(detector)) for names in detected)
+
+    @pytest.mark.parametrize("bit_rate_bps, blocks", [(115200, 1), (9600, 5)],
+                             ids=["115200", "9600"])
+    def test_each_detector_runs_whole_on_one_thread(self, bit_rate_bps, blocks, monkeypatch):
+        base = scn.multi_point_scenario(polls_per_slave=1, bit_rate_bps=bit_rate_bps)
+        sc = replace(base, poll_schedule=base.poll_schedule[:2])
+        self.check_detectors(sc, 2, blocks, monkeypatch)
+
+    @pytest.mark.parametrize("threads", [2, 8])
+    def test_long_receptions_are_detected_on_the_pool(self, threads, monkeypatch):
+        """A 5-block reception is detected whole by one of the pool's
+        threads, of which the calling thread, helping, is one."""
+        self.check_detectors(scn.single_point_scenario(bit_rate_bps=9600), threads, 5,
+                             monkeypatch)
 
     @pytest.mark.parametrize("make_scenario", [
         lambda: scn.single_point_scenario(bit_rate_bps=9600),
