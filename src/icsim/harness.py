@@ -90,7 +90,7 @@ class Scenario:
     ebn0_db: float | None = 20.0  # None disables derived channel noise
     master_budget: pw.UnitBudget = pw.UnitBudget()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 < self.duration_s < math.inf:
             raise ConfigInvalid("duration_s: must be positive and finite")
         if self.seed < 0:
@@ -273,7 +273,6 @@ class _Node:
 
 class _Sim:
     def __init__(self, sc: Scenario, wave_dir=None):
-        sc.validate()
         self.sc = sc
         self.wave_dir = None if wave_dir is None else Path(wave_dir)
         self.sigma = derived_noise_sigma(sc)
@@ -293,7 +292,7 @@ class _Sim:
         self.threads = _draw_threads()
         self.pool = None  # while the run is on, the pool, if any
 
-        timeout = nd.default_master_timeout_s(FRAME_LEN, FRAME_LEN, sc.modem) + 2 * self.prop_delay_s
+        timeout = nd.master_timeout_s(sc.modem, self.prop_delay_s)
         self.nodes: dict[str, _Node] = {
             "master": _Node("master", nd.MasterState(timeout_s=timeout),
                             sc.master_budget, "RUN")

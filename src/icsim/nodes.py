@@ -181,8 +181,9 @@ def accepts(state: SlaveState | MasterState, frame: Frame) -> bool:
     return address_matches(frame.address, state.address)
 
 
-def default_master_timeout_s(cmd_bytes: int, reply_bytes: int, modem_cfg) -> float:
-    """Twice the command airtime + wake latency + reply airtime."""
+def master_timeout_s(modem_cfg, prop_delay_s: float) -> float:
+    """Twice the command airtime + wake latency + reply airtime, plus the
+    command's and the reply's propagation delay."""
     wake = MODE_TABLE["STOP1"].wakeup_time_s
-    return 2.0 * (frame_airtime_s(cmd_bytes, modem_cfg) + wake
-                  + frame_airtime_s(reply_bytes, modem_cfg))
+    return 2.0 * (frame_airtime_s(FRAME_LEN, modem_cfg) + wake
+                  + frame_airtime_s(FRAME_LEN, modem_cfg)) + 2 * prop_delay_s

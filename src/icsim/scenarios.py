@@ -74,10 +74,8 @@ def _convert(tp, value, path: str):
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    """Build and validate a Scenario; ConfigInvalid names the field at fault."""
-    sc = _load(Scenario, d, "")
-    sc.validate()
-    return sc
+    """Build a Scenario, which checks itself; ConfigInvalid names the field at fault."""
+    return _load(Scenario, d, "")
 
 
 def load_scenario(path) -> Scenario:

@@ -6,12 +6,14 @@ import math
 import re
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from functools import reduce
 from operator import getitem
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,9 +93,8 @@ class TestRunScenario:
 
     def test_invalid_scenario_reports_field_path(self):
         sc = scn.multi_point_scenario(polls_per_slave=1)
-        dup = replace(sc, slaves=(sc.slaves[0], sc.slaves[0]))
         with pytest.raises(hs.ConfigInvalid, match=r"slaves\[1\].address"):
-            hs.run_scenario(dup)
+            replace(sc, slaves=(sc.slaves[0], sc.slaves[0]))
 
 
 class TestDeterminism:
@@ -127,6 +128,40 @@ class TestAmplitudeScaling:
         assert ref.link.bit_errors > 0
         dump = lambda r: json.dumps(r.to_dict(), indent=2, sort_keys=True)
         assert dump(scaled) == dump(ref)
+
+
+def absolute_noise(sc, interference=()):
+    """sc with its derived noise sigma given as channel.noise_sigma_v instead."""
+    channel = replace(sc.channel, noise_sigma_v=hs.derived_noise_sigma(sc),
+                      interference=interference)
+    return replace(sc, ebn0_db=None, channel=channel)
+
+
+class TestPassbandGainScaling:
+    # The front end's gain scales the signal, the noise and any tone alike
+    # before detection, which compares correlations only with each other.
+    # A power-of-two gain scales every conditioned sample exactly, so no
+    # report may change, whichever way the noise is set.
+    @pytest.mark.parametrize("noise", [
+        lambda sc: sc,
+        absolute_noise,
+        lambda sc: absolute_noise(sc, interference=((1.6e6, 0.05),)),
+    ], ids=["ebn0_db", "noise_sigma_v", "noise_sigma_v_and_tone"])
+    def test_report_is_byte_identical(self, noise):
+        sc = noise(scn.multi_point_scenario(polls_per_slave=2, ebn0_db=6.0))
+        ref = hs.run_scenario(sc)
+        assert ref.link.bit_errors > 0
+        dump = lambda r: json.dumps(r.to_dict(), indent=2, sort_keys=True)
+        for scale in (2, 1 / 4):
+            front_end = replace(sc.front_end, passband_gain=sc.front_end.passband_gain * scale)
+            assert dump(hs.run_scenario(replace(sc, front_end=front_end))) == dump(ref)
+
+    def test_the_channel_does_change_a_report_under_absolute_noise(self):
+        # Not vacuous: with the noise sigma fixed, fewer turns lower the
+        # received signal against it, and the report changes.
+        sc = absolute_noise(scn.multi_point_scenario(polls_per_slave=2, ebn0_db=6.0))
+        fewer_turns = replace(sc, channel=replace(sc.channel, turns=2))
+        assert hs.run_scenario(fewer_turns).link.bit_errors != hs.run_scenario(sc).link.bit_errors
 
 
 class TestConservation:
@@ -255,6 +290,32 @@ class TestEnergyConsistency:
         assert power_stretches(report, sc, "slave1") == [(0.0, sc.duration_s, "STOP1")]
         for node_id, stats in report.nodes.items():
             assert (stats.energy_uah, stats.energy_joules) == charge_of_stretches(report, sc, node_id)
+
+    def test_charge_follows_from_the_schedule(self):
+        # Expected from the scenario alone, not from the run's timeline: the
+        # master is in RUN throughout, slave1 in RUN for one reply airtime per
+        # poll, and slaves never polled stay in STOP1 on their static budget.
+        base = scn.single_point_scenario(ebn0_db=None)
+        spacing = scn.poll_spacing_s(base.modem)
+        address, *unpolled = scn.MULTI_POINT_ADDRESSES[:3]
+        carrier_off = pw.UnitBudget(gating=frozenset({"signal_processing", "power_conversion",
+                                                      "master"}))
+        sc = replace(base, duration_s=21 * spacing,
+                     slaves=(hs.SlaveSpec(address), hs.SlaveSpec(unpolled[0]),
+                             hs.SlaveSpec(unpolled[1], budget=carrier_off)),
+                     poll_schedule=tuple(((k + 1) * spacing, address) for k in range(20)))
+        report = hs.run_scenario(sc)
+        assert report.nodes["slave1"].frames_sent == report.nodes["master"].frames_received == 20
+        run_ua = pw.MODE_TABLE["RUN"].mcu_current_ua
+        master = (run_ua + pw.standby_current(sc.master_budget)) * sc.duration_s / 3600
+        airtime = md.frame_airtime_s(hs.FRAME_LEN, sc.modem)
+        slave = (run_ua * 20 * airtime
+                 + pw.standby_current(sc.slaves[0].budget) * sc.duration_s) / 3600
+        assert report.nodes["master"].energy_uah == pytest.approx(master, rel=1e-12)
+        assert report.nodes["slave1"].energy_uah == pytest.approx(slave, rel=1e-12)
+        # The paper's static figures: 660 uA standby, 530 uA with the carrier off.
+        average_ua = lambda node_id: report.nodes[node_id].energy_uah * 3600 / sc.duration_s
+        assert (average_ua("slave2"), average_ua("slave3")) == (660.0, 530.0)
 
 
 MASTER_ONLY = pw.UnitBudget(gating=frozenset({"master"}))
@@ -557,6 +618,43 @@ class TestInOrder:
         assert self.runners[2] is threading.main_thread()
         assert self.yielded == [0, 1]
         assert set(threading.enumerate()) == threads_before
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_any_jobs_on_any_pool_come_in_job_order(self, data):
+        sleeps = data.draw(st.lists(st.floats(0.0, 2e-3), max_size=40), label="sleeps")
+        fail = data.draw(st.none() | st.integers(0, len(sleeps) - 1) if sleeps else st.none(),
+                         label="fail")
+        workers = data.draw(st.integers(0, 3), label="workers")
+
+        def fn(j):
+            time.sleep(sleeps[j])
+            if j == fail:
+                raise RuntimeError(f"job {j}")
+            return -j
+
+        threads_before = threading.active_count()
+        yielded, ahead = [], []
+        with mock.patch.object(hs, "_draw_threads", lambda: workers + 1):
+            with hs._pool(workers) as pool:
+                if pool is not None:
+                    submit = pool.submit
+
+                    def counted(fn, job):
+                        ahead.append(job - len(yielded))  # past the job due
+                        return submit(fn, job)
+
+                    pool.submit = counted
+                try:
+                    for result in hs._in_order(pool, fn, range(len(sleeps))):
+                        yielded.append(result)
+                except RuntimeError as err:
+                    assert str(err) == f"job {fail}"
+                else:
+                    assert fail is None
+            assert max(ahead, default=0) <= 2 * hs._draw_threads()
+        assert yielded == [-j for j in range(len(sleeps) if fail is None else fail)]
+        assert threading.active_count() == threads_before
 
 
 class TestReceiveThreads:
@@ -1097,7 +1195,7 @@ class TestScenarioFiles:
 
 
 # One slave's reply injected 528 samples into the master's command, at an
-# amplitude and with a tone that each pass validate alone.
+# amplitude and with a tone that each pass a Scenario's checks alone.
 TONE_AND_COLLISION = {
     "duration_s": 0.001, "ebn0_db": None, "modem": {"amplitude_v": 5.9e307},
     "channel": {"turns": 4, "cable_length_m": 2.0, "interference": [[1000.0, 1.777e308]]},
@@ -1121,11 +1219,10 @@ class TestValidate:
     ])
     def test_an_overflowing_front_end_is_config_invalid(self, amplitude_v, passband_gain):
         sc = scn.single_point_scenario(ebn0_db=None)
-        sc = replace(sc, modem=replace(sc.modem, amplitude_v=amplitude_v),
-                     front_end=replace(sc.front_end, passband_gain=passband_gain))
         with pytest.raises(hs.ConfigInvalid,
                            match=r"^front_end: .*modem\.amplitude_v.*front_end\.passband_gain"):
-            hs.run_scenario(sc)
+            hs.run_scenario(replace(sc, modem=replace(sc.modem, amplitude_v=amplitude_v),
+                                    front_end=replace(sc.front_end, passband_gain=passband_gain)))
 
     def test_overflowing_interference_is_config_invalid(self):
         sc = scn.single_point_scenario(ebn0_db=None)
@@ -1135,16 +1232,16 @@ class TestValidate:
             with pytest.raises(hs.ConfigInvalid, match=r"^channel\.interference: "):
                 hs.run_scenario(replace(sc, channel=replace(sc.channel, interference=tones)))
             # One such tone alone is still a valid scenario.
-            hs._Sim(replace(sc, channel=replace(sc.channel, interference=tones[:1])))
+            replace(sc, channel=replace(sc.channel, interference=tones[:1]))
 
     def test_a_tone_whose_phase_overflows_is_config_invalid(self):
         # 2 pi f is inf, so the tone is nan from its first sample.
         sc = scn.single_point_scenario(ebn0_db=None)
-        sc = replace(sc, channel=replace(sc.channel, interference=((1e3, 0.5), (1.7e308, 0.5))))
+        tones = ((1e3, 0.5), (1.7e308, 0.5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(hs.ConfigInvalid, match=r"^channel\.interference\[1\]: "):
-                hs.run_scenario(sc)
+                hs.run_scenario(replace(sc, channel=replace(sc.channel, interference=tones)))
 
     @pytest.mark.parametrize("front_end", [
         ch.FrontEndConfig(center_hz=5e-324),  # scipy's bilinear raises AttributeError
@@ -1154,15 +1251,15 @@ class TestValidate:
         ch.FrontEndConfig(center_hz=1e-3),  # a double pole at +1
     ])
     def test_a_front_end_without_a_usable_biquad_is_config_invalid(self, front_end):
-        sc = replace(scn.single_point_scenario(ebn0_db=None), front_end=front_end)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(hs.ConfigInvalid, match=r"^front_end: its biquad"):
-                hs.run_scenario(sc)
+                hs.run_scenario(replace(scn.single_point_scenario(ebn0_db=None),
+                                        front_end=front_end))
 
     def test_a_cached_biquad_is_still_checked(self):
         fe = ch.FrontEndConfig(center_hz=1e-300, quality_factor=1e-300, passband_gain=1e-9)
-        sc = replace(scn.single_point_scenario(ebn0_db=None), front_end=fe)
+        sc = scn.single_point_scenario(ebn0_db=None)
         # A rejected biquad is never cached: every call builds and rejects it again.
         for _ in range(2):
             with pytest.raises(ValueError, match=r"BadCoefficients"):
@@ -1170,7 +1267,7 @@ class TestValidate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(hs.ConfigInvalid, match=r"^front_end: .*BadCoefficients"):
-                hs._Sim(sc)
+                replace(sc, front_end=fe)
 
     @pytest.mark.parametrize("edit, path", [
         (lambda sc, b: replace(sc, master_budget=b), "master_budget"),
@@ -1181,10 +1278,10 @@ class TestValidate:
         sc = scn.single_point_scenario()
         budget = pw.UnitBudget(carrier_ua=1.7e308, signal_processing_ua=1.7e308)
         with pytest.raises(hs.ConfigInvalid, match=f"^{re.escape(path)}: "):
-            hs._Sim(edit(sc, budget))
+            edit(sc, budget)
         # Finite currents whose charge over the run overflows are rejected too.
         with pytest.raises(hs.ConfigInvalid, match=f"^{re.escape(path)}: "):
-            hs._Sim(edit(replace(sc, duration_s=1e300), pw.UnitBudget(carrier_ua=1e10)))
+            edit(replace(sc, duration_s=1e300), pw.UnitBudget(carrier_ua=1e10))
 
     @pytest.mark.parametrize("edit, path", [
         (lambda sc, b: replace(sc, master_budget=b), "master_budget"),
@@ -1197,8 +1294,8 @@ class TestValidate:
         # The charge fits a float64; the joules computed from it would not.
         assert math.isfinite((1e308 + pw.MODE_TABLE["RUN"].mcu_current_ua) * 0.5)
         with pytest.raises(hs.ConfigInvalid, match=f"^{re.escape(path)}: "):
-            hs._Sim(edit(sc, budget))
-        hs._Sim(edit(sc, pw.UnitBudget(carrier_ua=1e300)))
+            edit(sc, budget)
+        edit(sc, pw.UnitBudget(carrier_ua=1e300))
 
     def test_a_noise_sigma_past_float64_is_config_invalid(self):
         sc = scn.single_point_scenario(ebn0_db=None)
@@ -1207,24 +1304,25 @@ class TestValidate:
             warnings.simplefilter("error")
             with pytest.raises(hs.ConfigInvalid, match=r"^channel\.noise_sigma_v: "):
                 hs.run_scenario(noisy(1e308))
-            hs._Sim(noisy(1e300))
+            noisy(1e300)
 
     def test_a_derived_noise_sigma_past_float64_is_config_invalid(self):
         sc = replace(scn.single_point_scenario(), ebn0_db=-300.0)
         # The derived sigma scales with the amplitude: pick one giving 1e307 V.
         amplitude_v = 1e307 / hs.derived_noise_sigma(sc) * sc.modem.amplitude_v
-        sc = replace(sc, modem=replace(sc.modem, amplitude_v=amplitude_v))
-        assert hs.derived_noise_sigma(sc) < math.inf
+        modem = replace(sc.modem, amplitude_v=amplitude_v)
+        rx_modem = replace(modem, amplitude_v=amplitude_v * ch.channel_gain(sc.channel))
+        assert md.ebn0_to_noise_sigma(10 ** (sc.ebn0_db / 10), rx_modem) < math.inf
         with pytest.raises(hs.ConfigInvalid, match=r"^ebn0_db: "):
-            hs._Sim(sc)
+            replace(sc, modem=modem)
 
     def test_transmissions_that_sum_past_float64_are_config_invalid(self):
         sc = scn.multi_point_scenario(polls_per_slave=1, ebn0_db=None)
         # Six nodes on air at once sum past float64; each alone does not.
-        loud = replace(sc, modem=replace(sc.modem, amplitude_v=1.7e308 / 4))
+        loud = replace(sc.modem, amplitude_v=1.7e308 / 4)
         with pytest.raises(hs.ConfigInvalid, match=r"^modem\.amplitude_v: "):
-            hs._Sim(loud)
-        hs._Sim(replace(loud, slaves=loud.slaves[:1], poll_schedule=loud.poll_schedule[:1]))
+            replace(sc, modem=loud)
+        replace(sc, modem=loud, slaves=sc.slaves[:1], poll_schedule=sc.poll_schedule[:1])
 
     def test_tones_and_overlapping_transmissions_past_float64_are_config_invalid(self):
         # slave1 is injected 528 samples into the master's command, so the two
@@ -1254,14 +1352,14 @@ class TestValidate:
         ungated = pw.UnitBudget(carrier_ua=100.0, gating=frozenset({"master"}))
         with pytest.raises(hs.ConfigInvalid,
                            match=f"^{re.escape(path)}: only used when 'carrier' is in gating"):
-            hs._Sim(edit(sc, ungated))
+            edit(sc, ungated)
         # The default current of an ungated unit, or any current of a gated one, counts.
-        hs._Sim(edit(sc, replace(ungated, carrier_ua=130.0)))
-        hs._Sim(edit(sc, replace(ungated, gating=frozenset({"master", "carrier"}))))
+        edit(sc, replace(ungated, carrier_ua=130.0))
+        edit(sc, replace(ungated, gating=frozenset({"master", "carrier"})))
 
     def test_an_infinite_duration_is_config_invalid(self):
         with pytest.raises(hs.ConfigInvalid, match=r"^duration_s: "):
-            hs._Sim(replace(scn.single_point_scenario(), duration_s=math.inf))
+            replace(scn.single_point_scenario(), duration_s=math.inf)
 
     @pytest.mark.parametrize("edit, path", [
         (lambda sc: replace(sc, slaves=(replace(sc.slaves[0], temperature_c=150.0),)),
@@ -1273,6 +1371,5 @@ class TestValidate:
     def test_rejected_before_the_run(self, edit, path):
         sc = scn.multi_point_scenario(polls_per_slave=1)
         sc = replace(sc, slaves=sc.slaves[:1], poll_schedule=sc.poll_schedule[:1])
-        hs._Sim(sc)
         with pytest.raises(hs.ConfigInvalid, match=f"^{re.escape(path)}: "):
-            hs._Sim(edit(sc))
+            edit(sc)

@@ -148,9 +148,11 @@ class TestMaster:
 def test_default_timeout_covers_round_trip():
     from icsim.modem import ModemConfig
     cfg = ModemConfig()
-    timeout = nd.default_master_timeout_s(11, 11, cfg)
-    airtime = (8 * 11 + 1) * cfg.cycles_per_bit / cfg.carrier_hz
-    assert timeout == pytest.approx(2 * (2 * airtime + 7.8e-6))
+    prop_delay_s = 3.5e-6  # 700 m at 2e8 m/s
+    timeout = nd.master_timeout_s(cfg, prop_delay_s)
+    airtime = (8 * nd.FRAME_LEN + 1) * cfg.cycles_per_bit / cfg.carrier_hz
+    assert timeout == pytest.approx(2 * (2 * airtime + 7.8e-6) + 2 * prop_delay_s)
+    assert timeout - nd.master_timeout_s(cfg, 0.0) == pytest.approx(2 * prop_delay_s)
 
 
 class TestAccepts:
