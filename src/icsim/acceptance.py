@@ -223,13 +223,11 @@ def criterion_8_power_budget():
 def criterion_9_energy_accounting():
     """1 h STOP1 MCU-only = 566 uAh; concatenation is additive."""
     budget = pw.UnitBudget(gating=frozenset())
-    uah, _ = pw.charge_consumed([pw.TraceRecord("STOP1", 3600.0)], budget)
+    uah = pw.charge_consumed("STOP1", 3600.0, budget)
     if abs(uah - 566.0) > 1e-9 * 566.0:
         return False, f"STOP1 hour yields {uah} uAh, expected 566"
-    split = [pw.TraceRecord("RUN", 3600.0), pw.TraceRecord("RUN", 3600.0)]
-    joined = [pw.TraceRecord("RUN", 7200.0)]
-    a, _ = pw.charge_consumed(split, budget)
-    b, _ = pw.charge_consumed(joined, budget)
+    a = pw.charge_consumed("RUN", 3600.0, budget) + pw.charge_consumed("RUN", 3600.0, budget)
+    b = pw.charge_consumed("RUN", 7200.0, budget)
     if abs(a - b) > 1e-9 * b or abs(a - 24000.0) > 1e-9 * 24000.0:
         return False, f"additivity violated: {a} vs {b} uAh"
     return True, "566 uAh STOP1 hour; concatenation additive"

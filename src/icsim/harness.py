@@ -265,9 +265,8 @@ class _Node:
 
     def set_power_mode(self, now_s, mode):
         """Charge the stretch in the current mode up to now_s, and enter mode."""
-        stretch = [pw.TraceRecord(self.power_mode, now_s - self.last_change_s)]
-        self.stats.energy_uah += pw.charge_consumed(stretch, self.budget,
-                                                    pw.STANDBY_BUDGET_MODES)[0]
+        self.stats.energy_uah += pw.charge_consumed(self.power_mode, now_s - self.last_change_s,
+                                                    self.budget, pw.STANDBY_BUDGET_MODES)
         self.power_mode, self.last_change_s = mode, now_s
 
 
@@ -283,10 +282,8 @@ class _Sim:
         self.template = md.modulate((), sc.modem)
         # Every frame is FRAME_LEN bytes, so every reception is this long; its
         # block edges fall at the delay plus whole symbols.
-        n = md.frame_samples(FRAME_LEN, sc.modem) + self.delay
-        spb = sc.modem.samples_per_bit
-        block = max(1, _BLOCK_SAMPLES // spb) * spb
-        self.edges = [0, *range(self.delay + block, n, block), n]
+        self.edges = _block_edges(md.frame_samples(FRAME_LEN, sc.modem) + self.delay,
+                                  sc.modem.samples_per_bit, first=self.delay)
         # Each receiver of a reception is detected by one job on self.threads
         # threads: the calling one and a pool of the others, if any.
         self.threads = _draw_threads()
@@ -547,6 +544,13 @@ def _in_order(pool, fn, jobs):
         yield pending.popleft()[0].result()
 
 
+def _block_edges(n, spb, first=0):
+    """Edges of n samples' blocks: _BLOCK_SAMPLES rounded down to whole symbols
+    of spb samples, at least one, the first ending one block past first."""
+    block = max(1, _BLOCK_SAMPLES // spb) * spb
+    return [0, *range(first + block, n, block), n]
+
+
 def _noise_blocks(sigma, edges, rng, buffer):
     """Yield the noise of each block between edges: rng's next samples of
     N(0, sigma), drawn into the start of buffer, bitwise one draw over them all."""
@@ -589,7 +593,6 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
     grid = list(ebn0_db_list)
     sigmas = [md.ebn0_to_noise_sigma(10 ** (ebn0_db / 10), cfg) for ebn0_db in grid]
     spb = cfg.samples_per_bit
-    block = max(1, _BLOCK_SAMPLES // spb) * spb
     template = md.modulate((), cfg)
     jobs = ((gi, ci, min(chunk_bits, n_bits - done))
             for gi in range(len(grid)) for ci, done in enumerate(range(0, n_bits, chunk_bits)))
@@ -600,7 +603,7 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
         gi, ci, n = job
         rng = np.random.default_rng(np.random.SeedSequence([seed, gi, ci]))
         bits = rng.integers(0, 2, n)
-        signs, edges = md.symbol_signs(bits), [*range(0, (n + 1) * spb, block), (n + 1) * spb]
+        signs, edges = md.symbol_signs(bits), _block_edges((n + 1) * spb, spb)
 
         def received():
             for lo, noise in zip(edges, _noise_blocks(sigmas[gi], edges, rng, np.empty(edges[1]))):

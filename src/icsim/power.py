@@ -5,13 +5,17 @@ mode-comparison table; the four functional units (carrier, signal
 processing, power conversion, master) carry independently gateable static
 currents whose default sum is the 660 uA standby budget.
 
-STOP1 has two figures, and a run uses one.  A run keeps no trace: it charges
-each power stretch as it closes, through ``charge_consumed`` with
-``STANDBY_BUDGET_MODES``, in which the controller's STOP1 share is the 50 uA
-master unit of the standby budget, so STOP1 adds no controller current of
-its own.  ``MODE_TABLE``'s 566 uA is the STOP1 controller measured alone; it
-is the default of ``charge_consumed`` for traces that count the controller
-explicitly, as acceptance criterion 9 does.
+A mode is named by its key in ``MODE_TABLE``, and a stretch is time a node
+spends in one mode.  ``charge_consumed`` gives a stretch's charge in
+microamp-hours, and ``uah_to_joules`` turns a charge into energy.
+
+STOP1 has two figures, and a run uses one.  A run charges each stretch as it
+closes, through ``charge_consumed`` with ``STANDBY_BUDGET_MODES``, in which
+the controller's STOP1 share is the 50 uA master unit of the standby budget,
+so STOP1 adds no controller current of its own.  ``MODE_TABLE``'s 566 uA is
+the STOP1 controller measured alone; it is the default of
+``charge_consumed`` for stretches that count the controller explicitly, as
+acceptance criterion 9 does.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ SUPPLY_V = 3.7
 
 @dataclass(frozen=True)
 class PowerMode:
-    name: str
     mcu_current_ua: float
     wakeup_time_s: float
 
@@ -36,17 +39,17 @@ class PowerMode:
 # Measured mode table: RUN has no wake latency by definition; Sleep wakes in
 # 6 CPU cycles, converted at the 80 MHz maximum clock.
 MODE_TABLE: dict[str, PowerMode] = {
-    "RUN": PowerMode("RUN", 12000.0, 0.0),
-    "LPRUN": PowerMode("LPRUN", 3350.0, 64e-6),
-    "SLEEP": PowerMode("SLEEP", 1200.0, 6 / 80e6),
-    "STOP1": PowerMode("STOP1", 566.0, 7.8e-6),
-    "SHUTDOWN": PowerMode("SHUTDOWN", 0.23, 306e-6),
+    "RUN": PowerMode(12000.0, 0.0),
+    "LPRUN": PowerMode(3350.0, 64e-6),
+    "SLEEP": PowerMode(1200.0, 6 / 80e6),
+    "STOP1": PowerMode(566.0, 7.8e-6),
+    "SHUTDOWN": PowerMode(0.23, 306e-6),
 }
 
 # The table a run charges (see the module docstring).
 STANDBY_BUDGET_MODES: dict[str, PowerMode] = {
     **MODE_TABLE,
-    "STOP1": PowerMode("STOP1", 0.0, MODE_TABLE["STOP1"].wakeup_time_s),
+    "STOP1": PowerMode(0.0, MODE_TABLE["STOP1"].wakeup_time_s),
 }
 
 
@@ -71,20 +74,6 @@ class UnitBudget:
         return replace(self, gating=frozenset(enabled))
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """A stretch of time a node spent in one power mode."""
-
-    mode: str
-    duration_s: float
-
-    def __post_init__(self):
-        if self.mode not in MODE_TABLE:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.duration_s < 0:
-            raise ValueError("duration must be nonnegative")
-
-
 def standby_current(budget: UnitBudget) -> float:
     """Total static current in uA of the enabled units."""
     return sum(getattr(budget, f"{u}_ua") for u in UNIT_NAMES if u in budget.gating)
@@ -95,15 +84,15 @@ def uah_to_joules(uah: float) -> float:
     return uah * 3600.0 * SUPPLY_V * 1e-6
 
 
-def charge_consumed(trace: list[TraceRecord], budget: UnitBudget,
-                    modes=MODE_TABLE) -> tuple[float, float]:
-    """Accumulated (microamp-hours, joules) over a trace at SUPPLY_V.
+def charge_consumed(mode: str, duration_s: float, budget: UnitBudget,
+                    modes=MODE_TABLE) -> float:
+    """Charge in microamp-hours of duration_s spent in mode.
 
-    In each record the node draws its mode's MCU current plus the static
-    current of the budget's enabled units, which hold for the whole trace.
+    The node draws the mode's MCU current plus the static current of the
+    budget's enabled units.
     """
-    units = standby_current(budget)
-    uah = 0.0
-    for rec in trace:
-        uah += (modes[rec.mode].mcu_current_ua + units) * rec.duration_s / 3600.0
-    return uah, uah_to_joules(uah)
+    if mode not in modes:
+        raise ValueError(f"unknown mode {mode!r}")
+    if duration_s < 0:
+        raise ValueError("duration must be nonnegative")
+    return (modes[mode].mcu_current_ua + standby_current(budget)) * duration_s / 3600.0

@@ -101,7 +101,8 @@ MULTI_POINT_ADDRESSES = (
 
 
 def poll_spacing_s(modem: md.ModemConfig) -> float:
-    """Conservative gap between consecutive polls: one full exchange, doubled."""
+    """Conservative gap between consecutive polls: four exchanges, each two frame
+    airtimes and a STOP1 wake, plus 0.1 ms."""
     exchange = 2 * md.frame_airtime_s(FRAME_LEN, modem) + pw.MODE_TABLE["STOP1"].wakeup_time_s
     return 4.0 * exchange + 1e-4
 

@@ -22,8 +22,15 @@ def power_stretches(report, sc, node_id):
 
 
 def charge_of_stretches(report, sc, node_id):
-    """charge_consumed over node_id's stretches, under its budget in sc, as a run charges."""
+    """(uAh, joules) of node_id's stretches under its budget in sc, as a run charges them.
+
+    The charges are added with += in stretch order, as a run adds them: sum()
+    compensates float sums from Python 3.12 on, and the totals are compared
+    bitwise.
+    """
     budgets = {"master": sc.master_budget,
                **{f"slave{i + 1}": spec.budget for i, spec in enumerate(sc.slaves)}}
-    trace = [pw.TraceRecord(mode, hi - lo) for lo, hi, mode in power_stretches(report, sc, node_id)]
-    return pw.charge_consumed(trace, budgets[node_id], pw.STANDBY_BUDGET_MODES)
+    uah = 0.0
+    for lo, hi, mode in power_stretches(report, sc, node_id):
+        uah += pw.charge_consumed(mode, hi - lo, budgets[node_id], pw.STANDBY_BUDGET_MODES)
+    return uah, pw.uah_to_joules(uah)

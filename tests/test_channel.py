@@ -178,8 +178,9 @@ class TestCondition:
         fe = ch.FrontEndConfig()
         x = np.random.default_rng(block).normal(size=4096)
         state = np.zeros(2)
-        blocks = [ch.condition(x[lo : lo + block], fe, FS, state)
-                  for lo in range(0, len(x), block)]
+        # An empty block before each one must leave the carried state alone.
+        blocks = [ch.condition(x[lo:hi], fe, FS, state)
+                  for lo in range(0, len(x), block) for hi in (lo, lo + block)]
         assert np.array_equal(np.concatenate(blocks), ch.condition(x, fe, FS))
 
     def test_rejects_undersampled_input(self):

@@ -169,7 +169,7 @@ def run_with_warnings_as_errors(tmp_path, scenario):
 
 
 def test_run_rejects_a_budget_whose_joules_overflow_with_exit_2(tmp_path):
-    # The charge fits a float64, but charge_consumed's joules would not.
+    # The charge fits a float64, but uah_to_joules's joules would not.
     slave = dict(SCENARIO["slaves"][0], budget={"carrier_ua": 1e308})
     result = run_with_warnings_as_errors(tmp_path, dict(SCENARIO, duration_s=0.5,
                                                         slaves=[slave]))

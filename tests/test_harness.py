@@ -1,6 +1,6 @@
+import collections
 import copy
 import csv
-import gc
 import json
 import math
 import re
@@ -263,18 +263,23 @@ class TestEnergyConsistency:
             assert all(lo <= hi for lo, hi, _ in stretches)
             assert sum(hi - lo for lo, hi, _ in stretches) == pytest.approx(sc.duration_s)
 
-    def test_a_run_keeps_no_power_trace(self):
-        # Each stretch is charged as it closes, so no record of one is left,
-        # even while the simulator is alive.
-        def alive():
-            gc.collect()
-            return sum(isinstance(o, pw.TraceRecord) for o in gc.get_objects())
+    def test_a_run_keeps_no_power_trace(self, monkeypatch):
+        # Each stretch is charged on its own as it closes: one call per
+        # stretch of each node, given the stretch's mode and length.
+        charge, calls, types = pw.charge_consumed, collections.Counter(), set()
 
-        before = alive()
-        sim = hs._Sim(scn.multi_point_scenario(polls_per_slave=20, ebn0_db=None))
-        report = sim.run()
+        def spy(mode, duration_s, *args):
+            calls[sys._getframe(1).f_locals["self"].id] += 1  # the charging _Node
+            types.add((type(mode), type(duration_s)))
+            return charge(mode, duration_s, *args)
+
+        monkeypatch.setattr(pw, "charge_consumed", spy)
+        sc = scn.multi_point_scenario(polls_per_slave=20, ebn0_db=None)
+        report = hs.run_scenario(sc)
         assert report.nodes["slave1"].frames_sent == 20
-        assert alive() == before
+        assert calls == {node_id: len(power_stretches(report, sc, node_id))
+                         for node_id in report.nodes}
+        assert types == {(str, float)}
 
     def test_actions_past_the_end_of_the_run_are_dropped(self):
         # End the run 3 us after slave1 decodes its command: its 7.8 us wake

@@ -24,33 +24,34 @@ MCU_ONLY = pw.UnitBudget(gating=frozenset())
 
 class TestChargeConsumed:
     def test_stop1_hour_mcu_only(self):
-        uah, joules = pw.charge_consumed([pw.TraceRecord("STOP1", 3600.0)], MCU_ONLY)
+        uah = pw.charge_consumed("STOP1", 3600.0, MCU_ONLY)
         assert uah == pytest.approx(566.0, rel=1e-9)
-        assert joules == pytest.approx(566.0 * 3600 * 3.7 * 1e-6, rel=1e-9)
+        assert pw.uah_to_joules(uah) == pytest.approx(566.0 * 3600 * 3.7 * 1e-6, rel=1e-9)
 
-    def test_empty_trace(self):
-        assert pw.charge_consumed([], pw.UnitBudget()) == (0.0, 0.0)
+    def test_zero_length_stretch_charges_nothing(self):
+        assert pw.charge_consumed("RUN", 0.0, pw.UnitBudget()) == 0.0
 
     def test_additive_over_concatenation(self):
-        split = [pw.TraceRecord("RUN", 3600.0), pw.TraceRecord("RUN", 3600.0)]
-        joined = [pw.TraceRecord("RUN", 7200.0)]
-        assert pw.charge_consumed(split, MCU_ONLY)[0] == pytest.approx(24_000.0, rel=1e-9)
-        assert pw.charge_consumed(split, MCU_ONLY) == pw.charge_consumed(joined, MCU_ONLY)
-
-    def test_order_independent(self):
-        budget = pw.UnitBudget()
-        a = [pw.TraceRecord("RUN", 10.0), pw.TraceRecord("STOP1", 20.0)]
-        b = [pw.TraceRecord("STOP1", 20.0), pw.TraceRecord("RUN", 10.0)]
-        assert pw.charge_consumed(a, budget) == pytest.approx(pw.charge_consumed(b, budget))
+        hour = pw.charge_consumed("RUN", 3600.0, MCU_ONLY)
+        split = hour + hour
+        assert split == pytest.approx(24_000.0, rel=1e-9)
+        assert split == pw.charge_consumed("RUN", 7200.0, MCU_ONLY)
 
     def test_gated_units_counted_per_record(self):
-        uah, _ = pw.charge_consumed([pw.TraceRecord("STOP1", 3600.0)], pw.UnitBudget())
+        uah = pw.charge_consumed("STOP1", 3600.0, pw.UnitBudget())
         assert uah == pytest.approx(566.0 + 660.0, rel=1e-9)
 
     def test_standby_budget_modes_exclude_stop1_mcu(self):
-        trace = [pw.TraceRecord("STOP1", 3600.0)]
-        uah, _ = pw.charge_consumed(trace, pw.UnitBudget(), pw.STANDBY_BUDGET_MODES)
+        uah = pw.charge_consumed("STOP1", 3600.0, pw.UnitBudget(), pw.STANDBY_BUDGET_MODES)
         assert uah == pytest.approx(660.0, rel=1e-9)
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'STOP2'"):
+            pw.charge_consumed("STOP2", 1.0, MCU_ONLY)
+
+    def test_rejects_negative_duration(self):
+        with pytest.raises(ValueError, match="duration must be nonnegative"):
+            pw.charge_consumed("RUN", -1e-9, MCU_ONLY)
 
 
 def test_mode_table_values():
