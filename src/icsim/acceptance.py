@@ -9,6 +9,7 @@ run this list.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -148,19 +149,21 @@ def criterion_5_single_point():
     return True, "reply 00 ff, zero errors at 9600 and 115200"
 
 
-_MULTI_POINT_CACHE: dict = {}
+def _multi_point_run() -> hs.Report:
+    return hs.run_scenario(scn.multi_point_scenario(polls_per_slave=100))
 
 
-def _multi_point_report_json() -> bytes:
-    report = hs.run_scenario(scn.multi_point_scenario(polls_per_slave=100))
+# Criterion 6 reads the first run; criterion 11 compares it with a second.
+_first_multi_point_run = functools.cache(_multi_point_run)
+
+
+def _report_json(report: hs.Report) -> bytes:
     return json.dumps(report.to_dict(), indent=2, sort_keys=True).encode()
 
 
 def criterion_6_multi_point():
     """Five slaves, 700 m, 100 polls each: zero errors, correct temperatures."""
-    raw = _multi_point_report_json()
-    _MULTI_POINT_CACHE["first_run"] = raw
-    report = hs.Report.from_dict(json.loads(raw))
+    report = _first_multi_point_run()
     errors = sum(s.decode_errors for s in report.nodes.values())
     timeouts = sum(s.timeouts for s in report.nodes.values())
     if errors or timeouts:
@@ -248,10 +251,7 @@ def criterion_10_wake_latency():
 
 def criterion_11_determinism():
     """A second run of the multi-point scenario is byte-identical."""
-    first = _MULTI_POINT_CACHE.get("first_run")
-    if first is None:
-        first = _multi_point_report_json()
-    second = _multi_point_report_json()
+    first, second = _report_json(_first_multi_point_run()), _report_json(_multi_point_run())
     if first != second:
         return False, "report.json differs between runs"
     return True, f"two runs byte-identical ({len(second)} bytes)"

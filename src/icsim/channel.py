@@ -8,8 +8,8 @@ from its symbol signs as plus or minus one symbol template.  Every node
 hears the one noiseless signal plus its own seeded Gaussian noise,
 ``channel_noise``: a reception is the two summed.  The front end is a single
 biquad band-pass (bilinear transform, prewarped at the center frequency)
-with a configurable passband gain; ``frontend_biquad`` builds and checks it
-once, and ``condition`` can run it over a reception in consecutive blocks.
+with the bench's passband gain of 3; ``frontend_biquad`` builds and checks
+it once, and ``condition`` can run it over a reception in consecutive blocks.
 Samples are 1-D float64 arrays; the functions that depend on time take the
 sample rate as an argument, which in a run is always
 ``ModemConfig.sample_rate_hz``.
@@ -55,7 +55,7 @@ class ChannelConfig:
 @dataclass(frozen=True)
 class FrontEndConfig:
     center_hz: float = 1.67e6
-    passband_gain: float = 3.0
+    passband_gain: float = 3.0  # the bench's gain, the only one a Scenario accepts
     quality_factor: float = 1.0
 
     def __post_init__(self):

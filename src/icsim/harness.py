@@ -128,6 +128,10 @@ class Scenario:
                                 "whatever modem.amplitude_v; choose front_end.passband_gain, "
                                 "center_hz and quality_factor that give a finite, stable "
                                 "filter") from err
+        if self.front_end.passband_gain != ch.FrontEndConfig.passband_gain:
+            raise ConfigInvalid("front_end.passband_gain: the front end scales the signal, "
+                                "the noise and every tone alike, so its gain cannot change "
+                                f"a report; use {ch.FrontEndConfig.passband_gain!r}")
         frame_samples = md.frame_samples(FRAME_LEN, self.modem)
         if frame_samples > MAX_RECEPTION_SAMPLES:
             raise ConfigInvalid(f"modem: a frame of {frame_samples} samples is over "
@@ -226,14 +230,6 @@ class Report:
             "link": asdict(self.link),
             "timeline": self.timeline,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Report":
-        return cls(
-            nodes={k: NodeStats(**v) for k, v in d["nodes"].items()},
-            link=LinkStats(**d["link"]),
-            timeline=list(d["timeline"]),
-        )
 
 
 # --- simulation internals ---------------------------------------------------
@@ -393,9 +389,8 @@ class _Sim:
             return md.demodulate(conditioned(), self.sc.modem, len(tx.bits))
         except md.NonFiniteSignal as err:
             raise ConfigInvalid(f"front_end: the conditioned reception overflowed "
-                                f"float64 ({err}); lower modem.amplitude_v or "
-                                f"front_end.passband_gain, or channel.interference "
-                                f"or channel.noise_sigma_v") from err
+                                f"float64 ({err}); lower modem.amplitude_v, "
+                                "channel.interference or channel.noise_sigma_v") from err
 
     # -- protocol glue --
 

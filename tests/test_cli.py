@@ -4,6 +4,7 @@ import warnings
 import pytest
 from click.testing import CliRunner
 
+from icsim import acceptance
 from icsim import harness as hs
 from icsim import modem as md
 from icsim import scenarios as scn
@@ -106,6 +107,16 @@ def test_run_rejects_an_overflowing_front_end_with_exit_2(tmp_path):
     assert result.exit_code == 2, result.output
     assert "front_end: " in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("gain, exit_code", [(1.0, 2), (6.0, 2), (3.0, 0)])
+def test_run_accepts_only_the_benchs_passband_gain(tmp_path, gain, exit_code):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(dict(SCENARIO, front_end={"passband_gain": gain})))
+    result = CliRunner().invoke(main, ["run", "--scenario", str(scenario_path),
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code == exit_code, result.output
+    assert ("config error: front_end.passband_gain: " in result.output) == (exit_code == 2)
 
 
 def test_run_rejects_overflowing_interference_with_exit_2(tmp_path):
@@ -355,3 +366,18 @@ def test_ber_sweep_unwritable_out_is_an_io_error_with_exit_1(tmp_path):
     assert result.exit_code == 1
     assert "io error" in result.output
     assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("second_passes, exit_code", [(True, 0), (False, 1)],
+                         ids=["all_pass", "one_fails"])
+def test_validate_exits_0_only_when_every_criterion_passes(monkeypatch, second_passes, exit_code):
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        (1, "first", lambda: (True, "fine")),
+        (2, "second", lambda: (second_passes, "checked")),
+    ])
+    result = CliRunner().invoke(main, ["validate"])
+    assert result.exit_code == exit_code, result.output
+    lines = result.output.splitlines()
+    assert lines[0] == "PASS criterion 1: first -- fine"
+    assert lines[1] == f"{'PASS' if second_passes else 'FAIL'} criterion 2: second -- checked"
+    assert len(lines) == 2

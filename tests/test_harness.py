@@ -8,9 +8,10 @@ import sys
 import threading
 import time
 import tracemalloc
+import typing
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from functools import reduce
 from operator import getitem
 from unittest import mock
@@ -138,30 +139,105 @@ def absolute_noise(sc, interference=()):
 
 
 class TestPassbandGainScaling:
-    # The front end's gain scales the signal, the noise and any tone alike
-    # before detection, which compares correlations only with each other.
-    # A power-of-two gain scales every conditioned sample exactly, so no
-    # report may change, whichever way the noise is set.
-    @pytest.mark.parametrize("noise", [
-        lambda sc: sc,
-        absolute_noise,
-        lambda sc: absolute_noise(sc, interference=((1.6e6, 0.05),)),
-    ], ids=["ebn0_db", "noise_sigma_v", "noise_sigma_v_and_tone"])
-    def test_report_is_byte_identical(self, noise):
-        sc = noise(scn.multi_point_scenario(polls_per_slave=2, ebn0_db=6.0))
-        ref = hs.run_scenario(sc)
-        assert ref.link.bit_errors > 0
-        dump = lambda r: json.dumps(r.to_dict(), indent=2, sort_keys=True)
-        for scale in (2, 1 / 4):
-            front_end = replace(sc.front_end, passband_gain=sc.front_end.passband_gain * scale)
-            assert dump(hs.run_scenario(replace(sc, front_end=front_end))) == dump(ref)
-
+    # A gain other than the bench's is rejected (TestEveryKnob); the channel's is a knob.
     def test_the_channel_does_change_a_report_under_absolute_noise(self):
-        # Not vacuous: with the noise sigma fixed, fewer turns lower the
-        # received signal against it, and the report changes.
+        # With the noise sigma fixed, fewer turns lower the received signal
+        # against it, and the report changes.
         sc = absolute_noise(scn.multi_point_scenario(polls_per_slave=2, ebn0_db=6.0))
         fewer_turns = replace(sc, channel=replace(sc.channel, turns=2))
         assert hs.run_scenario(fewer_turns).link.bit_errors != hs.run_scenario(sc).link.bit_errors
+
+
+def schema_leaves(tp, prefix=""):
+    """Paths of tp's leaf fields, through nested config dataclasses; the
+    fields of a tuple of them, such as slaves, are named "slaves[]."."""
+    hints = typing.get_type_hints(tp)
+    for f in fields(tp):
+        hint, path = hints[f.name], prefix + f.name
+        if hint is not fc.Address and is_dataclass(hint):
+            yield from schema_leaves(hint, f"{path}.")
+        elif typing.get_origin(hint) is tuple and is_dataclass(typing.get_args(hint)[0]):
+            yield from schema_leaves(typing.get_args(hint)[0], f"{path}[].")
+        else:
+            yield path
+
+
+def with_field(sc, path, value):
+    """sc, or a config nested in it, with the field at path set to value;
+    path names one item of a tuple by its index, as "slaves[0].mode"."""
+    head, _, rest = path.partition(".")
+    name, index = re.fullmatch(r"(\w+)(?:\[(\d+)\])?", head).groups()
+    old = getattr(sc, name)
+    if index is not None:
+        i = int(index)
+        new = (*old[:i], with_field(old[i], rest, value), *old[i + 1:])
+    else:
+        new = with_field(old, rest, value) if rest else value
+    return replace(sc, **{name: new})
+
+
+# Protocol and energy fields change the 20 dB run.  Under ebn0_db the noise
+# follows the received amplitude, so the RF fields change a run only against
+# an absolute noise sigma: 6 dB of it, with a tone.  A slave's mode changes
+# the single-point run, whose function-test slave may turn sensor.
+KNOB_BASELINES = {
+    "20 dB": lambda: scn.multi_point_scenario(polls_per_slave=2),
+    "absolute noise": lambda: absolute_noise(scn.multi_point_scenario(polls_per_slave=2, ebn0_db=6.0),
+                                             interference=((1.6e6, 0.05),)),
+    "single point": scn.single_point_scenario,
+}
+KNOBS = [
+    ("duration_s", "20 dB", 0.1),
+    ("seed", "absolute noise", 3),
+    ("poll_schedule", "20 dB", ((0.001, scn.MULTI_POINT_ADDRESSES[0]),)),
+    ("collision_injections", "20 dB", ((0.001, "slave1"),)),
+    ("ebn0_db", "20 dB", 6.0),
+    ("modem.carrier_hz", "20 dB", 1.0e6),
+    ("modem.samples_per_cycle", "absolute noise", 8),
+    ("modem.bit_rate_bps", "20 dB", 57600),
+    ("modem.amplitude_v", "absolute noise", 6.0),
+    ("channel.turns", "absolute noise", 2),
+    ("channel.cable_length_m", "20 dB", 2.0),
+    ("channel.attenuation_per_m", "absolute noise", 1e-3),
+    ("channel.noise_sigma_v", "absolute noise", 0.05),
+    ("channel.interference", "absolute noise", ((1.6e6, 0.5),)),
+    ("channel.propagation_speed_mps", "20 dB", 1e8),
+    ("front_end.center_hz", "absolute noise", 1.0e6),
+    ("front_end.quality_factor", "absolute noise", 5.0),
+    ("slaves[0].address", "20 dB", fc.Address(bytes(6))),
+    ("slaves[0].mode", "single point", "sensor"),
+    ("slaves[0].temperature_c", "20 dB", 30.0),
+    *((f"{budget}.{unit}_ua", "20 dB", 100.0)
+      for budget in ("master_budget", "slaves[0].budget") for unit in pw.UNIT_NAMES),
+    ("master_budget.gating", "20 dB", frozenset({"master"})),
+    ("slaves[0].budget.gating", "20 dB", frozenset({"master"})),
+]
+
+
+class TestEveryKnob:
+    """Every scenario field can change a report, or no value but its default is accepted."""
+
+    def test_the_table_covers_every_field(self):
+        listed = [re.sub(r"\[\d+\]", "[]", path) for path, _, _ in KNOBS]
+        assert sorted([*listed, "front_end.passband_gain"]) == sorted(schema_leaves(hs.Scenario))
+
+    @pytest.mark.parametrize("path, baseline, value", KNOBS, ids=[path for path, _, _ in KNOBS])
+    def test_a_field_changes_the_report(self, path, baseline, value, tmp_path):
+        def report_bytes(sc):
+            hs.emit_report(hs.run_scenario(sc), "json", tmp_path / "report.json")
+            return (tmp_path / "report.json").read_bytes()
+
+        sc = KNOB_BASELINES[baseline]()
+        assert report_bytes(with_field(sc, path, value)) != report_bytes(sc)
+
+    @pytest.mark.parametrize("gain", [1.0, 1.5, 6.0])
+    def test_a_passband_gain_but_the_benchs_is_config_invalid(self, gain):
+        # The front end scales the signal, the noise and every tone alike
+        # before detection, which compares correlations only with each other.
+        for make in KNOB_BASELINES.values():
+            with pytest.raises(hs.ConfigInvalid, match=r"^front_end\.passband_gain: .*3\.0"):
+                with_field(make(), "front_end.passband_gain", gain)
+        assert ch.FrontEndConfig(passband_gain=gain).passband_gain == gain
 
 
 class TestConservation:
@@ -459,12 +535,12 @@ class TestMeasureBer:
         assert ref[0][1] > 0
 
     def test_memory_does_not_grow_with_the_bit_count(self, monkeypatch):
-        monkeypatch.setattr(hs, "_draw_threads", lambda: 2)
         cfg = md.ModemConfig()
         assert cfg.samples_per_bit == 224
         block_bytes = hs._BLOCK_SAMPLES // 224 * 224 * 8
 
-        def peak_traced_bytes(n_bits, chunk_bits):
+        def peak_traced_bytes(threads, n_bits, chunk_bits):
+            monkeypatch.setattr(hs, "_draw_threads", lambda: threads)
             tracemalloc.start()
             try:
                 hs.measure_ber(cfg, [6.0], n_bits, seed=5, chunk_bits=chunk_bits)
@@ -472,14 +548,18 @@ class TestMeasureBer:
             finally:
                 tracemalloc.stop()
 
-        short, long = peak_traced_bytes(20_000, 2000), peak_traced_bytes(80_000, 2000)
-        assert abs(long - short) <= 0.1 * short
+        # On one thread the peak is one chunk job's, the same in every run.
+        # On two it is two jobs' only when their peaks meet, which a short
+        # run may never see, so growth is checked on one.
+        short = peak_traced_bytes(1, 20_000, 2000)
+        assert abs(peak_traced_bytes(1, 80_000, 2000) - short) <= 0.1 * short
         # Each of the two running chunk jobs holds a block of noise and a
         # block-sized group of symbols to add to it, whatever the chunk's
         # length; only its bits and per-symbol correlations grow with it,
         # about 1.5 MB for 20000 bits.  Whole chunks of noise would be 36 MB each.
-        assert long <= 2 * 3 * block_bytes
-        assert peak_traced_bytes(80_000, 20_000) - long <= 4 * block_bytes
+        short, long = peak_traced_bytes(2, 20_000, 2000), peak_traced_bytes(2, 80_000, 2000)
+        assert max(short, long) <= 2 * 3 * block_bytes
+        assert peak_traced_bytes(2, 80_000, 20_000) - long <= 4 * block_bytes
 
 
 class TestMeasureBerThreads:
@@ -948,8 +1028,7 @@ class TestReportIo:
     def test_json_round_trip(self, single_point_report, tmp_path):
         path = tmp_path / "report.json"
         hs.emit_report(single_point_report, "json", path)
-        back = hs.Report.from_dict(json.loads(path.read_text()))
-        assert back.to_dict() == single_point_report.to_dict()
+        assert json.loads(path.read_text()) == single_point_report.to_dict()
 
     def test_csv_rows(self, single_point_report, tmp_path):
         path = tmp_path / "report.csv"
@@ -1220,12 +1299,11 @@ class TestValidate:
     @pytest.mark.parametrize("amplitude_v, passband_gain", [
         (12.0, 1e303),  # the biquad's b coefficients are inf and nan
         (12.0, 2e302),
-        (1e300, 1e10),
+        (4.25e307, 3.0),  # the symbol correlations overflow during the run
     ])
     def test_an_overflowing_front_end_is_config_invalid(self, amplitude_v, passband_gain):
         sc = scn.single_point_scenario(ebn0_db=None)
-        with pytest.raises(hs.ConfigInvalid,
-                           match=r"^front_end: .*modem\.amplitude_v.*front_end\.passband_gain"):
+        with pytest.raises(hs.ConfigInvalid, match=r"^front_end: .*modem\.amplitude_v"):
             hs.run_scenario(replace(sc, modem=replace(sc.modem, amplitude_v=amplitude_v),
                                     front_end=replace(sc.front_end, passband_gain=passband_gain)))
 
