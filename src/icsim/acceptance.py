@@ -10,7 +10,6 @@ run this list.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import random
 import time
@@ -157,10 +156,6 @@ def _multi_point_run() -> hs.Report:
 _first_multi_point_run = functools.cache(_multi_point_run)
 
 
-def _report_json(report: hs.Report) -> bytes:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True).encode()
-
-
 def criterion_6_multi_point():
     """Five slaves, 700 m, 100 polls each: zero errors, correct temperatures."""
     report = _first_multi_point_run()
@@ -251,10 +246,11 @@ def criterion_10_wake_latency():
 
 def criterion_11_determinism():
     """A second run of the multi-point scenario is byte-identical."""
-    first, second = _report_json(_first_multi_point_run()), _report_json(_multi_point_run())
+    first = "".join(hs.report_json_chunks(_first_multi_point_run()))
+    second = "".join(hs.report_json_chunks(_multi_point_run()))
     if first != second:
         return False, "report.json differs between runs"
-    return True, f"two runs byte-identical ({len(second)} bytes)"
+    return True, f"two runs byte-identical ({len(second.encode())} bytes)"
 
 
 CRITERIA = [

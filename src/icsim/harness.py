@@ -125,9 +125,9 @@ class Scenario:
             ch.frontend_biquad(self.front_end, self.modem.sample_rate_hz)
         except ValueError as err:
             raise ConfigInvalid(f"front_end: {err}, so no reception can be conditioned, "
-                                "whatever modem.amplitude_v; choose front_end.passband_gain, "
-                                "center_hz and quality_factor that give a finite, stable "
-                                "filter") from err
+                                "whatever modem.amplitude_v; choose center_hz and quality_factor "
+                                "that give a finite, stable filter at the bench's gain of "
+                                f"{ch.FrontEndConfig.passband_gain!r}") from err
         if self.front_end.passband_gain != ch.FrontEndConfig.passband_gain:
             raise ConfigInvalid("front_end.passband_gain: the front end scales the signal, "
                                 "the noise and every tone alike, so its gain cannot change "
@@ -366,22 +366,22 @@ class _Sim:
 
     def detect(self, propagated, tx, node):
         """The bits node demodulates from tx's propagated signal plus its
-        noise, drawn a block at a time from the receiver's one seeded
-        Generator into one block's buffer (none when the run is noiseless).
-        As demodulate asks for each block, the signal is added into the
-        noise and the sum conditioned with the biquad state carried from the last."""
-        noise = itertools.repeat(None)
+        noise.  As demodulate asks for each block, the block's noise is
+        drawn from the receiver's one seeded Generator into one block's
+        buffer (none when the run is noiseless), the signal is added into
+        it and the sum conditioned with the biquad state carried from the last."""
         if self.sigma > 0:
             rng = np.random.default_rng(self._rx_seed(tx.index, node.id))
-            noise = _noise_blocks(self.sigma, self.edges, rng, np.empty(self.edges[1]))
+            buffer = np.empty(self.edges[1])
         state = np.zeros(2)
 
         def conditioned():
-            for lo, hi, drawn in zip(self.edges, self.edges[1:], noise):
+            for lo, hi in zip(self.edges, self.edges[1:]):
                 received = propagated[lo:hi]
-                if drawn is not None:
+                if self.sigma > 0:
                     # Elementwise, and addition commutes: bitwise signal + noise.
-                    received = np.add(drawn, received, out=drawn)
+                    noise = ch.channel_noise(self.sigma, hi - lo, rng, buffer[: hi - lo])
+                    received = np.add(noise, received, out=noise)
                 block = ch.condition(received, self.sc.front_end, self.fs, state)
                 yield block if lo else block[self.delay:]
 
@@ -546,13 +546,6 @@ def _block_edges(n, spb, first=0):
     return [0, *range(first + block, n, block), n]
 
 
-def _noise_blocks(sigma, edges, rng, buffer):
-    """Yield the noise of each block between edges: rng's next samples of
-    N(0, sigma), drawn into the start of buffer, bitwise one draw over them all."""
-    for lo, hi in zip(edges, edges[1:]):
-        yield ch.channel_noise(sigma, hi - lo, rng, buffer[: hi - lo])
-
-
 def _ran_here(fn, job) -> Future:
     """Run ``fn(job)`` on the calling thread; its result or exception in a done Future."""
     future = Future()
@@ -601,10 +594,12 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
         signs, edges = md.symbol_signs(bits), _block_edges((n + 1) * spb, spb)
 
         def received():
-            for lo, noise in zip(edges, _noise_blocks(sigmas[gi], edges, rng, np.empty(edges[1]))):
+            buffer = np.empty(edges[1])
+            for lo, hi in zip(edges, edges[1:]):
                 # channel_noise draws what normal(0, sigma) does, and addition
                 # commutes, so this is signal + normal(0, sigma) bit for bit.
-                yield ch.superpose([signs], [-lo], len(noise), template, out=noise)
+                noise = ch.channel_noise(sigmas[gi], hi - lo, rng, buffer[: hi - lo])
+                yield ch.superpose([signs], [-lo], hi - lo, template, out=noise)
 
         return gi, int(np.count_nonzero(bits != md.demodulate(received(), cfg, n)))
 
@@ -657,8 +652,7 @@ def emit_report(report: Report, fmt: str, path) -> None:
     """Write a report as JSON or CSV, whole or not at all."""
     if fmt == "json":
         with _written_whole(path) as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+            fh.writelines(report_json_chunks(report))
     elif fmt == "csv":
         # One table: node rows leave the link columns empty and vice versa.
         columns = ["node", *(f.name for f in fields(NodeStats)),
@@ -671,6 +665,13 @@ def emit_report(report: Report, fmt: str, path) -> None:
             writer.writerow({"node": "link", **asdict(report.link)})
     else:
         raise ValueError(f"unknown report format {fmt!r}")
+
+
+def report_json_chunks(report: Report):
+    """report.json's text, in chunks: keys sorted, indented, no nan or inf, newline-ended."""
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+    yield from encoder.iterencode(report.to_dict())
+    yield "\n"
 
 
 def emit_timeline(report: Report, path) -> None:

@@ -7,8 +7,9 @@ statistic carries no residual carrier term.  A reference symbol is prepended
 by the modulator; the receiver is assumed symbol-synchronous.  A frame is
 thus fully described by its ``symbol_signs`` and the template.  Bits travel
 as uint8 numpy arrays, LSB first within each byte; samples travel as 1-D
-float64 arrays at ``ModemConfig.sample_rate_hz``, and the demodulator also
-takes them as consecutive blocks of whole symbols.
+float64 arrays at ``ModemConfig.sample_rate_hz``.  ``correlations`` reduces
+them, also in blocks of whole symbols, to each symbol's I/Q correlations,
+and ``decide`` those to bits: ``demodulate`` is ``decide(correlations(...))``.
 """
 
 from __future__ import annotations
@@ -97,14 +98,6 @@ def _carrier(samples_per_bit: int, samples_per_cycle: int) -> np.ndarray:
     return basis
 
 
-def _correlate(symbols: np.ndarray, cfg: ModemConfig) -> np.ndarray:
-    """(2, n) in-phase and quadrature correlations of n rows of spb samples.
-
-    einsum, unlike matmul, never calls BLAS, so no BLAS helper thread runs.
-    """
-    return np.einsum("kj,ij->ki", _carrier(cfg.samples_per_bit, cfg.samples_per_cycle), symbols)
-
-
 def symbol_signs(bits) -> np.ndarray:
     """Each symbol's sign, +1 or -1, from the reference symbol's +1 on.
 
@@ -122,17 +115,9 @@ def modulate(bits, cfg: ModemConfig) -> np.ndarray:
     return (symbol_signs(bits)[:, None] * template).ravel()
 
 
-def demodulate(samples, cfg: ModemConfig, n_bits: int) -> np.ndarray:
-    """Differential detection over whole symbols, returning uint8 bits.
-
-    Each symbol is first correlated against the carrier quadratures, which
-    rejects out-of-band noise; the statistic for symbol k >= 1 is then the
-    product with the previous symbol's correlation.  A negative value means
-    the phase stepped by pi (bit 1).  For in-band components this equals the
-    plain sample-wise delayed product up to a positive scale.  The
-    correlations are first scaled by a power of two, which is exact, so that
-    a faint signal's products do not underflow to 0.  A correlation that is
-    inf or nan, from samples that overflowed float64, raises NonFiniteSignal.
+def correlations(samples, cfg: ModemConfig, n_bits: int) -> np.ndarray:
+    """(2, n_bits + 1) in-phase and quadrature correlations of the first
+    n_bits + 1 symbols against the carrier, which rejects out-of-band noise.
 
     ``samples`` is one array, or an iterable of consecutive blocks that each
     hold whole symbols, so a long reception need never be held whole;
@@ -145,6 +130,7 @@ def demodulate(samples, cfg: ModemConfig, n_bits: int) -> np.ndarray:
     """
     spb = cfg.samples_per_bit
     n_symbols = n_bits + 1
+    basis = _carrier(spb, cfg.samples_per_cycle)
     blocks = [samples] if isinstance(samples, np.ndarray) else samples
     parts, done, seen = [], 0, 0
     for block in blocks:
@@ -152,13 +138,25 @@ def demodulate(samples, cfg: ModemConfig, n_bits: int) -> np.ndarray:
             raise ValueError(f"a block ends {seen % spb} samples into a symbol")
         seen += len(block)
         k = min(len(block) // spb, n_symbols - done)
-        parts.append(_correlate(block[: k * spb].reshape(k, spb), cfg))
+        parts.append(np.einsum("kj,ij->ki", basis, block[: k * spb].reshape(k, spb)))
         done += k
         if done == n_symbols:
             break
     else:
         raise InsufficientSamples(f"need {n_symbols * spb} samples, got {seen}")
-    iq = np.concatenate(parts, axis=1)
+    return np.concatenate(parts, axis=1)
+
+
+def decide(iq: np.ndarray) -> np.ndarray:
+    """The n uint8 bits differentially detected from (2, n + 1) symbol
+    correlations: symbol k's bit is 1 when I_k I_{k-1} + Q_k Q_{k-1} < 0,
+    a phase step of more than pi/2.  For in-band components that statistic
+    equals the plain sample-wise delayed product up to a positive scale.
+    The correlations are first scaled by a power of two, which is exact, so
+    that a faint signal's products do not underflow to 0.  A correlation
+    that is inf or nan, from samples that overflowed float64, raises
+    NonFiniteSignal.
+    """
     peak = np.max(np.abs(iq))
     if not math.isfinite(peak):
         raise NonFiniteSignal(f"the symbol correlations reach {float(peak)!r}")
@@ -167,6 +165,11 @@ def demodulate(samples, cfg: ModemConfig, n_bits: int) -> np.ndarray:
     in_phase, quadrature = iq
     stats = in_phase[1:] * in_phase[:-1] + quadrature[1:] * quadrature[:-1]
     return (stats < 0).view(np.uint8)
+
+
+def demodulate(samples, cfg: ModemConfig, n_bits: int) -> np.ndarray:
+    """The n_bits uint8 bits of samples, as correlations takes them, by decide."""
+    return decide(correlations(samples, cfg, n_bits))
 
 
 def theoretical_dpsk_ber(ebn0_linear: float) -> float:

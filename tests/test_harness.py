@@ -1030,6 +1030,13 @@ class TestReportIo:
         hs.emit_report(single_point_report, "json", path)
         assert json.loads(path.read_text()) == single_point_report.to_dict()
 
+    def test_json_file_is_the_report_json_text(self, single_point_report, tmp_path):
+        path = tmp_path / "report.json"
+        hs.emit_report(single_point_report, "json", path)
+        text = "".join(hs.report_json_chunks(single_point_report))
+        assert path.read_bytes() == text.encode()
+        assert text.endswith("}\n")
+
     def test_csv_rows(self, single_point_report, tmp_path):
         path = tmp_path / "report.csv"
         hs.emit_report(single_point_report, "csv", path)
@@ -1059,6 +1066,8 @@ class TestReportIo:
         report.nodes["master"].energy_uah = math.inf
         with pytest.raises(ValueError, match="JSON"):
             hs.emit_report(report, "json", tmp_path / "report.json")
+        with pytest.raises(ValueError, match="JSON"):
+            "".join(hs.report_json_chunks(report))
         # Neither the report nor its temporary is left behind.
         assert list(tmp_path.iterdir()) == []
         report.timeline.append({"time_s": math.nan, "node": "master", "kind": "log"})
@@ -1336,9 +1345,12 @@ class TestValidate:
     def test_a_front_end_without_a_usable_biquad_is_config_invalid(self, front_end):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(hs.ConfigInvalid, match=r"^front_end: its biquad"):
+            with pytest.raises(hs.ConfigInvalid, match=r"^front_end: its biquad") as caught:
                 hs.run_scenario(replace(scn.single_point_scenario(ebn0_db=None),
                                         front_end=front_end))
+        # A Scenario takes only the bench's gain, so the message does not offer another.
+        assert "choose front_end.passband_gain" not in str(caught.value)
+        assert "center_hz and quality_factor" in str(caught.value)
 
     def test_a_cached_biquad_is_still_checked(self):
         fe = ch.FrontEndConfig(center_hz=1e-300, quality_factor=1e-300, passband_gain=1e-9)

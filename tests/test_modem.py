@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icsim import modem as md
 from icsim.harness import measure_ber
@@ -135,7 +137,7 @@ class TestDemodulate:
         stats = i_ref[1:] * i_ref[:-1] + q_ref[1:] * q_ref[:-1]
         assert np.array_equal(md.demodulate(noisy, cfg, n_bits), (stats < 0).view(np.uint8))
         # Each correlation lies within 1e-12 * |symbol| * |basis row| of the exact sum.
-        for row, corr in zip(basis, md._correlate(sym, cfg)):
+        for row, corr in zip(basis, md.correlations(noisy, cfg, n_bits)):
             for i in range(n_bits + 1):
                 exact = math.fsum(sym[i] * row)
                 assert abs(corr[i] - exact) <= 1e-12 * np.linalg.norm(sym[i]) * np.linalg.norm(row)
@@ -179,6 +181,59 @@ class TestDemodulate:
         wave = md.modulate([1, 0], cfg)
         with pytest.raises(md.InsufficientSamples):
             md.demodulate(wave, cfg, 5)
+
+
+class TestDecide:
+    EPS = 1e-3
+    # Each phase step and its bit: 1 when the step turns the phase by more
+    # than pi/2 either way.
+    STEPS = {0.0: 0, math.pi: 1, math.pi / 2 - EPS: 0, math.pi / 2 + EPS: 1,
+             -math.pi / 2 + EPS: 0, -math.pi / 2 - EPS: 1}
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-1000, 2.0**1000])
+    def test_bits_follow_the_phase_steps(self, scale):
+        # Exact powers of two, whose products would underflow or overflow unscaled.
+        steps = np.array(list(self.STEPS) * 3)
+        phase = 0.7 + np.concatenate(([0.0], np.cumsum(steps)))
+        radius = np.random.default_rng(0).uniform(0.5, 2.0, len(phase))
+        iq = scale * radius * np.stack((np.cos(phase), np.sin(phase)))
+        bits = md.decide(iq)
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == list(self.STEPS.values()) * 3
+
+    def test_all_zero_correlations_give_zero_bits(self):
+        assert md.decide(np.zeros((2, 6))).tolist() == [0] * 5
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("at", [(0, 0), (1, 3)])
+    def test_a_non_finite_correlation_raises(self, bad, at):
+        iq = np.ones((2, 5))
+        iq[at] = bad
+        with pytest.raises(md.NonFiniteSignal):
+            md.decide(iq)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_decide_of_correlations_is_demodulate(data):
+    """Bitwise, over whole-symbol block splits, every rate, and amplitudes
+    from float64's subnormals up."""
+    cfg = md.ModemConfig(bit_rate_bps=data.draw(st.sampled_from(md.SUPPORTED_BIT_RATES)))
+    spb, n_bits = cfg.samples_per_bit, data.draw(st.integers(1, 24))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # A noisy frame, then part of a symbol past its end that is ignored.
+    extra = data.draw(st.integers(0, spb - 1))
+    noisy = np.concatenate((md.modulate(rng.integers(0, 2, n_bits), cfg), np.zeros(extra)))
+    noisy = np.ldexp(noisy + rng.normal(0.0, 20.0, len(noisy)), data.draw(st.integers(-1074, 40)))
+    symbols_per_block = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=n_bits + 1))
+    edges = [e for e in np.cumsum(symbols_per_block) * spb if e < len(noisy)]
+    blocks = np.split(noisy, edges)
+    whole = md.demodulate(noisy, cfg, n_bits)
+    iq = md.correlations(iter(blocks), cfg, n_bits)
+    assert iq.shape == (2, n_bits + 1)
+    assert np.array_equal(iq, md.correlations(noisy, cfg, n_bits))
+    assert np.array_equal(md.decide(iq), whole)
+    assert np.array_equal(md.demodulate(iter(blocks), cfg, n_bits), whole)
 
 
 def test_theoretical_ber_values():
