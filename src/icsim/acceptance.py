@@ -88,10 +88,12 @@ def _tail_amplitude(samples: np.ndarray) -> float:
 
 def criterion_3_channel_calibration():
     """12 V tone at 4 turns: 0.392 V pre-front-end, 1.176 V after gain 3."""
-    cfg = md.ModemConfig()
-    n = 400 * cfg.samples_per_cycle
-    tone = 12.0 * np.cos(2 * math.pi * np.arange(n) / cfg.samples_per_cycle)
-    out = ch.propagate(tone, ch.ChannelConfig(turns=4), cfg.sample_rate_hz)
+    cfg, channel = md.ModemConfig(), ch.ChannelConfig(turns=4)
+    # The 12 V carrier is 29 all-+1 symbols, 406 cycles, received after the delay.
+    symbols = np.ones(29, dtype=np.int64)
+    delay = ch.delay_samples(channel, cfg.sample_rate_hz)
+    out = np.zeros(delay + len(symbols) * cfg.samples_per_bit)
+    ch.propagate([symbols], [0], md.modulate((), cfg), channel, cfg.sample_rate_hz, out)
     raw = _tail_amplitude(out)
     if abs(raw - 0.392) > 0.005 * 0.392:
         return False, f"pre-front-end amplitude {raw:.5f} V not 0.392 V +-0.5%"

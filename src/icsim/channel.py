@@ -5,8 +5,10 @@ optional exponential cable attenuation, a whole-sample propagation delay
 and additive interference tones, all in ``propagate``, which draws nothing.
 The transmissions on air add up, ``superpose``, which adds each in place
 from its symbol signs as plus or minus one symbol template.  Every node
-hears the one noiseless signal plus its own seeded Gaussian noise,
-``channel_noise``: a reception is the two summed.  The front end is a single
+hears the one noiseless channel output plus its own seeded Gaussian noise,
+``channel_noise``: a reception is its noise with ``propagate`` adding the
+channel's output into it, which can be done a block at a time, so no array
+need hold a whole reception.  The front end is a single
 biquad band-pass (bilinear transform, prewarped at the center frequency)
 with the bench's passband gain of 3; ``frontend_biquad`` builds and checks
 it once, and ``condition`` can run it over a reception in consecutive blocks.
@@ -101,27 +103,31 @@ def channel_noise(sigma_v: float, n: int, seed, out: np.ndarray | None = None) -
 _TONE_SAMPLES = 1 << 16
 
 
-def propagate(samples: np.ndarray, cfg: ChannelConfig, sample_rate_hz: float,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """The noiseless channel: gain, attenuation, delay and interference tones.
+def propagate(waves, offsets, template: np.ndarray, cfg: ChannelConfig,
+              sample_rate_hz: float, out: np.ndarray, start: int = 0) -> np.ndarray:
+    """Add the noiseless channel's output from reception sample ``start`` on into ``out``.
 
-    Every receiver hears this same signal; a reception adds its own
-    ``channel_noise`` to it.  The result is the delay's silent samples, then
-    the signal.  It is written into ``out`` when given, and ``samples`` may
-    then be out's own tail, so a signal superposed there propagates in place.
-    The tones are added a block at a time through one reused buffer.
+    A reception is the delay's silent samples, then the transmissions on air
+    received: ``waves`` and ``offsets`` as ``superpose`` takes them, counted
+    from the delay's end, each symbol plus or minus gain times ``template``.
+    Then each interference tone, ``amplitude_v * sin(2 pi freq_hz t)`` at
+    t = reception sample index / sample_rate_hz, is added a block at a time
+    through one reused buffer.  Every receiver hears this same output, added
+    into its own ``channel_noise``; any split of a reception into blocks
+    gives the same samples.  Returns ``out``.
     """
-    if len(samples) == 0:
-        return samples
     d = delay_samples(cfg, sample_rate_hz)
-    if out is None:
-        out = np.empty(len(samples) + d)
-    out[:d] = 0.0
-    np.multiply(samples, channel_gain(cfg), out=out[d:])
+    skip = min(len(out), max(0, d - start))
+    signal = out[skip:]
+    first = start + skip - d  # the signal sample at signal[0]
+    superpose(waves, [off - first for off in offsets], len(signal),
+              channel_gain(cfg) * template, out=signal)
     if cfg.interference:
         tone = np.empty(min(len(out), _TONE_SAMPLES))
         for lo in range(0, len(out), _TONE_SAMPLES):
-            t = np.arange(lo, min(lo + _TONE_SAMPLES, len(out))) / sample_rate_hz
+            # Whole numbers as floats are exact, so t is bitwise index / sample_rate_hz.
+            t = np.arange(start + lo, start + min(lo + _TONE_SAMPLES, len(out)), dtype=float)
+            t /= sample_rate_hz
             for freq_hz, amplitude_v in cfg.interference:
                 # amplitude_v * sin(2 * pi * freq_hz * t) in place: elementwise,
                 # so bitwise what the expression over the whole reception gives.

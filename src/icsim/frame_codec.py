@@ -12,6 +12,8 @@ check bytes.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,15 +34,19 @@ class ErrorKind(Enum):
 class CodecError(ValueError):
     """A byte sequence that does not parse as a frame.
 
-    ``kind`` identifies which frame invariant failed and ``offset`` the byte
-    index at which the failure was detected.  The message is formatted only
-    when asked for, because corruption sweeps raise millions of these.
+    Built as ``CodecError(kind, offset)``: ``kind`` identifies which frame
+    invariant failed and ``offset`` the byte index at which the failure was
+    detected.  Both are read from ``args``, and the message is formatted
+    only when asked for, because corruption sweeps raise millions of these.
     """
 
-    def __init__(self, kind: ErrorKind, offset: int):
-        # BaseException.__new__ has already stored (kind, offset) as args.
-        self.kind = kind
-        self.offset = offset
+    @property
+    def kind(self) -> ErrorKind:
+        return self.args[0]
+
+    @property
+    def offset(self) -> int:
+        return self.args[1]
 
     def __str__(self) -> str:
         return f"{self.kind.value} at byte offset {self.offset}"
@@ -99,25 +105,25 @@ def decode_frame(data: bytes) -> Frame:
     ``LengthMismatch``.  When both trailers mismatch, the sum failure is
     reported.
     """
-    if len(data) < MIN_FRAME_LEN:
-        raise CodecError(ErrorKind.TRUNCATED, len(data))
-    length = data[HEADER_LEN - 1]
-    total = HEADER_LEN + length + TRAILER_LEN
-    if len(data) < total:
-        raise CodecError(ErrorKind.TRUNCATED, len(data))
-    if len(data) > total:
-        raise CodecError(ErrorKind.LENGTH_MISMATCH, total)
-    body = data[: total - TRAILER_LEN]
+    n = len(data)
+    if n < MIN_FRAME_LEN:
+        raise CodecError(ErrorKind.TRUNCATED, n)
+    total = HEADER_LEN + data[HEADER_LEN - 1] + TRAILER_LEN
+    if n != total:
+        raise (CodecError(ErrorKind.TRUNCATED, n) if n < total
+               else CodecError(ErrorKind.LENGTH_MISMATCH, total))
     # Staged check: sum first (also the reported error when both fail), XOR
-    # only if the sum passes.  Keeps exhaustive corruption sweeps cheap.
-    if sum(body) & 0xFF != data[total - 2]:
-        raise CodecError(ErrorKind.SUM_CHECK_FAILED, total - 2)
-    if compute_checks(body)[1] != data[total - 1]:
-        raise CodecError(ErrorKind.XOR_CHECK_FAILED, total - 1)
+    # only if the sum passes.  Both fold every byte and take the trailers
+    # back out, so no body is copied: corruption sweeps raise millions of these.
+    sum_check, xor_check = data[-2], data[-1]
+    if (sum(data) - sum_check - xor_check) & 0xFF != sum_check:
+        raise CodecError(ErrorKind.SUM_CHECK_FAILED, n - 2)
+    if functools.reduce(operator.xor, data) ^ sum_check ^ xor_check != xor_check:
+        raise CodecError(ErrorKind.XOR_CHECK_FAILED, n - 1)
     return Frame(
         relay_depth=data[0],
         address=Address(data[1 : 1 + ADDRESS_LEN]),
-        payload=bytes(data[HEADER_LEN : HEADER_LEN + length]),
+        payload=bytes(data[HEADER_LEN : n - TRAILER_LEN]),
     )
 
 

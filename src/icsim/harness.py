@@ -1,20 +1,19 @@
 """Deterministic discrete-event simulation of the full polling link.
 
 Every transmission is carried at waveform level.  It is framed and held as
-its symbol signs; when it is received, it and every transmission that
-overlaps it are added in place from their signs into one pass through the
-noiseless channel.  Every other node's detector adds its own noise to that
-signal, conditions and correlates it in blocks of whole symbols, and the
-calling thread decodes the bits.  Silent intervals generate no samples, and
-a transmission's signs are held only while it or one overlapping it is on
-air or awaiting reception, so run memory does not grow with run length.
-The propagated signal is the only array as long as a reception.  A
+its symbol signs; when it is received, every other node's detector builds
+the reception in blocks of whole symbols: it draws its own noise into a
+block's buffer, adds the channel's output into it, the transmission and
+every one that overlaps it added from their signs, then conditions and
+correlates it, and the calling thread decodes the bits.  Silent intervals
+generate no samples, and a transmission's signs are held only while it or
+one overlapping it is on air or awaiting reception, so run memory does not
+grow with run length, and no array is as long as a reception.  A
 receiver's noise comes from its own seeded Generator, whichever thread
 draws it.  Each receiver is detected by one job on up to 4 threads, the
-calling thread among them, which draws its noise a block at a time into one
-block's buffer.  Every detector is a pure function of its inputs, and the
-calling thread takes their bits in node order, so reports are bitwise those
-of a serial run.
+calling thread among them; a job holds one block's buffer.  Every detector
+is a pure function of its inputs, and the calling thread takes their bits
+in node order, so reports are bitwise those of a serial run.
 The event loop is the only clock: a node's wake is an event, at which it
 enters its mode and acts on, so the timeline is recorded in time order as it
 happens; ``nodes`` decides every frame, timer and frame end.  A run is a pure
@@ -49,12 +48,12 @@ class ConfigInvalid(ValueError):
     """Scenario validation failure; message carries the offending field path."""
 
 
-# Only the propagated signal holds a whole reception, as float64 samples; the
-# rest of a reception, its noise included, is handled a block at a time.
-# 2**24 samples is 128 MiB, 31 times a 4800 bps frame at the default 16
-# samples per cycle.  The frame and the propagation delay are each checked
-# against it, so a reception, the frame plus the delay, can reach 2**25
-# samples (256 MiB).
+# A reception is handled a block at a time, so its length costs a run work
+# but no memory.  What is still built whole is a frame dumped with
+# --dump-waveforms: 2**24 float64 samples is 128 MiB, 31 times a 4800 bps
+# frame at the default 16 samples per cycle.  The frame and the propagation
+# delay are each checked against this limit, so a reception, the frame plus
+# the delay, can reach 2**25 samples.
 MAX_RECEPTION_SAMPLES = 2**24
 # Receptions are conditioned and correlated in blocks of this many samples,
 # rounded down to whole symbols: one block holds a whole 115200 bps reception,
@@ -101,9 +100,10 @@ class Scenario:
             sigma = derived_noise_sigma(self)
         except ValueError as err:
             raise ConfigInvalid(f"ebn0_db: at the receiver, {err}") from err
-        # A reception's peak in the run's order: a frame per node and one per injection (an
-        # injected node transmits whatever its phase) at the transmit amplitude (superpose),
-        # then the gain and the tones (propagate), then each receiver's noise.
+        # A reception sums, in this order, each receiver's noise, a frame per node and one per
+        # injection (an injected node transmits whatever its phase) at the received amplitude,
+        # and the tones (propagate).  Bounding the frames at the transmit amplitude, then the
+        # received frames and the tones, then those with the noise bounds every partial sum.
         on_air = 1 + len(self.slaves) + len(self.collision_injections)
         if not math.isfinite(peak_v := on_air * self.modem.amplitude_v):
             raise ConfigInvalid(f"modem.amplitude_v: {on_air} transmissions on air at "
@@ -344,14 +344,9 @@ class _Sim:
     def receive(self, now_s, tx: _Transmission):
         """Demodulate and decode a transmission at every node but its sender."""
         receivers = [node for node in self.nodes.values() if node.id != tx.sender]
-        # The transmissions on air are superposed from their signs straight
-        # into the channel's output, after the delay, and propagated there.
-        propagated = np.zeros(self.edges[-1])
-        signal = propagated[self.delay:]
-        offsets, signs = zip((0, tx.signs), *tx.overlapping)
-        ch.superpose(signs, offsets, len(signal), self.template, out=signal)
-        ch.propagate(signal, self.sc.channel, self.fs, out=propagated)
-        detected = _in_order(self.pool, functools.partial(self.detect, propagated, tx), receivers)
+        # The transmissions on air: tx at offset 0, then each overlapping one.
+        on_air = zip(*[(0, tx.signs), *tx.overlapping])
+        detected = _in_order(self.pool, functools.partial(self.detect, tx, *on_air), receivers)
         # zip takes the next receiver first, so it stops with no job pending.
         for node, bits in zip(receivers, detected):
             self.link.physical_bits += len(bits)
@@ -364,26 +359,30 @@ class _Sim:
                 continue
             self.deliver(now_s, node, frame)
 
-    def detect(self, propagated, tx, node):
-        """The bits node demodulates from tx's propagated signal plus its
-        noise.  As demodulate asks for each block, the block's noise is
-        drawn from the receiver's one seeded Generator into one block's
-        buffer (none when the run is noiseless), the signal is added into
-        it and the sum conditioned with the biquad state carried from the last."""
+    def detect(self, tx, offsets, waves, node):
+        """The bits node demodulates from tx, received with the waves on air
+        at their offsets.  As demodulate asks for each block, the block's
+        noise is drawn from the receiver's one seeded Generator into one
+        block's buffer (zeros when the run is noiseless), the channel's
+        output is added into it and the sum conditioned with the biquad
+        state carried from the last."""
         if self.sigma > 0:
             rng = np.random.default_rng(self._rx_seed(tx.index, node.id))
-            buffer = np.empty(self.edges[1])
-        state = np.zeros(2)
+        buffer, state = np.empty(self.edges[1]), np.zeros(2)
 
         def conditioned():
             for lo, hi in zip(self.edges, self.edges[1:]):
-                received = propagated[lo:hi]
+                received = buffer[: hi - lo]
                 if self.sigma > 0:
-                    # Elementwise, and addition commutes: bitwise signal + noise.
-                    noise = ch.channel_noise(self.sigma, hi - lo, rng, buffer[: hi - lo])
-                    received = np.add(noise, received, out=noise)
+                    ch.channel_noise(self.sigma, hi - lo, rng, received)
+                else:
+                    received.fill(0.0)
+                ch.propagate(waves, offsets, self.template, self.sc.channel, self.fs,
+                             received, lo)
                 block = ch.condition(received, self.sc.front_end, self.fs, state)
                 yield block if lo else block[self.delay:]
+                # Dropped before the next block is conditioned into a new array.
+                del block
 
         try:
             return md.demodulate(conditioned(), self.sc.modem, len(tx.bits))

@@ -139,6 +139,7 @@ def correlations(samples, cfg: ModemConfig, n_bits: int) -> np.ndarray:
         seen += len(block)
         k = min(len(block) // spb, n_symbols - done)
         parts.append(np.einsum("kj,ij->ki", basis, block[: k * spb].reshape(k, spb)))
+        del block  # so a block generator can free it before making the next
         done += k
         if done == n_symbols:
             break

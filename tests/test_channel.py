@@ -37,20 +37,44 @@ class TestCouplingGain:
             ch.ChannelConfig(turns=9)
 
 
+# One 115200 bps symbol of the 12 V carrier, 224 samples: all-+1 signs are the carrier.
+SYMBOL = md.modulate((), md.ModemConfig())
+
+
+def channel_output(cfg, waves, offsets, n, start=0):
+    """Samples start to start + n of the noiseless channel's output."""
+    out = np.zeros(n)
+    assert ch.propagate(waves, offsets, SYMBOL, cfg, FS, out, start) is out
+    return out
+
+
+def carrier_output(cfg, symbols=29):
+    """A reception of the 12 V carrier sent as all-+1 symbols."""
+    n = ch.delay_samples(cfg, FS) + symbols * len(SYMBOL)
+    return channel_output(cfg, [np.ones(symbols, dtype=np.int64)], [0], n)
+
+
+def random_signs(seed, n):
+    return 1 - 2 * np.random.default_rng(seed).integers(0, 2, n)
+
+
 class TestPropagate:
     def test_four_turn_amplitude(self):
-        out = ch.propagate(carrier_tone(), ch.ChannelConfig(turns=4), FS)
+        out = carrier_output(ch.ChannelConfig(turns=4))
         assert tail_peak(out) == pytest.approx(0.392, rel=0.005)
 
     def test_empty_in_empty_out(self):
-        assert len(ch.propagate(np.array([]), ch.ChannelConfig(), FS)) == 0
+        cfg = ch.ChannelConfig(interference=((50e3, 0.5),))
+        out = np.empty(0)
+        assert ch.propagate([np.ones(3, dtype=np.int64)], [0], SYMBOL, cfg, FS, out, 100) is out
+        assert len(channel_output(cfg, [], [], 0)) == 0
 
     def test_deterministic_for_fixed_seed(self):
         # The channel itself draws nothing: the seed is channel_noise's alone.
         cfg = ch.ChannelConfig(noise_sigma_v=0.05)
-        wave = carrier_tone(cycles=20)
-        assert np.array_equal(ch.propagate(wave, cfg, FS), ch.propagate(wave, cfg, FS))
-        n = len(wave) + ch.delay_samples(cfg, FS)
+        signs, n = random_signs(1, 20), 21 * len(SYMBOL)
+        assert np.array_equal(channel_output(cfg, [signs], [0], n),
+                              channel_output(cfg, [signs], [0], n))
         a = ch.channel_noise(cfg.noise_sigma_v, n, 42)
         assert np.array_equal(a, ch.channel_noise(cfg.noise_sigma_v, n, 42))
         assert not np.array_equal(a, ch.channel_noise(cfg.noise_sigma_v, n, 43))
@@ -59,72 +83,76 @@ class TestPropagate:
         cfg = ch.ChannelConfig(cable_length_m=700.0)
         d = ch.delay_samples(cfg, FS)
         assert d == round(700.0 / 2e8 * FS)
-        wave = carrier_tone(cycles=10)
-        out = ch.propagate(wave, cfg, FS)
-        assert len(out) == len(wave) + d
-        assert np.allclose(out[:d], 0.0)
+        # The second wave started 5 symbols early: before the delay it is cut off.
+        ones = np.ones(10, dtype=np.int64)
+        out = channel_output(cfg, [ones, ones], [0, -5 * len(SYMBOL)], d + 10 * len(SYMBOL))
+        assert not out[:d].any()
+        assert out[d] == 2 * ch.channel_gain(cfg) * SYMBOL[0]
+        assert out[-1] == ch.channel_gain(cfg) * SYMBOL[-1]
 
     def test_attenuation_factor(self):
         cfg = ch.ChannelConfig(turns=2, cable_length_m=100.0, attenuation_per_m=0.001)
-        out = ch.propagate(carrier_tone(), cfg, FS)
         expected = 12.0 * ch.coupling_gain(2) * math.exp(-0.1)
-        assert tail_peak(out) == pytest.approx(expected, rel=0.005)
+        assert tail_peak(carrier_output(cfg)) == pytest.approx(expected, rel=0.005)
 
     def test_linearity_with_noise_off(self):
         cfg = ch.ChannelConfig()
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=512)
-        b = rng.normal(size=512)
-        lhs = ch.propagate(a + b, cfg, FS)
-        rhs = ch.propagate(a, cfg, FS) + ch.propagate(b, cfg, FS)
+        waves, offsets, n = [random_signs(3, 12), random_signs(4, 9)], [0, 517], 13 * len(SYMBOL)
+        lhs = channel_output(cfg, waves, offsets, n)
+        rhs = (channel_output(cfg, waves[:1], offsets[:1], n)
+               + channel_output(cfg, waves[1:], offsets[1:], n))
         assert np.allclose(lhs, rhs, rtol=1e-9)
 
     def test_interference_tone_added(self):
         cfg = ch.ChannelConfig(interference=((50e3, 0.5),))
-        out = ch.propagate(np.zeros(4096), cfg, FS)
+        out = channel_output(cfg, [], [], 4096)
         assert np.max(np.abs(out)) == pytest.approx(0.5, rel=0.01)
 
     @pytest.mark.parametrize("interference", [(), ((50e3, 0.5), (3e6, 0.1))])
     @pytest.mark.parametrize("noise_sigma_v", [0.0, 0.05])
     def test_bitwise_equal_to_reference_sum(self, interference, noise_sigma_v):
-        # Reference: signal, then each tone, then noise, added in that order.
+        # Reference: noise, then each wave, then each tone, added in that order.
         cfg = ch.ChannelConfig(noise_sigma_v=noise_sigma_v, interference=interference)
-        wave = carrier_tone(cycles=30)
-        gain = ch.coupling_gain(cfg.turns)
-        d = ch.delay_samples(cfg, FS)
-        ref = np.zeros(len(wave) + d)
-        ref[d:] = wave * gain
-        t = np.arange(len(ref)) / FS
+        waves, offsets = [random_signs(5, 30), random_signs(6, 20)], [0, 3000]
+        gain, d = ch.coupling_gain(cfg.turns), ch.delay_samples(cfg, FS)
+        n = d + 30 * len(SYMBOL)
+        ref = np.random.default_rng(7).normal(0.0, noise_sigma_v, n)
+        for signs, off in zip(waves, offsets):
+            wave = (signs[:, None] * (gain * SYMBOL)).ravel()
+            ref[d + off :] += wave[: n - d - off]
+        t = np.arange(n) / FS
         for freq_hz, amplitude_v in interference:
             ref += amplitude_v * np.sin(2 * math.pi * freq_hz * t)
-        if noise_sigma_v:
-            ref += np.random.default_rng(7).normal(0.0, noise_sigma_v, len(ref))
-        received = ch.channel_noise(cfg.noise_sigma_v, len(ref), 7)
-        received += ch.propagate(wave, cfg, FS)
+        received = ch.channel_noise(cfg.noise_sigma_v, n, 7)
+        ch.propagate(waves, offsets, SYMBOL, cfg, FS, received)
         assert np.array_equal(received, ref)
-
 
     @pytest.mark.parametrize("n, block", [(3 * (1 << 16) + 5, 1 << 16), (2500, 1000), (7, 1000)])
     def test_tones_added_in_blocks_equal_the_whole_array_formula(self, n, block, monkeypatch):
         monkeypatch.setattr(ch, "_TONE_SAMPLES", block)
         cfg = ch.ChannelConfig(interference=((50e3, 0.5), (3e6, 0.1)))
-        wave = np.random.default_rng(5).standard_normal(n)
-        d = ch.delay_samples(cfg, FS)
-        ref = np.zeros(n + d)
-        ref[d:] = wave * ch.channel_gain(cfg)
-        t = np.arange(len(ref)) / FS
+        signs, d = random_signs(8, n // len(SYMBOL) + 1), ch.delay_samples(cfg, FS)
+        ref = np.zeros(n)
+        wave = (signs[:, None] * (ch.channel_gain(cfg) * SYMBOL)).ravel()
+        ref[d:] += wave[: max(0, n - d)]
+        t = np.arange(n) / FS
         for freq_hz, amplitude_v in cfg.interference:
             ref += amplitude_v * np.sin(2 * math.pi * freq_hz * t)
-        assert np.array_equal(ch.propagate(wave, cfg, FS), ref)
+        # Received whole, or a block at a time, one starting within the delay.
+        for split in (n, 701, 50):
+            out = np.zeros(n)
+            for lo in range(0, n, split):
+                ch.propagate([signs], [0], SYMBOL, cfg, FS, out[lo : lo + split], lo)
+            assert np.array_equal(out, ref), split
 
     def test_in_place_equals_a_new_array(self):
-        cfg = ch.ChannelConfig(interference=((50e3, 0.5),))
-        wave = carrier_tone(cycles=30)
-        d = ch.delay_samples(cfg, FS)
-        out = np.full(len(wave) + d, np.nan)
-        out[d:] = wave
-        assert ch.propagate(out[d:], cfg, FS, out=out) is out
-        assert np.array_equal(out, ch.propagate(wave, cfg, FS))
+        # One wave and no tones added into noise: bitwise noise plus the output alone.
+        cfg = ch.ChannelConfig()
+        signs = random_signs(9, 30)
+        noise = ch.channel_noise(0.05, ch.delay_samples(cfg, FS) + 30 * len(SYMBOL), 11)
+        out = noise.copy()
+        ch.propagate([signs], [0], SYMBOL, cfg, FS, out)
+        assert np.array_equal(out, noise + channel_output(cfg, [signs], [0], len(noise)))
 
 
 class TestNoiseDrawnAhead:

@@ -29,6 +29,7 @@ from icsim import modem as md
 from icsim import power as pw
 from icsim import scenarios as scn
 from icsim.cli import main
+import reference_receiver
 from power_timeline import charge_of_stretches, power_stretches
 
 
@@ -276,16 +277,17 @@ class TestCollisions:
             poll_schedule=((t0, zeros),),
             collision_injections=((t0 + 190.2 / fs, "master"),
                                   (t0 + airtime + 15.2 / fs, "slave2")))
-        superposed = []
-        real = ch.superpose
-        def spy(waves, offsets, length, *args, **kwargs):
-            superposed.append(list(offsets))
-            return real(waves, offsets, length, *args, **kwargs)
-        monkeypatch.setattr(ch, "superpose", spy)
+        handed = {}  # the offsets receive hands each reception's detectors
+        real = hs._Sim.detect
+        def spy(sim, tx, offsets, waves, node):
+            assert handed.setdefault(tx.index, list(offsets)) == list(offsets)
+            return real(sim, tx, offsets, waves, node)
+        monkeypatch.setattr(hs._Sim, "detect", spy)
         report = hs.run_scenario(sc)
         assert report.nodes["slave1"].frames_sent == 1
-        # One superposition per transmission, in order of reception: the
-        # command, its repeat, slave2's frame and slave1's reply.
+        # In order of reception: the command, its repeat, slave2's frame and
+        # slave1's reply, each received with every transmission it overlaps.
+        superposed = list(handed.values())
         assert [len(offsets) for offsets in superposed] == [2, 3, 3, 2]
         assert superposed[0] == [0, 190] and superposed[1][:2] == [0, -190]
         assert superposed[1][2] == -superposed[2][1]
@@ -743,9 +745,9 @@ class TestInOrder:
 
 
 class TestReceiveThreads:
-    """Each receiver is detected, noise, condition and demodulate, by one
-    job on the pool or the main thread.  The channel, decoding and delivery
-    stay on the main thread."""
+    """Each receiver is detected, noise, channel, condition and demodulate,
+    by one job on the pool or the main thread.  Decoding and delivery stay
+    on the main thread."""
 
     @pytest.mark.parametrize("make_scenario, min_bit_errors", [
         (lambda: scn.single_point_scenario(bit_rate_bps=9600), 0),
@@ -786,20 +788,21 @@ class TestReceiveThreads:
 
     def check_detectors(self, sc, threads, blocks, monkeypatch):
         """Run sc on threads draw threads and check that each receiver's
-        whole detector, blocks noise blocks, runs on one thread while the
-        channel, decoding and delivery stay on the main thread."""
+        whole detector, blocks blocks, runs on one thread while decoding and
+        delivery stay on the main thread."""
         monkeypatch.setattr(hs, "_draw_threads", lambda: threads)
         callers = {}
         self.record_callers(monkeypatch, callers)
         assert len(hs._Sim(sc).edges) - 1 == blocks
         report = hs.run_scenario(sc)
         assert report.nodes["master"].frames_received == len(sc.poll_schedule)
-        pinned, main = {"decode_frame", "deliver", "propagate"}, threading.main_thread()
+        pinned, main = {"decode_frame", "deliver"}, threading.main_thread()
         assert pinned <= set(callers[main])
         assert all(pinned.isdisjoint(names) for thread, names in callers.items() if thread is not main)
         # Each receiver's whole detector runs on one thread, the main one or
-        # a worker: its demodulate draws and conditions its blocks in turn.
-        detector = ["demodulate", *["channel_noise", "condition"] * blocks]
+        # a worker: its demodulate draws, receives and conditions its blocks
+        # in turn.
+        detector = ["demodulate", *["channel_noise", "propagate", "condition"] * blocks]
         detected = [[name for name in names if name not in pinned]
                     for names in callers.values()]
         sent = sum(stats.frames_sent for stats in report.nodes.values())
@@ -859,16 +862,18 @@ class TestReceiveThreads:
         lambda: scn.single_point_scenario(bit_rate_bps=9600),
         collided_4800_scenario,
     ], ids=["single_point_9600", "collided_4800"])
-    def test_the_channel_runs_once_per_transmission(self, make_scenario, monkeypatch):
+    def test_the_channel_runs_once_per_receiver_block(self, make_scenario, monkeypatch):
         counts = {"propagate": 0, "receive": 0}
         for owner, name in ((ch, "propagate"), (hs._Sim, "receive")):
             def count(*args, _real=getattr(owner, name), _name=name, **kwargs):
                 counts[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(owner, name, count)
-        hs.run_scenario(make_scenario())
+        sc = make_scenario()
+        hs.run_scenario(sc)
         assert counts["receive"] > 0
-        assert counts["propagate"] == counts["receive"]
+        blocks = len(hs._Sim(sc).edges) - 1
+        assert counts["propagate"] == counts["receive"] * len(sc.slaves) * blocks
 
     def test_a_failed_draw_raises_and_shuts_the_pool_down(self, monkeypatch):
         draws = []  # each draw's Generator, as its first block is drawn
@@ -957,8 +962,8 @@ class TestStreamedReception:
         assert report.nodes["master"].frames_received == len(sc.poll_schedule)
 
     def test_each_block_is_drawn_then_conditioned(self, monkeypatch):
-        """With no pool, the calling thread runs the channel once, then each
-        receiver's detector, drawing and conditioning one block at a time."""
+        """With no pool, the calling thread runs each receiver's detector in
+        turn, drawing, receiving and conditioning one block at a time."""
         monkeypatch.setattr(hs, "_draw_threads", lambda: 0)
         calls = []
         for name in ("superpose", "propagate", "channel_noise", "condition"):
@@ -967,8 +972,8 @@ class TestStreamedReception:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(ch, name, record)
         hs.run_scenario(scn.single_point_scenario(bit_rate_bps=4800))
-        detector = ["channel_noise", "condition"] * 9
-        assert calls[:21] == ["superpose", "propagate", *detector, "superpose"]
+        detector = ["channel_noise", "propagate", "superpose", "condition"] * 9
+        assert calls[:37] == [*detector, "channel_noise"]
 
     @pytest.mark.parametrize("threads", [2, 0])
     def test_a_draw_that_raises_after_its_first_block_raises(self, threads, monkeypatch):
@@ -1006,11 +1011,12 @@ class TestStreamedReception:
         finally:
             tracemalloc.stop()
         assert report.link.physical_bits > 0
-        # The one propagated signal is the only whole reception.  Each
-        # detector holds its noise block and that block conditioned, and the
-        # main thread a block of tones or symbols; the rest is a frame's signs
-        # or the report.  Noise buffers of whole receptions would be 4.3 MB each.
-        assert peak <= 8 * edges[-1] + 3 * (threads + 1) * 8 * edges[1]
+        # No array holds a whole reception.  Each detector holds at most
+        # three blocks: its block buffer, and that block conditioned, or a
+        # group of symbols being added, or a block of tones and their times.
+        # The rest, a frame's signs or the report, is well under two blocks.
+        # One array of a whole reception would be 4.3 MB, nearly nine blocks.
+        assert peak <= (3 * threads + 2) * 8 * edges[1]
 
     @pytest.mark.parametrize("bit_rate_bps", [115200, 9600])
     def test_a_noiseless_run_draws_no_noise(self, bit_rate_bps, monkeypatch):
@@ -1022,6 +1028,61 @@ class TestStreamedReception:
         report = hs.run_scenario(sc)
         assert report.nodes["master"].frames_received == 2
         assert calls == []
+
+
+TWO_TONES = ((50e3, 0.5), (3e6, 0.1))
+
+
+def with_tones(sc):
+    return replace(sc, channel=replace(sc.channel, interference=TWO_TONES))
+
+
+class TestReferenceReceiver:
+    """Every receiver's bits equal, bitwise, those of the whole-array
+    reference receiver, which sums each reception in the channel model's
+    order with no blocks and no pool."""
+
+    @pytest.mark.parametrize("make_scenario, block_symbols, threads", [
+        (collided_4800_scenario, None, 2),
+        (lambda: with_tones(collided_4800_scenario()), 1, 1),
+        (lambda: with_tones(collided_4800_scenario()), 7, 2),
+        (lambda: scn.multi_point_scenario(polls_per_slave=2, ebn0_db=6.0), None, 1),
+        (lambda: scn.multi_point_scenario(polls_per_slave=2, ebn0_db=6.0), 1, 2),
+    ], ids=["collided_4800-default-2", "collided_4800_tones-1-1", "collided_4800_tones-7-2",
+            "multi_point_115200-default-1", "multi_point_115200-1-2"])
+    def test_every_receivers_bits_are_the_references(self, make_scenario, block_symbols,
+                                                     threads, monkeypatch):
+        sc = make_scenario()
+        monkeypatch.setattr(hs, "_draw_threads", lambda: threads)
+        if block_symbols is not None:
+            monkeypatch.setattr(hs, "_BLOCK_SAMPLES", block_symbols * sc.modem.samples_per_bit)
+        started, expected, got, overlaps = [], [], [], []
+        real_start, real_receive, real_pack = (hs._Sim.start_transmission, hs._Sim.receive,
+                                               md.bits_to_bytes)
+
+        def start_transmission(sim, *args):
+            real_start(sim, *args)
+            started.append(sim.on_air[-1])
+
+        def receive(sim, now_s, tx):
+            overlaps.append(len(reference_receiver.overlapping(tx, started)))
+            expected.extend(reference_receiver.received_bits(sim, tx, started))
+            return real_receive(sim, now_s, tx)
+
+        def bits_to_bytes(bits):
+            got.append(bits.copy())
+            return real_pack(bits)
+
+        monkeypatch.setattr(hs._Sim, "start_transmission", start_transmission)
+        monkeypatch.setattr(hs._Sim, "receive", receive)
+        monkeypatch.setattr(md, "bits_to_bytes", bits_to_bytes)
+        report = hs.run_scenario(sc)
+        assert len(got) == len(expected) == report.link.physical_bits // (8 * hs.FRAME_LEN)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+        # Errors show the decisions near the threshold are compared too.
+        assert report.link.bit_errors > 0
+        if sc.collision_injections:
+            assert max(overlaps) > 0
 
 
 class TestReportIo:
