@@ -173,6 +173,19 @@ def frontend_biquad(fe: FrontEndConfig, sample_rate_hz: float) -> tuple[np.ndarr
     return b, a
 
 
+@functools.lru_cache
+def frontend_l1_bound(fe: FrontEndConfig, sample_rate_hz: float) -> float:
+    """A bound on the front end's l1 gain sum |h|: |output| <= bound * max |input| (BIBO
+    stability; Oppenheim & Schafer, *Discrete-Time Signal Processing*).  h is b convolved
+    with 1/A(z)'s impulse response, at most (n + 1) r**n at sample n for the larger pole
+    radius r, so sum |h| <= ||b||_1 / (1 - r)**2."""
+    b, a = frontend_biquad(fe, sample_rate_hz)
+    # The poles are (-a[1] +/- d) / 2, a[0] being 1: np.roots would load LAPACK, ~1 MiB RSS.
+    d = (a[1] ** 2 - 4 * a[2] + 0j) ** 0.5
+    r = float(max(abs(a[1] + d), abs(a[1] - d))) / 2
+    return float(np.abs(b).sum()) / (1 - r) ** 2 if r < 1 else math.inf
+
+
 def condition(samples: np.ndarray, fe: FrontEndConfig, sample_rate_hz: float,
               state: np.ndarray | None = None) -> np.ndarray:
     """Band-pass filter and amplify the received samples.

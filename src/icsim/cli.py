@@ -52,8 +52,6 @@ def run(scenario_path, out_dir, seed, dump_waveforms):
         hs.emit_report(report, "json", out / "report.json")
         hs.emit_report(report, "csv", out / "report.csv")
         hs.emit_timeline(report, out / "timeline.jsonl")
-    except hs.ConfigInvalid as err:
-        config_error(err)
     except OSError as err:
         io_error(err)
     click.echo(f"wrote report.json, report.csv, timeline.jsonl to {out}")

@@ -48,12 +48,10 @@ class ConfigInvalid(ValueError):
     """Scenario validation failure; message carries the offending field path."""
 
 
-# A reception is handled a block at a time, so its length costs a run work
-# but no memory.  What is still built whole is a frame dumped with
-# --dump-waveforms: 2**24 float64 samples is 128 MiB, 31 times a 4800 bps
-# frame at the default 16 samples per cycle.  The frame and the propagation
-# delay are each checked against this limit, so a reception, the frame plus
-# the delay, can reach 2**25 samples.
+# A reception, and a frame dumped with --dump-waveforms, is handled a block at a time,
+# so its length costs a run work but no memory.  The frame and the propagation delay are
+# each still held to this limit, 31 times a 4800 bps frame at the default 16 samples per
+# cycle, so a reception, the frame plus the delay, can reach 2**25 samples.
 MAX_RECEPTION_SAMPLES = 2**24
 # Receptions are conditioned and correlated in blocks of this many samples,
 # rounded down to whole symbols: one block holds a whole 115200 bps reception,
@@ -100,23 +98,6 @@ class Scenario:
             sigma = derived_noise_sigma(self)
         except ValueError as err:
             raise ConfigInvalid(f"ebn0_db: at the receiver, {err}") from err
-        # A reception sums, in this order, each receiver's noise, a frame per node and one per
-        # injection (an injected node transmits whatever its phase) at the received amplitude,
-        # and the tones (propagate).  Bounding the frames at the transmit amplitude, then the
-        # received frames and the tones, then those with the noise bounds every partial sum.
-        on_air = 1 + len(self.slaves) + len(self.collision_injections)
-        if not math.isfinite(peak_v := on_air * self.modem.amplitude_v):
-            raise ConfigInvalid(f"modem.amplitude_v: {on_air} transmissions on air at "
-                                f"{self.modem.amplitude_v!r} V each sum past float64")
-        peak_v = sum((abs(a) for _, a in self.channel.interference),
-                     peak_v * ch.channel_gain(self.channel))
-        if not math.isfinite(peak_v):
-            raise ConfigInvalid(f"channel.interference: the tones and {on_air} received "
-                                "transmissions sum past float64; lower them or modem.amplitude_v")
-        if not math.isfinite(peak_v + ch.NOISE_PEAK_SIGMAS * sigma):
-            path = "channel.noise_sigma_v" if self.ebn0_db is None else "ebn0_db"
-            raise ConfigInvalid(f"{path}: noise of sigma {sigma!r} V added to a "
-                                f"{peak_v!r} V peak can pass float64")
         if self.ebn0_db is not None and self.channel.noise_sigma_v > 0:
             raise ConfigInvalid("channel.noise_sigma_v: only used when ebn0_db is null")
         if not self.front_end.center_hz < self.modem.sample_rate_hz / 2:
@@ -132,6 +113,19 @@ class Scenario:
             raise ConfigInvalid("front_end.passband_gain: the front end scales the signal, "
                                 "the noise and every tone alike, so its gain cannot change "
                                 f"a report; use {ch.FrontEndConfig.passband_gain!r}")
+        # A conditioned sample is at most the biquad's l1 gain times the peak on air (a frame
+        # per node and per injection, as an injected node transmits whatever its phase, the
+        # tones and 64 sigma of noise); a correlation sums samples_per_bit of them; 2x is headroom.
+        on_air = 1 + len(self.slaves) + len(self.collision_injections)
+        peaks = {f"modem.amplitude_v: {on_air} transmissions on air at {self.modem.amplitude_v!r}"
+                 " V each": on_air * self.modem.amplitude_v * ch.channel_gain(self.channel),
+                 "channel.interference: tones": sum(abs(t[1]) for t in self.channel.interference),
+                 f"{'channel.noise_sigma_v' if self.ebn0_db is None else 'ebn0_db'}: noise of "
+                 f"sigma {sigma!r} V": ch.NOISE_PEAK_SIGMAS * sigma}
+        l1 = ch.frontend_l1_bound(self.front_end, self.modem.sample_rate_hz)
+        if not math.isfinite(2 * self.modem.samples_per_bit * l1 * sum(peaks.values())):
+            raise ConfigInvalid(f"{max(peaks, key=peaks.get)} can overflow float64 in the "
+                                "front end or a symbol correlation")
         frame_samples = md.frame_samples(FRAME_LEN, self.modem)
         if frame_samples > MAX_RECEPTION_SAMPLES:
             raise ConfigInvalid(f"modem: a frame of {frame_samples} samples is over "
@@ -334,7 +328,7 @@ class _Sim:
                 o.overlapping.append((round((now_s - o.start_s) * self.fs), signs))
         self.on_air.append(tx)
         if self.wave_dir is not None:
-            write_waveform_csv(md.modulate(bits, self.sc.modem), self.fs,
+            write_waveform_csv(signs, self.template, self.fs,
                                self.wave_dir / f"tx{tx.index:04d}_{sender}.csv")
         self.nodes[sender].stats.frames_sent += 1
         self.record(now_s, sender, "tx_start", frame_hex=data.hex(" "))
@@ -384,12 +378,7 @@ class _Sim:
                 # Dropped before the next block is conditioned into a new array.
                 del block
 
-        try:
-            return md.demodulate(conditioned(), self.sc.modem, len(tx.bits))
-        except md.NonFiniteSignal as err:
-            raise ConfigInvalid(f"front_end: the conditioned reception overflowed "
-                                f"float64 ({err}); lower modem.amplitude_v, "
-                                "channel.interference or channel.noise_sigma_v") from err
+        return md.demodulate(conditioned(), self.sc.modem, len(tx.bits))
 
     # -- protocol glue --
 
@@ -610,21 +599,20 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
 
 # --- report I/O ---------------------------------------------------------------
 
-_CSV_BLOCK_ROWS = 1 << 16
+def write_waveform_csv(signs, template: np.ndarray, sample_rate_hz: float, path) -> None:
+    """Two-column (time_s, volts) dump for plotting of the waveform whose
+    symbol k is ``signs[k] * template``, values in repr form, whole or not at all.
 
-
-def write_waveform_csv(samples: np.ndarray, sample_rate_hz: float, path) -> None:
-    """Two-column (time_s, volts) dump for plotting, values in repr form,
-    whole or not at all.
-
-    Rows are formatted a block at a time, so memory stays bounded for long
-    waveforms.
+    Rows are formatted a _block_edges block of whole symbols at a time, so
+    memory stays bounded for long waveforms.
     """
+    spb = len(template)
+    edges = _block_edges(len(signs) * spb, spb)
     with _written_whole(path, newline="") as fh:
         fh.write("time_s,volts\r\n")
-        for lo in range(0, len(samples), _CSV_BLOCK_ROWS):
-            volts = samples[lo : lo + _CSV_BLOCK_ROWS]
-            times = np.arange(lo, lo + len(volts)) / sample_rate_hz
+        for lo, hi in zip(edges, edges[1:]):
+            volts = (signs[lo // spb : hi // spb, None] * template).ravel()
+            times = np.arange(lo, hi) / sample_rate_hz
             fh.writelines(map("%r,%r\r\n".__mod__, zip(times.tolist(), volts.tolist())))
 
 

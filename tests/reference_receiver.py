@@ -11,8 +11,9 @@ channel model defines its sum:
    received transmission first, then each one overlapping it in index order;
 3. each interference tone, one expression over the whole reception.
 
-It then filters the reception with one ``lfilter`` call and correlates
-and decides it as one array.  A run's detectors must give its bits bitwise.
+It then filters the reception with one ``lfilter`` call and correlates it
+as one array; ``md.decide`` of those I/Q is the receiver's bits.  A run's
+detectors must give its I/Q and bits bitwise.
 """
 
 import math
@@ -50,8 +51,8 @@ def reception(sc, sigma, seed, tx, transmissions):
     return samples
 
 
-def received_bits(sim, tx, transmissions):
-    """Each receiver's bits of tx in node order, from whole arrays.
+def received_iq(sim, tx, transmissions):
+    """Each receiver's (node id, symbol I/Q) of tx in node order, from whole arrays.
 
     ``transmissions`` holds every transmission started so far, as the run's
     ``_Transmission`` records, tx among them.
@@ -60,12 +61,11 @@ def received_bits(sim, tx, transmissions):
     fs = sc.modem.sample_rate_hz
     delay = ch.delay_samples(sc.channel, fs)
     b, a = ch.frontend_coefficients(sc.front_end, fs)
-    bits = []
+    received = []
     for node_id in sim.nodes:
         if node_id == tx.sender:
             continue
         samples = reception(sc, sim.sigma, sim._rx_seed(tx.index, node_id), tx, transmissions)
         conditioned = sps.lfilter(b, a, samples)
-        iq = md.correlations(conditioned[delay:], sc.modem, len(tx.bits))
-        bits.append(md.decide(iq))
-    return bits
+        received.append((node_id, md.correlations(conditioned[delay:], sc.modem, len(tx.bits))))
+    return received

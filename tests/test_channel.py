@@ -243,6 +243,16 @@ class TestFrontendCoefficients:
         with pytest.raises(ValueError):
             a[1] = 0.0
 
+    @pytest.mark.parametrize("quality_factor", [0.3, 1.0, 20.0, 1000.0])
+    def test_l1_bound_is_at_least_the_impulse_responses_sum(self, quality_factor):
+        # 400,000 samples: even at Q = 1000 the response has decayed past 1e-30.
+        fe = ch.FrontEndConfig(quality_factor=quality_factor)
+        impulse = np.zeros(400_000)
+        impulse[0] = 1.0
+        h = np.abs(ch.condition(impulse, fe, FS))
+        assert h[-1000:].max() < 1e-30 * h.max()
+        assert ch.frontend_l1_bound(fe, FS) >= h.sum()
+
 
 def expanded_sum(waves, offsets, length, template, out=None):
     """What superpose must give bitwise: each wave of signs expanded whole,

@@ -1037,10 +1037,96 @@ def with_tones(sc):
     return replace(sc, channel=replace(sc.channel, interference=TWO_TONES))
 
 
+def against_reference(sc, block_symbols=None, threads=1):
+    """Run sc in blocks of block_symbols symbols (None: _BLOCK_SAMPLES) on
+    threads threads.  Returns the report and, for each reception in order,
+    the number of transmissions overlapping it and, for each receiver in node
+    order, the pair (run's I/Q and bits, reference receiver's I/Q and bits).
+    The run's bits are those receive passes to md.bits_to_bytes, its I/Q those
+    the receiver's detector decides, on whichever thread ran it."""
+    started, receptions, got, run_iq = [], [], [], {}
+    real_start, real_receive, real_detect = (hs._Sim.start_transmission, hs._Sim.receive,
+                                             hs._Sim.detect)
+    real_decide, real_pack = md.decide, md.bits_to_bytes
+    decided = threading.local()
+
+    def start_transmission(sim, *args):
+        real_start(sim, *args)
+        started.append(sim.on_air[-1])
+
+    def receive(sim, now_s, tx):
+        receptions.append((tx, reference_receiver.overlapping(tx, started),
+                           reference_receiver.received_iq(sim, tx, started)))
+        return real_receive(sim, now_s, tx)
+
+    def detect(sim, tx, offsets, waves, node):
+        bits = real_detect(sim, tx, offsets, waves, node)
+        run_iq[tx.index, node.id] = decided.iq
+        return bits
+
+    def decide(iq):
+        decided.iq = iq
+        return real_decide(iq)
+
+    def bits_to_bytes(bits):
+        got.append(bits.copy())
+        return real_pack(bits)
+
+    block = hs._BLOCK_SAMPLES if block_symbols is None else block_symbols * sc.modem.samples_per_bit
+    with mock.patch.multiple(hs._Sim, start_transmission=start_transmission, receive=receive,
+                             detect=detect), \
+            mock.patch.multiple(md, decide=decide, bits_to_bytes=bits_to_bytes), \
+            mock.patch.multiple(hs, _BLOCK_SAMPLES=block, _draw_threads=lambda: threads):
+        report = hs.run_scenario(sc)
+    got = iter(got)
+    return report, [(len(others), [((run_iq[tx.index, node_id], next(got)),
+                                    (iq, real_decide(iq))) for node_id, iq in expected])
+                    for tx, others, expected in receptions]
+
+
+def assert_run_is_the_reference(report, receptions):
+    """Each receiver's I/Q and bits are the reference receiver's, bitwise,
+    and each frame the report counts was compared."""
+    assert sum(len(receivers) for _, receivers in receptions) == (
+        report.link.physical_bits // (8 * hs.FRAME_LEN))
+    for _, receivers in receptions:
+        for (iq, bits), (ref_iq, ref_bits) in receivers:
+            assert iq.tobytes() == ref_iq.tobytes()
+            assert bits.tobytes() == ref_bits.tobytes()
+
+
+@st.composite
+def overlapping_receptions(draw):
+    """A scenario of 1-2 slaves polled once, at any rate, cable length and
+    Q in {0.3, 1, 20}, with 0-2 tones, noiseless or at a derived sigma, and
+    1-3 injections from any node at any sample while the command or its
+    reply can be on air, so 1 to 4 transmissions overlap one and clip its
+    first and last symbols; then a block of 1 symbol, 7 symbols or
+    _BLOCK_SAMPLES, and 1 or 2 threads."""
+    modem = md.ModemConfig(bit_rate_bps=draw(st.sampled_from(md.SUPPORTED_BIT_RATES)))
+    slaves = scn.MULTI_POINT_ADDRESSES[: draw(st.integers(1, 2))]
+    poll_s, airtime = scn.poll_spacing_s(modem), md.frame_airtime_s(hs.FRAME_LEN, modem)
+    nodes = st.sampled_from(["master", *(f"slave{i + 1}" for i in range(len(slaves)))])
+    # The first injection overlaps the command; the others may fall on its reply.
+    starts = [st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+              *[st.floats(-1.0, 2.0)] * draw(st.integers(0, 2))]
+    injections = tuple((poll_s + draw(start) * airtime, draw(nodes)) for start in starts)
+    tones = tuple((draw(st.floats(0.0, 5e6)), draw(st.floats(0.0, 1.0)))
+                  for _ in range(draw(st.integers(0, 2))))
+    sc = hs.Scenario(
+        duration_s=poll_s + 4 * airtime, seed=draw(st.integers(0, 2**32)), modem=modem,
+        channel=ch.ChannelConfig(cable_length_m=draw(st.floats(0.0, 1500.0)), interference=tones),
+        front_end=ch.FrontEndConfig(quality_factor=draw(st.sampled_from([0.3, 1.0, 20.0]))),
+        slaves=tuple(hs.SlaveSpec(address=a) for a in slaves),
+        poll_schedule=((poll_s, draw(st.sampled_from(slaves))),),
+        collision_injections=injections, ebn0_db=draw(st.none() | st.floats(4.0, 20.0)))
+    return sc, draw(st.sampled_from([1, 7, None])), draw(st.sampled_from([1, 2]))
+
+
 class TestReferenceReceiver:
-    """Every receiver's bits equal, bitwise, those of the whole-array
-    reference receiver, which sums each reception in the channel model's
-    order with no blocks and no pool."""
+    """Every receiver's symbol I/Q and bits equal, bitwise, those of the
+    whole-array reference receiver, which sums each reception in the channel
+    model's order with no blocks and no pool."""
 
     @pytest.mark.parametrize("make_scenario, block_symbols, threads", [
         (collided_4800_scenario, None, 2),
@@ -1051,38 +1137,22 @@ class TestReferenceReceiver:
     ], ids=["collided_4800-default-2", "collided_4800_tones-1-1", "collided_4800_tones-7-2",
             "multi_point_115200-default-1", "multi_point_115200-1-2"])
     def test_every_receivers_bits_are_the_references(self, make_scenario, block_symbols,
-                                                     threads, monkeypatch):
+                                                     threads):
         sc = make_scenario()
-        monkeypatch.setattr(hs, "_draw_threads", lambda: threads)
-        if block_symbols is not None:
-            monkeypatch.setattr(hs, "_BLOCK_SAMPLES", block_symbols * sc.modem.samples_per_bit)
-        started, expected, got, overlaps = [], [], [], []
-        real_start, real_receive, real_pack = (hs._Sim.start_transmission, hs._Sim.receive,
-                                               md.bits_to_bytes)
-
-        def start_transmission(sim, *args):
-            real_start(sim, *args)
-            started.append(sim.on_air[-1])
-
-        def receive(sim, now_s, tx):
-            overlaps.append(len(reference_receiver.overlapping(tx, started)))
-            expected.extend(reference_receiver.received_bits(sim, tx, started))
-            return real_receive(sim, now_s, tx)
-
-        def bits_to_bytes(bits):
-            got.append(bits.copy())
-            return real_pack(bits)
-
-        monkeypatch.setattr(hs._Sim, "start_transmission", start_transmission)
-        monkeypatch.setattr(hs._Sim, "receive", receive)
-        monkeypatch.setattr(md, "bits_to_bytes", bits_to_bytes)
-        report = hs.run_scenario(sc)
-        assert len(got) == len(expected) == report.link.physical_bits // (8 * hs.FRAME_LEN)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+        report, receptions = against_reference(sc, block_symbols, threads)
+        assert_run_is_the_reference(report, receptions)
         # Errors show the decisions near the threshold are compared too.
         assert report.link.bit_errors > 0
         if sc.collision_injections:
-            assert max(overlaps) > 0
+            assert max(overlaps for overlaps, _ in receptions) > 0
+
+    @given(overlapping_receptions())
+    @settings(max_examples=30)
+    def test_any_overlaps_tones_and_blocks_give_the_references_bits(self, drawn):
+        sc, block_symbols, threads = drawn
+        report, receptions = against_reference(sc, block_symbols, threads)
+        assert_run_is_the_reference(report, receptions)
+        assert max(overlaps for overlaps, _ in receptions) > 0
 
 
 class TestReportIo:
@@ -1144,44 +1214,61 @@ class TestReportIo:
 
     def test_waveform_csv_export(self, tmp_path):
         path = tmp_path / "wave.csv"
-        hs.write_waveform_csv(np.array([1.0, -0.5]), 10.0, path)
+        hs.write_waveform_csv(np.array([1, -1]), np.array([1.0, -0.5]), 10.0, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "time_s,volts"
-        assert lines[1].startswith("0.0,1.0")
-        assert lines[2].startswith("0.1,-0.5")
+        assert lines[1:] == ["0.0,1.0", "0.1,-0.5", "0.2,-1.0", "0.3,0.5"]
 
     def test_waveform_csv_matches_csv_writer(self, tmp_path):
-        # Reference: one csv.writer row per sample, as the export was first written.
-        fs = 23.38e6
-        samples = np.random.default_rng(3).normal(0.0, 1e-3, 70_001)
-        hs.write_waveform_csv(samples, fs, tmp_path / "wave.csv")
+        # Reference: one csv.writer row per sample of the whole waveform, as
+        # the export was first written; 313 symbols span two blocks.
+        fs, rng = 23.38e6, np.random.default_rng(3)
+        signs, template = 1 - 2 * rng.integers(0, 2, 313), rng.normal(0.0, 1e-3, 224)
+        hs.write_waveform_csv(signs, template, fs, tmp_path / "wave.csv")
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["time_s", "volts"])
-            for i, v in enumerate(samples):
+            for i, v in enumerate((signs[:, None] * template).ravel()):
                 writer.writerow([i / fs, repr(float(v))])
         assert (tmp_path / "wave.csv").read_bytes() == ref.read_bytes()
 
     def test_a_waveform_that_fails_midway_leaves_no_file(self, tmp_path):
         class FailsOnSecondBlock:
-            """Samples whose second block of rows cannot be read."""
+            """Symbol signs whose second block cannot be read."""
 
-            def __init__(self, samples):
-                self.samples = samples
+            def __init__(self, signs):
+                self.signs = signs
 
             def __len__(self):
-                return len(self.samples)
+                return len(self.signs)
 
-            def __getitem__(self, rows):
-                if rows.start:
+            def __getitem__(self, key):
+                if key[0].start:
                     raise OSError("second block")
-                return self.samples[rows]
+                return self.signs[key]
 
-        samples = FailsOnSecondBlock(np.zeros(hs._CSV_BLOCK_ROWS + 1))
+        template = np.ones(4)
+        signs = FailsOnSecondBlock(np.ones(hs._BLOCK_SAMPLES // len(template) + 1))
         with pytest.raises(OSError, match="second block"):
-            hs.write_waveform_csv(samples, 10.0, tmp_path / "wave.csv")
+            hs.write_waveform_csv(signs, template, 10.0, tmp_path / "wave.csv")
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_dump_holds_less_than_a_frame(self, tmp_path, monkeypatch):
+        # In blocks of one symbol, a dump formats 224 rows at a time: far less
+        # memory than the frame's float64 samples, had it modulated them whole.
+        sc = scn.single_point_scenario()
+        monkeypatch.setattr(hs, "_BLOCK_SAMPLES", sc.modem.samples_per_bit)
+        peaks = []
+        for wave_dir in (None, tmp_path):
+            tracemalloc.start()
+            try:
+                hs.run_scenario(sc, wave_dir)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(list(tmp_path.glob("tx*.csv"))) == 2
+        assert peaks[1] - peaks[0] < 8 * md.frame_samples(hs.FRAME_LEN, sc.modem)
 
 
 ADDRESS = "64 49 46 68 00 53"
@@ -1363,19 +1450,30 @@ STACKED_INJECTIONS = {
 }
 
 
-class TestValidate:
-    """Values of the right type that would crash the run are rejected up front."""
+def bound_factor(sc):
+    """2 * samples_per_bit * the front end's l1 bound: what a Scenario
+    multiplies the peak on air by and requires to stay finite."""
+    fe_bound = ch.frontend_l1_bound(sc.front_end, sc.modem.sample_rate_hz)
+    return 2 * sc.modem.samples_per_bit * fe_bound
 
-    @pytest.mark.parametrize("amplitude_v, passband_gain", [
-        (12.0, 1e303),  # the biquad's b coefficients are inf and nan
-        (12.0, 2e302),
-        (4.25e307, 3.0),  # the symbol correlations overflow during the run
+
+class TestValidate:
+    """Values of the right type that would crash the run are rejected up front,
+    and the valid scenarios beside them run."""
+
+    @pytest.mark.parametrize("amplitude_v, passband_gain, match", [
+        # The biquad's b coefficients are inf and nan.
+        pytest.param(12.0, 1e303, r"^front_end: .*modem\.amplitude_v", id="12.0-1e+303"),
+        pytest.param(12.0, 2e302, r"^front_end: .*modem\.amplitude_v", id="12.0-2e+302"),
+        # The symbol correlations could overflow, which a run would find only
+        # as it received.
+        pytest.param(4.25e307, 3.0, r"^modem\.amplitude_v: ", id="4.25e+307-3.0"),
     ])
-    def test_an_overflowing_front_end_is_config_invalid(self, amplitude_v, passband_gain):
+    def test_an_overflowing_front_end_is_config_invalid(self, amplitude_v, passband_gain, match):
         sc = scn.single_point_scenario(ebn0_db=None)
-        with pytest.raises(hs.ConfigInvalid, match=r"^front_end: .*modem\.amplitude_v"):
-            hs.run_scenario(replace(sc, modem=replace(sc.modem, amplitude_v=amplitude_v),
-                                    front_end=replace(sc.front_end, passband_gain=passband_gain)))
+        with pytest.raises(hs.ConfigInvalid, match=match):
+            replace(sc, modem=replace(sc.modem, amplitude_v=amplitude_v),
+                    front_end=replace(sc.front_end, passband_gain=passband_gain))
 
     def test_overflowing_interference_is_config_invalid(self):
         sc = scn.single_point_scenario(ebn0_db=None)
@@ -1383,9 +1481,13 @@ class TestValidate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(hs.ConfigInvalid, match=r"^channel\.interference: "):
-                hs.run_scenario(replace(sc, channel=replace(sc.channel, interference=tones)))
-            # One such tone alone is still a valid scenario.
-            replace(sc, channel=replace(sc.channel, interference=tones[:1]))
+                replace(sc, channel=replace(sc.channel, interference=tones))
+            # Two tones at two thirds of the bound's limit overflow it; one runs.
+            amplitude_v = sys.float_info.max / bound_factor(sc) / 1.5
+            tones = ((50e3, amplitude_v), (3e6, amplitude_v))
+            with pytest.raises(hs.ConfigInvalid, match=r"^channel\.interference: "):
+                replace(sc, channel=replace(sc.channel, interference=tones))
+            hs.run_scenario(replace(sc, channel=replace(sc.channel, interference=tones[:1])))
 
     def test_a_tone_whose_phase_overflows_is_config_invalid(self):
         # 2 pi f is inf, so the tone is nan from its first sample.
@@ -1451,7 +1553,7 @@ class TestValidate:
         assert math.isfinite((1e308 + pw.MODE_TABLE["RUN"].mcu_current_ua) * 0.5)
         with pytest.raises(hs.ConfigInvalid, match=f"^{re.escape(path)}: "):
             edit(sc, budget)
-        edit(sc, pw.UnitBudget(carrier_ua=1e300))
+        hs.run_scenario(edit(sc, pw.UnitBudget(carrier_ua=1e300)))
 
     def test_a_noise_sigma_past_float64_is_config_invalid(self):
         sc = scn.single_point_scenario(ebn0_db=None)
@@ -1459,8 +1561,8 @@ class TestValidate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(hs.ConfigInvalid, match=r"^channel\.noise_sigma_v: "):
-                hs.run_scenario(noisy(1e308))
-            noisy(1e300)
+                noisy(1e308)
+            hs.run_scenario(noisy(1e300))
 
     def test_a_derived_noise_sigma_past_float64_is_config_invalid(self):
         sc = replace(scn.single_point_scenario(), ebn0_db=-300.0)
@@ -1474,11 +1576,22 @@ class TestValidate:
 
     def test_transmissions_that_sum_past_float64_are_config_invalid(self):
         sc = scn.multi_point_scenario(polls_per_slave=1, ebn0_db=None)
-        # Six nodes on air at once sum past float64; each alone does not.
-        loud = replace(sc.modem, amplitude_v=1.7e308 / 4)
-        with pytest.raises(hs.ConfigInvalid, match=r"^modem\.amplitude_v: "):
+        # Six nodes on air at once pass the bound; one slave and the master do not.
+        loud = replace(sc.modem, amplitude_v=sys.float_info.max / bound_factor(sc) / 4
+                       / ch.channel_gain(sc.channel))
+        with pytest.raises(hs.ConfigInvalid, match=r"^modem\.amplitude_v: 6 transmissions"):
             replace(sc, modem=loud)
-        replace(sc, modem=loud, slaves=sc.slaves[:1], poll_schedule=sc.poll_schedule[:1])
+        hs.run_scenario(replace(sc, modem=loud, slaves=sc.slaves[:1],
+                                poll_schedule=sc.poll_schedule[:1]))
+
+    def test_a_late_collision_is_config_invalid_before_the_run(self):
+        # slave3 is injected half a command after the last of 200 polls, so
+        # seven transmissions can be on air: rejected before any poll runs.
+        sc = scn.multi_point_scenario(polls_per_slave=40, ebn0_db=None)
+        late_s = sc.poll_schedule[-1][0] + md.frame_airtime_s(hs.FRAME_LEN, sc.modem) / 2
+        with pytest.raises(hs.ConfigInvalid, match=r"^modem\.amplitude_v: 7 transmissions"):
+            replace(sc, modem=replace(sc.modem, amplitude_v=1e307),
+                    collision_injections=((late_s, "slave3"),))
 
     def test_tones_and_overlapping_transmissions_past_float64_are_config_invalid(self):
         # slave1 is injected 528 samples into the master's command, so the two
@@ -1510,8 +1623,8 @@ class TestValidate:
                            match=f"^{re.escape(path)}: only used when 'carrier' is in gating"):
             edit(sc, ungated)
         # The default current of an ungated unit, or any current of a gated one, counts.
-        edit(sc, replace(ungated, carrier_ua=130.0))
-        edit(sc, replace(ungated, gating=frozenset({"master", "carrier"})))
+        hs.run_scenario(edit(sc, replace(ungated, carrier_ua=130.0)))
+        hs.run_scenario(edit(sc, replace(ungated, gating=frozenset({"master", "carrier"}))))
 
     def test_an_infinite_duration_is_config_invalid(self):
         with pytest.raises(hs.ConfigInvalid, match=r"^duration_s: "):

@@ -2,13 +2,17 @@
 
 The strategies are built from the same dataclass annotations that
 ``scenarios._convert`` reads, so they follow the schema as it changes.  Each
-value is the field's default, a value near it, or an in-type extreme.  About
-a third of the draws keep only the fields that set what is on air at once,
-with ``modem.amplitude_v`` near float64's largest value over that count.
-Another share are valid scenarios whose injections are timed inside an
-exchange: the command, the polled slave's wake, its reply or after it.
-Every draw must be rejected as ConfigInvalid or run, with no warning, to a
-sound Report, whose energy is charge_consumed over its timeline's stretches.
+value is the field's default, a value near it, or an in-type extreme.  Half
+of these schema draws keep only the fields that set what is on air at once,
+with ``modem.amplitude_v`` up to 8 decades below float64's largest value over
+that count.  A second strategy draws valid scenarios whose injections are
+timed inside an exchange: the command, the polled slave's wake, its reply or
+after it.  A third sweeps ``modem.amplitude_v`` over the 13 decades below
+float64's largest value, at every rate, with injections during the last
+poll's exchange, so that many draws meet a Scenario's overflow bound.  Every
+draw must be rejected as ConfigInvalid when it is built, or run, with no
+warning, to a sound Report, whose energy is charge_consumed over its
+timeline's stretches.
 A draw that runs gives the same ``report.json`` bytes on 1 and on 4 threads.
 """
 
@@ -53,8 +57,9 @@ OVERRIDES = {
 }
 MAX_ITEMS = {"slaves": 3, "poll_schedule": 4, "collision_injections": 3,
              "channel.interference": 2}
-# Receptions longer than this are skipped before the run: they only cost time.
-MAX_RUN_SAMPLES = 1 << 19
+# Receptions longer than this, past a 4800 bps frame, are skipped before the
+# run: they only cost time.
+MAX_RUN_SAMPLES = 1 << 20
 
 
 def near(default):
@@ -96,15 +101,17 @@ def typed(tp, path, default=dataclasses.MISSING):
 
 def near_on_air_overflow(d):
     """d, or the draw of d's on-air fields alone, with no noise and modem.amplitude_v
-    near float64's max over k transmissions on air, for k up to d's on-air
-    count: one per node, plus one per injection.
+    up to 8 decades below float64's max over k transmissions on air, for k up
+    to d's on-air count: one per node, plus one per injection.  Those decades
+    span a Scenario's overflow bound at every rate.
 
     The on-air fields are the ones that set which transmissions overlap and
     what they sum to: the schedules, the slaves' addresses, the bit rate and
     the tones.  Each other field left at its default keeps the draw valid.
     """
     on_air = 1 + len(d.get("slaves", [])) + len(d.get("collision_injections", []))
-    amplitude = st.builds(lambda k, f: sys.float_info.max / k * f,
+    # f in [0.5, 1] sets the decades below: 10 ** (16 * (f - 1)) spans 8 of them.
+    amplitude = st.builds(lambda k, f: sys.float_info.max / k * 10 ** (16 * (f - 1)),
                           st.integers(1, on_air), st.floats(0.5, 1.0))
     on_air_fields = {k: d[k] for k in ("duration_s", "poll_schedule", "collision_injections")
                      if k in d}
@@ -149,8 +156,32 @@ def injections_in_exchanges(draw):
             "ebn0_db": draw(st.none() | st.floats(5.0, 30.0))}
 
 
+@st.composite
+def loud_late_injections(draw):
+    """A noiseless scenario at any rate, of 1-3 slaves and 1-3 polls, with
+    modem.amplitude_v log-uniform from 1e295 to float64's largest value, so
+    many draws lie near a Scenario's overflow bound, and 1-3 injections from
+    any node, each while the last poll's command or its reply is on air."""
+    modem = md.ModemConfig(bit_rate_bps=draw(st.sampled_from(md.SUPPORTED_BIT_RATES)))
+    n_slaves = draw(st.integers(1, 3))
+    spacing = scn.poll_spacing_s(modem)
+    polls = [[(i + 1) * spacing, draw(st.sampled_from(ADDRESSES[:n_slaves]))]
+             for i in range(draw(st.integers(1, 3)))]
+    airtime = md.frame_airtime_s(hs.FRAME_LEN, modem)
+    exchange_s = 2 * airtime + pw.MODE_TABLE["STOP1"].wakeup_time_s
+    nodes = st.sampled_from(["master", *(f"slave{i + 1}" for i in range(n_slaves))])
+    injections = [[polls[-1][0] + draw(st.floats(0.0, 1.0)) * exchange_s, draw(nodes)]
+                  for _ in range(draw(st.integers(1, 3)))]
+    decades = draw(st.floats(math.log10(1e295 / sys.float_info.max), 0.0))
+    return {"duration_s": polls[-1][0] + spacing, "ebn0_db": None,
+            "modem": {"bit_rate_bps": modem.bit_rate_bps,
+                      "amplitude_v": sys.float_info.max * 10 ** decades},
+            "slaves": [{"address": a} for a in ADDRESSES[:n_slaves]],
+            "poll_schedule": polls, "collision_injections": injections}
+
+
 SCHEMA_DICTS = typed(hs.Scenario, "").flatmap(near_on_air_overflow)
-SCENARIO_DICTS = SCHEMA_DICTS | injections_in_exchanges()
+SCENARIO_DICTS = SCHEMA_DICTS | injections_in_exchanges() | loud_late_injections()
 
 
 def assert_replies_in_run(report, sc):
@@ -169,7 +200,7 @@ def assert_replies_in_run(report, sc):
 
 
 def check_scenario(d):
-    """d is ConfigInvalid, or runs with no warning to a sound report."""
+    """d is ConfigInvalid when built, or runs with no warning to a sound report."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -177,10 +208,7 @@ def check_scenario(d):
         except hs.ConfigInvalid:
             return None
         assume(sim.edges[-1] <= MAX_RUN_SAMPLES)
-        try:
-            report = sim.run()
-        except hs.ConfigInvalid:
-            return None
+        report = sim.run()
     sc = sim.sc
     assert 0 <= report.link.measured_ber <= 1
     for node_id, stats in report.nodes.items():
