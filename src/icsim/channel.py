@@ -6,15 +6,13 @@ and additive interference tones, all in ``propagate``, which draws nothing.
 The transmissions on air add up, ``superpose``, which adds each in place
 from its symbol signs as plus or minus one symbol template.  Every node
 hears the one noiseless channel output plus its own seeded Gaussian noise,
-``channel_noise``: a reception is its noise with ``propagate`` adding the
-channel's output into it, which can be done a block at a time, so no array
-need hold a whole reception.  The front end is a single
-biquad band-pass (bilinear transform, prewarped at the center frequency)
-with the bench's passband gain of 3; ``frontend_biquad`` builds and checks
-it once, and ``condition`` can run it over a reception in consecutive blocks.
+``channel_noise``.  The front end is a single biquad band-pass (bilinear
+transform, prewarped at the center frequency) with the bench's passband
+gain of 3; ``frontend_biquad`` builds and checks it once.  A reception can
+be received, ``propagate`` adding into its noise, and conditioned a block at
+a time; nothing here chunks, so the caller's blocks bound every temporary.
 Samples are 1-D float64 arrays; the functions that depend on time take the
-sample rate as an argument, which in a run is always
-``ModemConfig.sample_rate_hz``.
+sample rate as an argument, in a run always ``ModemConfig.sample_rate_hz``.
 """
 
 from __future__ import annotations
@@ -98,11 +96,6 @@ def channel_noise(sigma_v: float, n: int, seed, out: np.ndarray | None = None) -
     return noise
 
 
-# Interference tones and superposed symbols are added this many samples at a
-# time, so no temporary is built over a whole reception.
-_TONE_SAMPLES = 1 << 16
-
-
 def propagate(waves, offsets, template: np.ndarray, cfg: ChannelConfig,
               sample_rate_hz: float, out: np.ndarray, start: int = 0) -> np.ndarray:
     """Add the noiseless channel's output from reception sample ``start`` on into ``out``.
@@ -111,10 +104,10 @@ def propagate(waves, offsets, template: np.ndarray, cfg: ChannelConfig,
     received: ``waves`` and ``offsets`` as ``superpose`` takes them, counted
     from the delay's end, each symbol plus or minus gain times ``template``.
     Then each interference tone, ``amplitude_v * sin(2 pi freq_hz t)`` at
-    t = reception sample index / sample_rate_hz, is added a block at a time
-    through one reused buffer.  Every receiver hears this same output, added
-    into its own ``channel_noise``; any split of a reception into blocks
-    gives the same samples.  Returns ``out``.
+    t = reception sample index / sample_rate_hz, is added through one buffer
+    as long as ``out``.  Every receiver hears this same output, added into
+    its own ``channel_noise``; any split of a reception into blocks gives
+    the same samples.  Returns ``out``.
     """
     d = delay_samples(cfg, sample_rate_hz)
     skip = min(len(out), max(0, d - start))
@@ -123,18 +116,17 @@ def propagate(waves, offsets, template: np.ndarray, cfg: ChannelConfig,
     superpose(waves, [off - first for off in offsets], len(signal),
               channel_gain(cfg) * template, out=signal)
     if cfg.interference:
-        tone = np.empty(min(len(out), _TONE_SAMPLES))
-        for lo in range(0, len(out), _TONE_SAMPLES):
-            # Whole numbers as floats are exact, so t is bitwise index / sample_rate_hz.
-            t = np.arange(start + lo, start + min(lo + _TONE_SAMPLES, len(out)), dtype=float)
-            t /= sample_rate_hz
-            for freq_hz, amplitude_v in cfg.interference:
-                # amplitude_v * sin(2 * pi * freq_hz * t) in place: elementwise,
-                # so bitwise what the expression over the whole reception gives.
-                block = np.multiply(2 * math.pi * freq_hz, t, out=tone[: len(t)])
-                np.sin(block, out=block)
-                block *= amplitude_v
-                out[lo : lo + len(t)] += block
+        # Whole numbers as floats are exact, so t is bitwise index / sample_rate_hz.
+        t = np.arange(start, start + len(out), dtype=float)
+        t /= sample_rate_hz
+        tone = np.empty(len(out))
+        for freq_hz, amplitude_v in cfg.interference:
+            # amplitude_v * sin(2 * pi * freq_hz * t) in place: elementwise,
+            # so bitwise what the expression over the whole reception gives.
+            np.multiply(2 * math.pi * freq_hz, t, out=tone)
+            np.sin(tone, out=tone)
+            tone *= amplitude_v
+            out += tone
     return out
 
 
@@ -173,17 +165,34 @@ def frontend_biquad(fe: FrontEndConfig, sample_rate_hz: float) -> tuple[np.ndarr
     return b, a
 
 
+_L1_SAMPLES = 1 << 18  # frontend_l1_bound's sample budget, 2 MiB
+
+
 @functools.lru_cache
 def frontend_l1_bound(fe: FrontEndConfig, sample_rate_hz: float) -> float:
-    """A bound on the front end's l1 gain sum |h|: |output| <= bound * max |input| (BIBO
-    stability; Oppenheim & Schafer, *Discrete-Time Signal Processing*).  h is b convolved
-    with 1/A(z)'s impulse response, at most (n + 1) r**n at sample n for the larger pole
-    radius r, so sum |h| <= ||b||_1 / (1 - r)**2."""
+    """A bound L on the front end's l1 gain sum |h|: |output| <= L max |input| (BIBO
+    stability; Oppenheim & Schafer).  For the larger pole radius r, |h[n]| <= ||b||_1
+    (n + 1) r**(n - 2) from n = 2 on, h being b convolved with 1/A(z)'s response, at most
+    (n + 1) r**n.  L is sum |h| over N samples, raised 1e-6 for rounding, plus the tail past
+    them, N the first power of 2 whose tail is within 1% of ||b||_1 / ||a||_1 <= sum |h|
+    (b = a * h): within 2% of sum |h|.  Past _L1_SAMPLES, L is the whole tail, ||b||_1 /
+    (1 - r)**2.  lfilter's states, z1[n] = sum_{k>=1} h[k] x[n+1-k] and z2[n] = sum_{k>=2}
+    h[k] x[n+2-k] + a1 z1[n] (|a1| < 2), and its partial sums (|b1|, |b2| <= 2L) stay within
+    5L max |x|, inside a Scenario's 2 samples_per_bit L max |x| as samples_per_bit >= 3.
+    """
     b, a = frontend_biquad(fe, sample_rate_hz)
     # The poles are (-a[1] +/- d) / 2, a[0] being 1: np.roots would load LAPACK, ~1 MiB RSS.
     d = (a[1] ** 2 - 4 * a[2] + 0j) ** 0.5
     r = float(max(abs(a[1] + d), abs(a[1] - d))) / 2
-    return float(np.abs(b).sum()) / (1 - r) ** 2 if r < 1 else math.inf
+    if not r < 1:
+        return math.inf
+    b_l1, n, tail = float(np.abs(b).sum()), 1, math.inf
+    while tail > 0.01 * b_l1 / float(np.abs(a).sum()):
+        n *= 2
+        if n > _L1_SAMPLES:
+            return b_l1 / (1 - r) ** 2
+        tail = b_l1 * r ** (n - 2) * ((n + 1) / (1 - r) + r / (1 - r) ** 2)
+    return float(np.abs(sps.lfilter(b, a, sps.unit_impulse(n))).sum()) * (1 + 1e-6) + tail
 
 
 def condition(samples: np.ndarray, fe: FrontEndConfig, sample_rate_hz: float,
@@ -214,21 +223,19 @@ def superpose(waves, offsets, length: int, template: np.ndarray,
     gaps are zero.  The waves are added in list order, so the floating-point
     sum is reproducible, and in place into ``out``, zeros of ``length``
     samples unless given: each symbol adds the template or its negation,
-    which is bitwise adding ``sign * template``.  Whole symbols are added
-    as rows gathered from (template, -template), as many at a time as fit
-    in _TONE_SAMPLES samples (at least one), so no temporary outgrows that.
+    which is bitwise adding ``sign * template``; whole symbols are added as
+    rows gathered from (template, -template).
     """
     out = np.zeros(length) if out is None else out
     spb = len(template)
-    both, group = np.stack((template, -template)), max(1, _TONE_SAMPLES // spb)
+    both = np.stack((template, -template))
     for signs, off in zip(waves, offsets):
         # Symbols lo to hi - 1 lie wholly in the span and are added as the
-        # rows of views of out; only symbols lo - 1 and hi can be clipped.
+        # rows of a view of out; only symbols lo - 1 and hi can be clipped.
         lo, hi = max(0, -(off // spb)), min(len(signs), (length - off) // spb)
-        for a in range(lo, hi, group):
-            b = min(hi, a + group)
-            rows = out[off + a * spb : off + b * spb].reshape(b - a, spb)
-            rows += both[(signs[a:b] < 0).view(np.uint8)]
+        if lo < hi:
+            rows = out[off + lo * spb : off + hi * spb].reshape(hi - lo, spb)
+            rows += both[(signs[lo:hi] < 0).view(np.uint8)]
         for k in {lo - 1, hi}:
             if 0 <= k < len(signs):
                 start = off + k * spb

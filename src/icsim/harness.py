@@ -1,23 +1,18 @@
 """Deterministic discrete-event simulation of the full polling link.
 
-Every transmission is carried at waveform level.  It is framed and held as
-its symbol signs; when it is received, every other node's detector builds
-the reception in blocks of whole symbols: it draws its own noise into a
-block's buffer, adds the channel's output into it, the transmission and
-every one that overlaps it added from their signs, then conditions and
-correlates it, and the calling thread decodes the bits.  Silent intervals
-generate no samples, and a transmission's signs are held only while it or
-one overlapping it is on air or awaiting reception, so run memory does not
-grow with run length, and no array is as long as a reception.  A
-receiver's noise comes from its own seeded Generator, whichever thread
-draws it.  Each receiver is detected by one job on up to 4 threads, the
-calling thread among them; a job holds one block's buffer.  Every detector
-is a pure function of its inputs, and the calling thread takes their bits
-in node order, so reports are bitwise those of a serial run.
-The event loop is the only clock: a node's wake is an event, at which it
-enters its mode and acts on, so the timeline is recorded in time order as it
-happens; ``nodes`` decides every frame, timer and frame end.  A run is a pure
-function of the Scenario, seed included: equal scenarios, byte-identical reports.
+Every transmission is carried at waveform level and held as its symbol signs, only
+while it or one overlapping it is on air or awaiting reception, so run memory does
+not grow with run length.  ``_block_edges`` is the one block plan: receptions, BER
+chunks and dumped frames are handled in blocks of whole symbols, none over two
+``_BLOCK_SAMPLES`` blocks, whatever the delay.  One loop, ``_demodulated``, receives
+every block: a receiver's noise from its own seeded Generator in one buffer, plus
+the signal (for a reception, the channel's output, conditioned), correlated.  Each
+receiver is one job on up to 4 threads, the calling thread among them, which decodes
+the bits in node order, so reports are bitwise those of a serial run.  The event loop
+is the only clock: a node's wake is an event, at which it enters its mode and acts
+on, so the timeline is recorded in time order as it happens; ``nodes`` decides every
+frame, timer and frame end.  A run is a pure function of the Scenario, seed included:
+equal scenarios, byte-identical reports.
 """
 
 from __future__ import annotations
@@ -48,14 +43,12 @@ class ConfigInvalid(ValueError):
     """Scenario validation failure; message carries the offending field path."""
 
 
-# A reception, and a frame dumped with --dump-waveforms, is handled a block at a time,
-# so its length costs a run work but no memory.  The frame and the propagation delay are
-# each still held to this limit, 31 times a 4800 bps frame at the default 16 samples per
-# cycle, so a reception, the frame plus the delay, can reach 2**25 samples.
+# A reception, its delay included, and a frame dumped with --dump-waveforms are handled
+# a block at a time, so their length costs work but no memory.  The frame and the delay
+# are each held to this limit, 31 times a 4800 bps frame at 16 samples per cycle.
 MAX_RECEPTION_SAMPLES = 2**24
-# Receptions are conditioned and correlated in blocks of this many samples,
-# rounded down to whole symbols: one block holds a whole 115200 bps reception,
-# and 9600 and 4800 bps receptions take 5 and 9 blocks.
+# The one block size, rounded down to whole symbols by _block_edges: one block holds a
+# whole 115200 bps reception, and 9600 and 4800 bps receptions take 5 and 9.
 _BLOCK_SAMPLES = 1 << 16
 FRAME_LEN = nd.FRAME_LEN
 
@@ -115,7 +108,8 @@ class Scenario:
                                 f"a report; use {ch.FrontEndConfig.passband_gain!r}")
         # A conditioned sample is at most the biquad's l1 gain times the peak on air (a frame
         # per node and per injection, as an injected node transmits whatever its phase, the
-        # tones and 64 sigma of noise); a correlation sums samples_per_bit of them; 2x is headroom.
+        # tones and 64 sigma of noise); a correlation sums samples_per_bit of them; 2x is
+        # headroom, which also holds lfilter's states (ch.frontend_l1_bound).
         on_air = 1 + len(self.slaves) + len(self.collision_injections)
         peaks = {f"modem.amplitude_v: {on_air} transmissions on air at {self.modem.amplitude_v!r}"
                  " V each": on_air * self.modem.amplitude_v * ch.channel_gain(self.channel),
@@ -237,8 +231,7 @@ class _Transmission:
     start_s: float
     end_s: float
     injected: bool
-    # (sample offset from start_s, signs) of each overlapping transmission,
-    # in index order.
+    # (sample offset from start_s, signs) of each overlapping one, in index order.
     overlapping: list = field(default_factory=list)
 
 
@@ -270,8 +263,7 @@ class _Sim:
         self.prop_delay_s = self.delay / self.fs
         # The reference symbol is +1 times the template every symbol is +/- of.
         self.template = md.modulate((), sc.modem)
-        # Every frame is FRAME_LEN bytes, so every reception is this long; its
-        # block edges fall at the delay plus whole symbols.
+        # Every frame is FRAME_LEN bytes, so every reception has these blocks.
         self.edges = _block_edges(md.frame_samples(FRAME_LEN, sc.modem) + self.delay,
                                   sc.modem.samples_per_bit, first=self.delay)
         # Each receiver of a reception is detected by one job on self.threads
@@ -354,31 +346,16 @@ class _Sim:
             self.deliver(now_s, node, frame)
 
     def detect(self, tx, offsets, waves, node):
-        """The bits node demodulates from tx, received with the waves on air
-        at their offsets.  As demodulate asks for each block, the block's
-        noise is drawn from the receiver's one seeded Generator into one
-        block's buffer (zeros when the run is noiseless), the channel's
-        output is added into it and the sum conditioned with the biquad
-        state carried from the last."""
-        if self.sigma > 0:
-            rng = np.random.default_rng(self._rx_seed(tx.index, node.id))
-        buffer, state = np.empty(self.edges[1]), np.zeros(2)
+        """The bits node demodulates from tx, received with the waves on air at their offsets."""
+        rng = np.random.default_rng(self._rx_seed(tx.index, node.id)) if self.sigma > 0 else None
+        state = np.zeros(2)  # the biquad's, carried from block to block
 
-        def conditioned():
-            for lo, hi in zip(self.edges, self.edges[1:]):
-                received = buffer[: hi - lo]
-                if self.sigma > 0:
-                    ch.channel_noise(self.sigma, hi - lo, rng, received)
-                else:
-                    received.fill(0.0)
-                ch.propagate(waves, offsets, self.template, self.sc.channel, self.fs,
-                             received, lo)
-                block = ch.condition(received, self.sc.front_end, self.fs, state)
-                yield block if lo else block[self.delay:]
-                # Dropped before the next block is conditioned into a new array.
-                del block
+        def received(block, lo):
+            ch.propagate(waves, offsets, self.template, self.sc.channel, self.fs, block, lo)
+            return ch.condition(block, self.sc.front_end, self.fs, state)
 
-        return md.demodulate(conditioned(), self.sc.modem, len(tx.bits))
+        return _demodulated(self.edges, self.delay, self.sigma, rng, received, self.sc.modem,
+                            len(tx.bits))
 
     # -- protocol glue --
 
@@ -529,9 +506,29 @@ def _in_order(pool, fn, jobs):
 
 def _block_edges(n, spb, first=0):
     """Edges of n samples' blocks: _BLOCK_SAMPLES rounded down to whole symbols
-    of spb samples, at least one, the first ending one block past first."""
+    of spb samples, at least one, up to first, then one ending one block past
+    first, so no block is longer than two, then whole blocks to n."""
     block = max(1, _BLOCK_SAMPLES // spb) * spb
-    return [0, *range(first + block, n, block), n]
+    return [0, *range(block, first, block), *range(first + block, n, block), n]
+
+
+def _demodulated(edges, skip, sigma, rng, received, cfg: md.ModemConfig, n_bits: int):
+    """md.demodulate of all but the first skip samples of an array received in the
+    blocks between edges: each is its noise of sigma from the Generator rng (zeros if
+    sigma is 0) in one buffer, then received(noise, lo) of it, lo its first sample."""
+    buffer = np.empty(max(hi - lo for lo, hi in zip(edges, edges[1:])))
+
+    def blocks():
+        for lo, hi in zip(edges, edges[1:]):
+            noise = buffer[: hi - lo]
+            if sigma > 0:
+                ch.channel_noise(sigma, hi - lo, rng, noise)
+            else:
+                noise.fill(0.0)
+            # A block wholly within the first skip samples comes out empty.
+            yield received(noise, lo)[max(0, skip - lo):]
+
+    return md.demodulate(blocks(), cfg, n_bits)
 
 
 def _ran_here(fn, job) -> Future:
@@ -554,13 +551,11 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
     (seed, grid index, chunk index), so results are reproducible for a given
     seed and ``chunk_bits``; another chunk size draws other trials.
 
-    Each chunk is one job on up to 4 threads, the calling thread among them,
-    as a receiver's detector is: it draws its bits, then its noise a block at a time into one block's
-    buffer, superposes its signal onto each block in place and correlates
-    it, so memory does not grow with ``n_bits``, and with ``chunk_bits``
-    only by the chunk's bits and their symbol correlations.
-    The error counts are summed chunk by chunk in order, so the results are
-    bitwise those of drawing, modulating and receiving each chunk in turn.
+    Each chunk is one job on up to 4 threads, the calling thread among them: it draws
+    its bits, then is received as a reception is, by _demodulated, so memory does not
+    grow with ``n_bits``, and with ``chunk_bits`` only by the chunk's bits and their
+    symbol correlations.  The error counts are summed chunk by chunk in order, so the
+    results are bitwise those of drawing, modulating and receiving each chunk in turn.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be at least 1")
@@ -579,17 +574,14 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
         gi, ci, n = job
         rng = np.random.default_rng(np.random.SeedSequence([seed, gi, ci]))
         bits = rng.integers(0, 2, n)
-        signs, edges = md.symbol_signs(bits), _block_edges((n + 1) * spb, spb)
+        signs = md.symbol_signs(bits)
 
-        def received():
-            buffer = np.empty(edges[1])
-            for lo, hi in zip(edges, edges[1:]):
-                # channel_noise draws what normal(0, sigma) does, and addition
-                # commutes, so this is signal + normal(0, sigma) bit for bit.
-                noise = ch.channel_noise(sigmas[gi], hi - lo, rng, buffer[: hi - lo])
-                yield ch.superpose([signs], [-lo], hi - lo, template, out=noise)
+        def received(noise, lo):
+            # Bitwise signal + normal(0, sigma): channel_noise draws what normal does.
+            return ch.superpose([signs], [-lo], len(noise), template, out=noise)
 
-        return gi, int(np.count_nonzero(bits != md.demodulate(received(), cfg, n)))
+        rx = _demodulated(_block_edges((n + 1) * spb, spb), 0, sigmas[gi], rng, received, cfg, n)
+        return gi, int(np.count_nonzero(bits != rx))
 
     with _pool(_draw_threads() - 1) as pool:
         for gi, e in _in_order(pool, chunk_errors, jobs):

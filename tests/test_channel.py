@@ -127,9 +127,8 @@ class TestPropagate:
         ch.propagate(waves, offsets, SYMBOL, cfg, FS, received)
         assert np.array_equal(received, ref)
 
-    @pytest.mark.parametrize("n, block", [(3 * (1 << 16) + 5, 1 << 16), (2500, 1000), (7, 1000)])
-    def test_tones_added_in_blocks_equal_the_whole_array_formula(self, n, block, monkeypatch):
-        monkeypatch.setattr(ch, "_TONE_SAMPLES", block)
+    @pytest.mark.parametrize("n", [3 * (1 << 16) + 5, 2500, 7])
+    def test_tones_added_in_blocks_equal_the_whole_array_formula(self, n):
         cfg = ch.ChannelConfig(interference=((50e3, 0.5), (3e6, 0.1)))
         signs, d = random_signs(8, n // len(SYMBOL) + 1), ch.delay_samples(cfg, FS)
         ref = np.zeros(n)
@@ -252,6 +251,18 @@ class TestFrontendCoefficients:
         h = np.abs(ch.condition(impulse, fe, FS))
         assert h[-1000:].max() < 1e-30 * h.max()
         assert ch.frontend_l1_bound(fe, FS) >= h.sum()
+        assert ch.frontend_l1_bound(fe, FS) <= 1.02 * h.sum()
+
+    def test_past_its_sample_budget_the_l1_bound_is_the_whole_geometric_sum(self, monkeypatch):
+        fe = ch.FrontEndConfig(quality_factor=20.0)
+        b, a = ch.frontend_biquad(fe, FS)
+        r = max(abs(np.roots(a)))
+        monkeypatch.setattr(ch, "_L1_SAMPLES", 64)
+        ch.frontend_l1_bound.cache_clear()
+        try:
+            assert ch.frontend_l1_bound(fe, FS) == pytest.approx(np.abs(b).sum() / (1 - r) ** 2)
+        finally:
+            ch.frontend_l1_bound.cache_clear()
 
 
 def expanded_sum(waves, offsets, length, template, out=None):
@@ -313,10 +324,10 @@ class TestSuperpose:
         assert np.array_equal(out, expanded_sum(self.SIGNS, [0, offset], n, self.TEMPLATE))
 
     def test_long_symbols_clipped_at_both_ends_are_bitwise(self):
-        # 4800 bps symbols of 5568 samples: whole ones are added 11 at a time,
-        # so 28 take three groups, and the first and last are clipped.
+        # 4800 bps symbols of 5568 samples: 28 whole ones are added, and the
+        # first and last are clipped.
         template = md.modulate((), md.ModemConfig(bit_rate_bps=4800))
-        assert len(template) == 5568 and ch._TONE_SAMPLES // 5568 == 11
+        assert len(template) == 5568
         rng = np.random.default_rng(4)
         waves, offsets = [1 - 2 * rng.integers(0, 2, 31), 1 - 2 * rng.integers(0, 2, 9)], [-2000, 7]
         noise = rng.standard_normal(29 * 5568)

@@ -313,6 +313,18 @@ class TestBoundedMemory:
         # trace.  A kept waveform pair costs about 350 kB per poll.
         assert long - short < 8 * 2**20
 
+    def test_a_long_delay_costs_no_memory(self):
+        # 2**20 samples of delay, 8 MiB as one array, are received in blocks
+        # like the frame's; the run lasts until the master has the reply.
+        sc = scn.single_point_scenario()
+        fs = sc.modem.sample_rate_hz
+        slow = replace(sc.channel, propagation_speed_mps=sc.channel.cable_length_m * fs / 2**20)
+        far = replace(sc, channel=slow, duration_s=sc.duration_s + 2**21 / fs)
+        assert hs._Sim(far).delay == 2**20
+        peak = self.peak_traced_bytes(far)
+        assert peak - self.peak_traced_bytes(sc) < 2 * 2**20
+        assert hs.run_scenario(far).nodes["master"].frames_received == 1
+
     def test_completed_transmissions_are_retired(self):
         sim = hs._Sim(scn.multi_point_scenario(polls_per_slave=2))
         sim.run()
@@ -923,6 +935,19 @@ class TestStreamedReception:
             assert hs._Sim(sc).edges[1] == sim.delay + symbols * spb
             assert report_bytes(f"{symbols}.json") == default, symbols
 
+    @given(st.integers(1, 2**21), st.integers(1, 6000), st.integers(0, 2**21))
+    def test_block_edges_cut_the_delay_too_and_no_block_is_over_two(self, n, spb, first):
+        n += first  # a reception is longer than its delay
+        block = max(1, hs._BLOCK_SAMPLES // spb) * spb
+        edges = hs._block_edges(n, spb, first)
+        sizes = np.diff(edges)
+        assert edges[0] == 0 and edges[-1] == n and sizes.min() > 0
+        assert sizes.max() <= 2 * block
+        # Blocks of whole symbols from 0 up to first, then from first on.
+        assert all(e % block == 0 for e in edges if e < first)
+        assert all((e - first) % block == 0 for e in edges[:-1] if e > first)
+        assert min(n, first + block) in edges
+
     @pytest.mark.parametrize("bit_rate_bps, blocks", [(4800, 9), (9600, 5), (115200, 1)])
     def test_noise_drawn_a_block_at_a_time_is_one_draw(self, bit_rate_bps, blocks):
         sc = scn.single_point_scenario(bit_rate_bps=bit_rate_bps)
@@ -1145,6 +1170,18 @@ class TestReferenceReceiver:
         assert report.link.bit_errors > 0
         if sc.collision_injections:
             assert max(overlaps for overlaps, _ in receptions) > 0
+
+    def test_a_delay_of_several_blocks_gives_the_references_bits(self):
+        # In blocks of one 224-sample symbol, the 1000 samples of delay take
+        # four blocks of their own before the one that holds the delay's end.
+        sc = scn.multi_point_scenario(polls_per_slave=1, ebn0_db=6.0)
+        fs = sc.modem.sample_rate_hz
+        sc = with_tones(replace(sc, channel=replace(sc.channel,
+                                                    propagation_speed_mps=700.0 * fs / 1000)))
+        assert hs._Sim(sc).delay == 1000
+        report, receptions = against_reference(sc, block_symbols=1, threads=2)
+        assert_run_is_the_reference(report, receptions)
+        assert report.nodes["master"].frames_received > 0
 
     @given(overlapping_receptions())
     @settings(max_examples=30)
@@ -1583,6 +1620,24 @@ class TestValidate:
             replace(sc, modem=loud)
         hs.run_scenario(replace(sc, modem=loud, slaves=sc.slaves[:1],
                                 poll_schedule=sc.poll_schedule[:1]))
+
+    def test_a_scenario_only_the_geometric_sum_rejects_runs_clean(self):
+        # The whole geometric sum, ||b||_1 / (1 - r)**2, is 8 times the front
+        # end's l1 bound at Q = 1: a scenario at half the bound's limit passes
+        # it, and runs without overflow to a report with no error.
+        sc = scn.single_point_scenario(ebn0_db=None)
+        b, a = ch.frontend_biquad(sc.front_end, sc.modem.sample_rate_hz)
+        geometric = float(np.abs(b).sum() / (1 - max(abs(np.roots(a)))) ** 2)
+        amplitude_v = sys.float_info.max / bound_factor(sc) / 4 / ch.channel_gain(sc.channel)
+        peak = 2 * amplitude_v * ch.channel_gain(sc.channel)
+        assert math.isinf(2 * sc.modem.samples_per_bit * geometric * peak)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = hs.run_scenario(replace(sc, modem=replace(sc.modem, amplitude_v=amplitude_v)))
+        assert report.nodes["master"].frames_received == 1
+        assert report.link.bit_errors == 0 and report.link.physical_bits > 0
+        assert all(s.decode_errors == 0 and s.timeouts == 0 for s in report.nodes.values())
+        "".join(hs.report_json_chunks(report))  # every value finite
 
     def test_a_late_collision_is_config_invalid_before_the_run(self):
         # slave3 is injected half a command after the last of 200 polls, so
