@@ -113,8 +113,7 @@ def propagate(waves, offsets, template: np.ndarray, cfg: ChannelConfig,
     skip = min(len(out), max(0, d - start))
     signal = out[skip:]
     first = start + skip - d  # the signal sample at signal[0]
-    superpose(waves, [off - first for off in offsets], len(signal),
-              channel_gain(cfg) * template, out=signal)
+    superpose(waves, [off - first for off in offsets], channel_gain(cfg) * template, signal)
     if cfg.interference:
         # Whole numbers as floats are exact, so t is bitwise index / sample_rate_hz.
         t = np.arange(start, start + len(out), dtype=float)
@@ -173,24 +172,21 @@ def frontend_l1_bound(fe: FrontEndConfig, sample_rate_hz: float) -> float:
     """A bound L on the front end's l1 gain sum |h|: |output| <= L max |input| (BIBO
     stability; Oppenheim & Schafer).  For the larger pole radius r, |h[n]| <= ||b||_1
     (n + 1) r**(n - 2) from n = 2 on, h being b convolved with 1/A(z)'s response, at most
-    (n + 1) r**n.  L is sum |h| over N samples, raised 1e-6 for rounding, plus the tail past
-    them, N the first power of 2 whose tail is within 1% of ||b||_1 / ||a||_1 <= sum |h|
-    (b = a * h): within 2% of sum |h|.  Past _L1_SAMPLES, L is the whole tail, ||b||_1 /
-    (1 - r)**2.  lfilter's states, z1[n] = sum_{k>=1} h[k] x[n+1-k] and z2[n] = sum_{k>=2}
-    h[k] x[n+2-k] + a1 z1[n] (|a1| < 2), and its partial sums (|b1|, |b2| <= 2L) stay within
-    5L max |x|, inside a Scenario's 2 samples_per_bit L max |x| as samples_per_bit >= 3.
+    (n + 1) r**n.  L is sum |h| over N samples, raised 1e-6 for rounding, plus that bound's
+    tail past them, N the first power of 2 whose tail is within 1% of ||b||_1 / ||a||_1 <=
+    sum |h| (b = a * h), which is within 2% of sum |h|, or _L1_SAMPLES if none up to it is;
+    inf if r rounds up to 1.  lfilter's states, z1[n] = sum_{k>=1} h[k] x[n+1-k] and z2[n] =
+    sum_{k>=2} h[k] x[n+2-k] + a1 z1[n] (|a1| < 2), and its partial sums (|b1|, |b2| <= 2L)
+    stay within 5L max |x|, inside a Scenario's 2 samples_per_bit L max |x| as
+    samples_per_bit >= 3.
     """
     b, a = frontend_biquad(fe, sample_rate_hz)
     # The poles are (-a[1] +/- d) / 2, a[0] being 1: np.roots would load LAPACK, ~1 MiB RSS.
     d = (a[1] ** 2 - 4 * a[2] + 0j) ** 0.5
     r = float(max(abs(a[1] + d), abs(a[1] - d))) / 2
-    if not r < 1:
-        return math.inf
     b_l1, n, tail = float(np.abs(b).sum()), 1, math.inf
-    while tail > 0.01 * b_l1 / float(np.abs(a).sum()):
+    while r < 1 and n < _L1_SAMPLES and tail > 0.01 * b_l1 / float(np.abs(a).sum()):
         n *= 2
-        if n > _L1_SAMPLES:
-            return b_l1 / (1 - r) ** 2
         tail = b_l1 * r ** (n - 2) * ((n + 1) / (1 - r) + r / (1 - r) ** 2)
     return float(np.abs(sps.lfilter(b, a, sps.unit_impulse(n))).sum()) * (1 + 1e-6) + tail
 
@@ -213,32 +209,23 @@ def condition(samples: np.ndarray, fe: FrontEndConfig, sample_rate_hz: float,
     return out
 
 
-def superpose(waves, offsets, length: int, template: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Sample-wise sum over ``[0, length)`` of waves placed at start offsets.
+def superpose(waves, offsets, template: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add waves placed at start offsets into ``out``, clipped to its span; returns ``out``.
 
     Each wave is an array of symbol signs, +1 or -1, symbol k being
-    ``wave[k] * template``; ``offsets[k]`` is the output index of
-    ``waves[k]``'s first sample.  Samples outside the span are dropped and
-    gaps are zero.  The waves are added in list order, so the floating-point
-    sum is reproducible, and in place into ``out``, zeros of ``length``
-    samples unless given: each symbol adds the template or its negation,
-    which is bitwise adding ``sign * template``; whole symbols are added as
-    rows gathered from (template, -template).
+    ``wave[k] * template``; ``offsets[k]`` is the index in ``out`` of
+    ``waves[k]``'s first sample.  The waves are added in list order, so the
+    floating-point sum is reproducible.  Each wave's symbols that overlap
+    the span are one gather of rows from (template, -template), which is
+    bitwise ``sign * template``, raveled, sliced to the span and added.
     """
-    out = np.zeros(length) if out is None else out
-    spb = len(template)
+    spb, length = len(template), len(out)
     both = np.stack((template, -template))
     for signs, off in zip(waves, offsets):
-        # Symbols lo to hi - 1 lie wholly in the span and are added as the
-        # rows of a view of out; only symbols lo - 1 and hi can be clipped.
-        lo, hi = max(0, -(off // spb)), min(len(signs), (length - off) // spb)
+        # Symbols lo to hi - 1 overlap [0, length); the first and last may be clipped.
+        lo, hi = max(0, -off // spb), min(len(signs), -((off - length) // spb))
         if lo < hi:
-            rows = out[off + lo * spb : off + hi * spb].reshape(hi - lo, spb)
-            rows += both[(signs[lo:hi] < 0).view(np.uint8)]
-        for k in {lo - 1, hi}:
-            if 0 <= k < len(signs):
-                start = off + k * spb
-                a, b = max(0, start), min(length, start + spb)
-                out[a:b] += signs[k] * template[a - start : b - start]
+            first = off + lo * spb  # the gathered samples' first index in out
+            a, b = max(0, first), min(length, off + hi * spb)
+            out[a:b] += both[(signs[lo:hi] < 0).view(np.uint8)].ravel()[a - first : b - first]
     return out

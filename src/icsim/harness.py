@@ -481,18 +481,19 @@ def _pool(threads: int):
 def _in_order(pool, fn, jobs):
     """fn(job) for each job, in job order, whichever thread ran it.
 
-    Jobs are submitted to pool at most 2 * _draw_threads() ahead of the one
-    due.  While the due job is not done, the calling thread claims each
-    queued job no worker has started, the oldest first, and runs it itself;
-    with no pool, it runs each as it falls due.  A job that raises raises
-    when its result is due.
+    Jobs are submitted to pool at most 2 * _draw_threads(), read once per
+    call, ahead of the one due.  While the due job is not done, the calling
+    thread claims each queued job no worker has started, the oldest first,
+    and runs it itself; with no pool, it runs each as it falls due.  A job
+    that raises raises when its result is due.
     """
     if pool is None:
         yield from map(fn, jobs)
         return
     jobs, pending = iter(jobs), deque()  # [future, job] in job order
+    ahead = 1 + 2 * _draw_threads()
     while True:
-        for job in itertools.islice(jobs, 1 + 2 * _draw_threads() - len(pending)):
+        for job in itertools.islice(jobs, ahead - len(pending)):
             pending.append([pool.submit(fn, job), job])
         if not pending:
             return
@@ -578,7 +579,7 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
 
         def received(noise, lo):
             # Bitwise signal + normal(0, sigma): channel_noise draws what normal does.
-            return ch.superpose([signs], [-lo], len(noise), template, out=noise)
+            return ch.superpose([signs], [-lo], template, noise)
 
         rx = _demodulated(_block_edges((n + 1) * spb, spb), 0, sigmas[gi], rng, received, cfg, n)
         return gi, int(np.count_nonzero(bits != rx))

@@ -153,16 +153,16 @@ def decide(iq: np.ndarray) -> np.ndarray:
     correlations: symbol k's bit is 1 when I_k I_{k-1} + Q_k Q_{k-1} < 0,
     a phase step of more than pi/2.  For in-band components that statistic
     equals the plain sample-wise delayed product up to a positive scale.
-    The correlations are first scaled by a power of two, which is exact, so
-    that a faint signal's products do not underflow to 0.  A correlation
-    that is inf or nan, from samples that overflowed float64, raises
-    NonFiniteSignal.
+    The correlations are first scaled by 2 ** -e, e the peak's frexp
+    exponent, which is exact, so that a faint signal's products do not
+    underflow to 0; all-zero correlations have e = 0 and stay as they are.
+    A correlation that is inf or nan, from samples that overflowed float64,
+    raises NonFiniteSignal.
     """
     peak = np.max(np.abs(iq))
     if not math.isfinite(peak):
         raise NonFiniteSignal(f"the symbol correlations reach {float(peak)!r}")
-    if peak > 0:
-        iq = np.ldexp(iq, -np.frexp(peak)[1])
+    iq = np.ldexp(iq, -np.frexp(peak)[1])
     in_phase, quadrature = iq
     stats = in_phase[1:] * in_phase[:-1] + quadrature[1:] * quadrature[:-1]
     return (stats < 0).view(np.uint8)
