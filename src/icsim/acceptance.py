@@ -117,8 +117,12 @@ def criterion_4_modem_fidelity():
                 return False, f"noiseless round trip failed at {rate} bps"
             remaining -= n
     cfg = md.ModemConfig(bit_rate_bps=115200)
-    for ebn0_db, measured in hs.measure_ber(cfg, [5.0, 7.0, 9.0], 100_000, seed=1):
+    for ebn0_db in (5.0, 7.0, 9.0):
         expected = 0.5 * math.exp(-(10 ** (ebn0_db / 10)))  # closed-form oracle
+        # 500 expected errors in whole 2000-bit chunks.  DPSK errors often come in pairs, so
+        # the count spreads by 22 to 32 errors, sqrt(500) to sqrt(2 * 500); +-20% is over 3.
+        n_bits = math.ceil(500 / expected / 2000) * 2000
+        [(_, measured)] = hs.measure_ber(cfg, [ebn0_db], n_bits, seed=1)
         if abs(measured - expected) > 0.20 * expected:
             return False, (f"BER {measured:.3e} at {ebn0_db} dB outside "
                            f"+-20% of {expected:.3e}")
@@ -185,17 +189,15 @@ def criterion_7_address_isolation():
     base = scn.multi_point_scenario(polls_per_slave=1)
     sc = replace(base, poll_schedule=((base.poll_schedule[0][0], absent),),
                  duration_s=base.poll_schedule[0][0] * 3)
-    sim = hs._Sim(sc)
-    report = sim.run()
-    for node_id, node in sim.nodes.items():
+    report = hs.run_scenario(sc)
+    # A slave with no mode entry, frame received or decode error stayed in STOP1 standby.
+    for node_id, stats in report.nodes.items():
         if node_id == "master":
             continue
-        if node.state.phase != "STANDBY" or node.power_mode != "STOP1":
-            return False, f"{node_id} left standby"
         modes = [e["mode"] for e in report.timeline if e["node"] == node_id and "mode" in e]
         if modes:
             return False, f"{node_id} changed power mode: {modes}"
-        if report.nodes[node_id].frames_received or report.nodes[node_id].decode_errors:
+        if stats.frames_received or stats.decode_errors:
             return False, f"{node_id} accepted or failed a frame"
     # The same claim directly on the state machine.
     state = nd.SlaveState(address=scn.MULTI_POINT_ADDRESSES[0])

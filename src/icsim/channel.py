@@ -200,6 +200,8 @@ def condition(samples: np.ndarray, fe: FrontEndConfig, sample_rate_hz: float,
     updated in place by each call.  The blocks then come out bitwise as one
     call over the whole reception would give them.
     """
+    # No run passes an empty block, but for one lfilter returns a wrong final state (scipy
+    # 1.17.1 turned zi [0.5, -0.25] into [-1, 1]), which every later block would carry.
     if len(samples) == 0:
         return samples
     b, a = frontend_coefficients(fe, sample_rate_hz)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -38,20 +39,24 @@ def main():
 @click.option("--dump-waveforms", is_flag=True, help="Dump transmitted waveforms as CSV.")
 def run(scenario_path, out_dir, seed, dump_waveforms):
     """Execute a scenario file and write report.json, report.csv, timeline.jsonl."""
+    out = Path(out_dir)
     try:
         sc = load_scenario(scenario_path)
         if seed is not None:
-            from dataclasses import replace
             sc = replace(sc, seed=seed)
-    except hs.ConfigInvalid as err:
-        config_error(err)
-    out = Path(out_dir)
-    try:
         out.mkdir(parents=True, exist_ok=True)
-        report = hs.run_scenario(sc, out if dump_waveforms else None)
+        report = hs.run_scenario(sc)
+        if dump_waveforms:  # before the report files, so a failed dump leaves no report
+            starts = (e for e in report.timeline if e["kind"] == "tx_start")
+            for index, entry in enumerate(starts):
+                signs = md.symbol_signs(md.bytes_to_bits(bytes.fromhex(entry["frame_hex"])))
+                hs.write_waveform_csv(signs, md.modulate((), sc.modem), sc.modem.sample_rate_hz,
+                                      out / f"tx{index:04d}_{entry['node']}.csv")
         hs.emit_report(report, "json", out / "report.json")
         hs.emit_report(report, "csv", out / "report.csv")
         hs.emit_timeline(report, out / "timeline.jsonl")
+    except hs.ConfigInvalid as err:
+        config_error(err)
     except OSError as err:
         io_error(err)
     click.echo(f"wrote report.json, report.csv, timeline.jsonl to {out}")

@@ -5,14 +5,14 @@ while it or one overlapping it is on air or awaiting reception, so run memory do
 not grow with run length.  ``_block_edges`` is the one block plan: receptions, BER
 chunks and dumped frames are handled in blocks of whole symbols, none over two
 ``_BLOCK_SAMPLES`` blocks, whatever the delay.  One loop, ``_demodulated``, receives
-every block: a receiver's noise from its own seeded Generator in one buffer, plus
-the signal (for a reception, the channel's output, conditioned), correlated.  Each
-receiver is one job on up to 4 threads, the calling thread among them, which decodes
-the bits in node order, so reports are bitwise those of a serial run.  The event loop
-is the only clock: a node's wake is an event, at which it enters its mode and acts
-on, so the timeline is recorded in time order as it happens; ``nodes`` decides every
-frame, timer and frame end.  A run is a pure function of the Scenario, seed included:
-equal scenarios, byte-identical reports.
+every block: a receiver's noise from its own seeded Generator in one buffer, plus the
+signal (for a reception, the channel's output, conditioned), correlated.  Each receiver
+is one job on up to 4 threads, the calling thread among them, which decodes the bits
+in node order, so reports are bitwise those of a serial run.  The event loop is the
+only clock: a node's wake is an event, at which it enters its mode and acts on, so
+the timeline is recorded in time order as it happens; ``nodes`` decides every frame,
+timer and frame end.  A run is a pure function of the Scenario, seed included, and
+writes no file: ``run_scenario`` returns the Report, which the writers below write.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import os
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -254,9 +253,8 @@ class _Node:
 
 
 class _Sim:
-    def __init__(self, sc: Scenario, wave_dir=None):
+    def __init__(self, sc: Scenario):
         self.sc = sc
-        self.wave_dir = None if wave_dir is None else Path(wave_dir)
         self.sigma = derived_noise_sigma(sc)
         self.fs = sc.modem.sample_rate_hz
         self.delay = ch.delay_samples(sc.channel, self.fs)
@@ -319,9 +317,6 @@ class _Sim:
                 tx.overlapping.append((round((o.start_s - now_s) * self.fs), o.signs))
                 o.overlapping.append((round((now_s - o.start_s) * self.fs), signs))
         self.on_air.append(tx)
-        if self.wave_dir is not None:
-            write_waveform_csv(signs, self.template, self.fs,
-                               self.wave_dir / f"tx{tx.index:04d}_{sender}.csv")
         self.nodes[sender].stats.frames_sent += 1
         self.record(now_s, sender, "tx_start", frame_hex=data.hex(" "))
         self.push(end_s, "tx_done", tx)
@@ -444,13 +439,9 @@ class _Sim:
                       link=self.link, timeline=self.timeline)
 
 
-def run_scenario(sc: Scenario, wave_dir=None) -> Report:
-    """Run a scenario; with ``wave_dir``, write each transmitted waveform as it starts.
-
-    Transmission ``index`` from node ``sender`` goes to
-    ``wave_dir/tx{index:04d}_{sender}.csv`` as two columns, time_s and volts.
-    """
-    return _Sim(sc, wave_dir).run()
+def run_scenario(sc: Scenario) -> Report:
+    """Run a scenario to its report; the run writes no file."""
+    return _Sim(sc).run()
 
 
 # --- pooled detection ----------------------------------------------------------

@@ -1,10 +1,12 @@
+import hashlib
 import json
 import warnings
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
-from icsim import acceptance
+from icsim import acceptance, cli
 from icsim import harness as hs
 from icsim import modem as md
 from icsim import scenarios as scn
@@ -52,6 +54,68 @@ def test_run_dump_waveforms(tmp_path):
         assert len(lines) == len(wave) + 1
         volts = [float(line.split(",")[1]) for line in lines[1:]]
         assert volts == wave.tolist()
+
+
+def test_run_whose_dump_fails_writes_no_report(tmp_path):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(SCENARIO))
+    out = tmp_path / "out"
+    (out / "tx0001_slave1.csv").mkdir(parents=True)  # the reply's dump cannot replace it
+    result = CliRunner().invoke(main, ["run", "--scenario", str(scenario_path),
+                                       "--out", str(out), "--dump-waveforms"])
+    assert result.exit_code == 1
+    assert "io error" in result.output
+    assert sorted(p.name for p in out.iterdir()) == ["tx0000_master.csv", "tx0001_slave1.csv"]
+
+
+def scenario_dict(sc: hs.Scenario) -> dict:
+    """The scenario file of a canned scenario: only the keys those set."""
+    return {
+        "duration_s": sc.duration_s, "seed": sc.seed, "ebn0_db": sc.ebn0_db,
+        "modem": {"bit_rate_bps": sc.modem.bit_rate_bps},
+        "channel": {"cable_length_m": sc.channel.cable_length_m},
+        "slaves": [{"address": s.address.hex(), "mode": s.mode, "temperature_c": s.temperature_c}
+                   for s in sc.slaves],
+        "poll_schedule": [[t, address.hex()] for t, address in sc.poll_schedule],
+        "collision_injections": [list(entry) for entry in sc.collision_injections],
+    }
+
+
+def injected_multi_point_scenario() -> hs.Scenario:
+    """Two polls at 115200 bps; slave3 cuts into the first command halfway."""
+    base = scn.multi_point_scenario(polls_per_slave=1)
+    half_command = md.frame_airtime_s(hs.FRAME_LEN, base.modem) / 2
+    return replace(base, poll_schedule=base.poll_schedule[:2],
+                   collision_injections=((base.poll_schedule[0][0] + half_command, "slave3"),))
+
+
+# sha256 over each tx*.csv's name and bytes, in name order, per run.
+DUMP_DIGESTS = {
+    "single_point": (
+        scn.single_point_scenario,
+        "7a47560381bbc1ca06d098ee1865329b987ddf88b97738e6514739734fc98587"),
+    "multi_point_injected": (
+        injected_multi_point_scenario,
+        "dabc89ee736a0e7c7d25ed72a84aba33bbb9cea7bb6d4335edf9bd92949bd685"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_DIGESTS))
+def test_dumped_waveforms_are_pinned(tmp_path, name):
+    build, digest = DUMP_DIGESTS[name]
+    sc = build()
+    assert scn.scenario_from_dict(scenario_dict(sc)) == sc
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario_dict(sc)))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", "--scenario", str(scenario_path),
+                                       "--out", str(out), "--dump-waveforms"])
+    assert result.exit_code == 0, result.output
+    sha = hashlib.sha256()
+    for path in sorted(out.glob("tx*.csv")):
+        sha.update(path.name.encode())
+        sha.update(path.read_bytes())
+    assert sha.hexdigest() == digest
 
 
 def test_run_rejects_a_directory_as_scenario_with_exit_2(tmp_path):
@@ -358,6 +422,23 @@ def test_run_unwritable_out_is_an_io_error_with_exit_1(tmp_path):
     assert result.exit_code == 1
     assert "io error" in result.output
     assert isinstance(result.exception, SystemExit)
+
+
+def test_run_unreadable_scenario_is_an_io_error_with_exit_1(tmp_path, monkeypatch):
+    # chmod 000 does not stop root, so the read fails by a stand-in.
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(SCENARIO))
+
+    def unreadable(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli, "load_scenario", unreadable)
+    result = CliRunner().invoke(main, ["run", "--scenario", str(scenario_path),
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert f"io error: [Errno 13] Permission denied: '{scenario_path}'" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "out").exists()
 
 
 def test_ber_sweep_unwritable_out_is_an_io_error_with_exit_1(tmp_path):

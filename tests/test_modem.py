@@ -283,13 +283,10 @@ def test_carrier_basis_is_cached_and_read_only():
         basis[0, 0] = 0.0
 
 
-def test_monte_carlo_ber_tracks_theory():
-    cfg = md.ModemConfig()
-    results = measure_ber(cfg, [5.0, 7.0, 9.0], 100_000, seed=1)
-    for ebn0_db, measured in results:
-        expected = md.theoretical_dpsk_ber(10 ** (ebn0_db / 10))
-        assert measured == pytest.approx(expected, rel=0.20)
-    # non-increasing across the grid for a fixed seed
+def test_monte_carlo_ber_falls_as_ebn0_rises():
+    # Whether the BER tracks theory is acceptance criterion 4, which sizes each
+    # grid point for its tolerance; 100k bits at 9 dB hold only about 18 errors.
+    results = measure_ber(md.ModemConfig(), [5.0, 7.0, 9.0], 100_000, seed=1)
     bers = [b for _, b in results]
     assert bers == sorted(bers, reverse=True)
 
