@@ -62,6 +62,14 @@ SCENARIOS = {
     "multi_point_collided": collided_multi_point_scenario,
     "multi_point_gated": gated_multi_point_scenario,
     "multi_point_4800_collided": collided_4800_scenario,
+    # With ebn0_db null and no channel noise, every reception is drawn from no
+    # Generator: its blocks start zero-filled.
+    "multi_point_noiseless":
+        lambda: scn.multi_point_scenario(polls_per_slave=10, ebn0_db=None),
+    "multi_point_collided_noiseless":
+        lambda: replace(collided_multi_point_scenario(), ebn0_db=None),
+    "multi_point_4800_collided_noiseless":
+        lambda: replace(collided_4800_scenario(), ebn0_db=None),
 }
 
 DIGESTS = {
@@ -77,6 +85,12 @@ DIGESTS = {
         "fa9acb34a19dc14f8f9729e9e952162da9c57ca6f77521ea3f0df7f7c9194c2a",
     "multi_point_4800_collided":
         "6b6a51c1999829fbab00baca099e7e6097c3b73faead57d1c80ceb6457be1558",
+    "multi_point_noiseless":
+        "c48899c9baad019884a0cd54cf291311e17609ee64fc6ccd1ba50126e1101c7a",
+    "multi_point_collided_noiseless":
+        "c340fbb7a5bc7765405deb8893567a9c93d286ca70913527260545dfe5000f4e",
+    "multi_point_4800_collided_noiseless":
+        "f31fd77620e7eb4e74d24c666d2200c473c8cc851ed71aa46d8fbdbee5b72dc3",
 }
 
 
