@@ -97,7 +97,8 @@ def criterion_3_channel_calibration():
     raw = _tail_amplitude(out)
     if abs(raw - 0.392) > 0.005 * 0.392:
         return False, f"pre-front-end amplitude {raw:.5f} V not 0.392 V +-0.5%"
-    amplified = _tail_amplitude(ch.condition(out, ch.FrontEndConfig(), cfg.sample_rate_hz))
+    amplified = _tail_amplitude(ch.condition(out, ch.FrontEndConfig(), cfg.sample_rate_hz,
+                                             np.zeros(2)))
     if abs(amplified - 1.176) > 0.02 * 1.176:
         return False, f"post-front-end amplitude {amplified:.5f} V not 1.176 V +-2%"
     return True, f"raw {raw:.4f} V, conditioned {amplified:.4f} V"
@@ -272,7 +273,7 @@ CRITERIA = [
 ]
 
 
-def run_all(echo=print) -> bool:
+def run_all(echo) -> bool:
     ok = True
     for number, name, fn in CRITERIA:
         passed, detail = fn()

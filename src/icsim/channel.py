@@ -44,12 +44,14 @@ class ChannelConfig:
     propagation_speed_mps: float = 2e8
 
     def __post_init__(self):
-        if self.turns not in _COUPLING_TABLE_MV:
-            raise OutOfTable(f"no coupling measurement for turns={self.turns}")
-        if min(self.cable_length_m, self.attenuation_per_m, self.noise_sigma_v) < 0:
+        coupling_gain(self.turns)  # OutOfTable for a turn count not measured
+        # Each check is false for NaN, so NaN fails it.
+        if not all(v >= 0 for v in (self.cable_length_m, self.attenuation_per_m, self.noise_sigma_v)):
             raise ValueError("channel magnitudes must be nonnegative")
-        if self.propagation_speed_mps <= 0:
+        if not self.propagation_speed_mps > 0:
             raise ValueError("propagation_speed_mps must be positive")
+        if not all(v == v for tone in self.interference for v in tone):
+            raise ValueError("interference tones must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class FrontEndConfig:
     quality_factor: float = 1.0
 
     def __post_init__(self):
-        if min(self.center_hz, self.passband_gain, self.quality_factor) <= 0:
+        if not all(v > 0 for v in (self.center_hz, self.passband_gain, self.quality_factor)):
             raise ValueError("front-end parameters must be positive")
 
 
@@ -192,21 +194,19 @@ def frontend_l1_bound(fe: FrontEndConfig, sample_rate_hz: float) -> float:
 
 
 def condition(samples: np.ndarray, fe: FrontEndConfig, sample_rate_hz: float,
-              state: np.ndarray | None = None) -> np.ndarray:
+              state: np.ndarray) -> np.ndarray:
     """Band-pass filter and amplify the received samples.
 
-    A reception can be conditioned in consecutive blocks that share one
-    ``state``, the biquad's two delay values: zeros before the first block,
-    updated in place by each call.  The blocks then come out bitwise as one
-    call over the whole reception would give them.
+    ``state`` is the biquad's two delay values, updated in place: zeros
+    before a reception's first block, and carried from block to block, so
+    consecutive blocks come out bitwise as one call over the whole
+    reception would give them.
     """
     # No run passes an empty block, but for one lfilter returns a wrong final state (scipy
     # 1.17.1 turned zi [0.5, -0.25] into [-1, 1]), which every later block would carry.
     if len(samples) == 0:
         return samples
     b, a = frontend_coefficients(fe, sample_rate_hz)
-    if state is None:
-        return sps.lfilter(b, a, samples)
     out, state[:] = sps.lfilter(b, a, samples, zi=state)
     return out
 

@@ -85,10 +85,7 @@ class Frame:
 
 def compute_checks(span: bytes) -> tuple[int, int]:
     """Sum-modulo-256 and XOR-fold trailer bytes over ``span``."""
-    xor = 0
-    for b in span:
-        xor ^= b
-    return sum(span) & 0xFF, xor
+    return sum(span) & 0xFF, functools.reduce(operator.xor, span, 0)
 
 
 def encode_frame(frame: Frame) -> bytes:

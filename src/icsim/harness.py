@@ -314,8 +314,10 @@ class _Sim:
         self.tx_count += 1
         for o in self.on_air:
             if now_s < o.end_s:
-                tx.overlapping.append((round((o.start_s - now_s) * self.fs), o.signs))
-                o.overlapping.append((round((now_s - o.start_s) * self.fs), signs))
+                # Bitwise -(the other side's): a - b == -(b - a) and round(-x) == -round(x).
+                offset = round((o.start_s - now_s) * self.fs)
+                tx.overlapping.append((offset, o.signs))
+                o.overlapping.append((-offset, signs))
         self.on_air.append(tx)
         self.nodes[sender].stats.frames_sent += 1
         self.record(now_s, sender, "tx_start", frame_hex=data.hex(" "))

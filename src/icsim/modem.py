@@ -41,7 +41,7 @@ class ModemConfig:
     def __post_init__(self):
         if self.samples_per_cycle < 3:
             raise ValueError("samples_per_cycle must be at least 3")
-        if self.carrier_hz <= 0 or self.amplitude_v < 0:
+        if not (self.carrier_hz > 0 and self.amplitude_v >= 0):  # false for NaN too
             raise ValueError("carrier_hz must be positive and amplitude_v nonnegative")
         if not 0 < self.bit_rate_bps <= self.carrier_hz:
             raise ValueError("bit_rate_bps must be positive and at most carrier_hz")

@@ -64,7 +64,7 @@ class UnitBudget:
     gating: frozenset[str] = frozenset(UNIT_NAMES)  # names of enabled units
 
     def __post_init__(self):
-        if min(self.carrier_ua, self.signal_processing_ua, self.power_conversion_ua, self.master_ua) < 0:
+        if not all(getattr(self, f"{u}_ua") >= 0 for u in UNIT_NAMES):  # false for NaN too
             raise ValueError("unit currents must be nonnegative")
         unknown = set(self.gating) - set(UNIT_NAMES)
         if unknown:

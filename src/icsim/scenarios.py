@@ -107,14 +107,13 @@ def poll_spacing_s(modem: md.ModemConfig) -> float:
     return 4.0 * exchange + 1e-4
 
 
-def single_point_scenario(bit_rate_bps: int = 115200, seed: int = 1,
-                          ebn0_db: float | None = 20.0) -> Scenario:
+def single_point_scenario(bit_rate_bps: int = 115200, ebn0_db: float | None = 20.0) -> Scenario:
     """One master, one slave in function-test mode, short equivalent channel."""
     modem = md.ModemConfig(bit_rate_bps=bit_rate_bps)
     spacing = poll_spacing_s(modem)
     return Scenario(
         duration_s=10 * spacing,
-        seed=seed,
+        seed=1,
         modem=modem,
         channel=ch.ChannelConfig(cable_length_m=2.0),
         slaves=(SlaveSpec(address=SINGLE_POINT_ADDRESS, mode="function_test"),),
@@ -124,14 +123,13 @@ def single_point_scenario(bit_rate_bps: int = 115200, seed: int = 1,
 
 
 def multi_point_scenario(polls_per_slave: int = 100, bit_rate_bps: int = 115200,
-                         seed: int = 2, ebn0_db: float | None = 20.0,
-                         temperatures=(19.7, 24.8, 21.0, 22.5, 18.3)) -> Scenario:
+                         ebn0_db: float | None = 20.0) -> Scenario:
     """One master and five sensor-mode slaves on the 700 m configuration."""
     modem = md.ModemConfig(bit_rate_bps=bit_rate_bps)
     spacing = poll_spacing_s(modem)
     slaves = tuple(
         SlaveSpec(address=addr, mode="sensor", temperature_c=temp)
-        for addr, temp in zip(MULTI_POINT_ADDRESSES, temperatures)
+        for addr, temp in zip(MULTI_POINT_ADDRESSES, (19.7, 24.8, 21.0, 22.5, 18.3))
     )
     schedule = []
     t = spacing
@@ -141,7 +139,7 @@ def multi_point_scenario(polls_per_slave: int = 100, bit_rate_bps: int = 115200,
             t += spacing
     return Scenario(
         duration_s=t + spacing,
-        seed=seed,
+        seed=2,
         modem=modem,
         channel=ch.ChannelConfig(cable_length_m=700.0),
         slaves=slaves,

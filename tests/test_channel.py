@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sps
 
 from icsim import channel as ch
 from icsim import modem as md
@@ -181,25 +182,25 @@ class TestNoiseDrawnAhead:
 class TestCondition:
     def test_passband_gain_at_center(self):
         tone = carrier_tone(amplitude=0.392)
-        out = ch.condition(tone, ch.FrontEndConfig(), FS)
+        out = ch.condition(tone, ch.FrontEndConfig(), FS, np.zeros(2))
         assert tail_peak(out) == pytest.approx(3.0 * 0.392, rel=0.02)
 
     def test_low_frequency_rejection(self):
         fe = ch.FrontEndConfig()
         low_tone = carrier_tone(freq=50e3, cycles=40)
-        out = ch.condition(low_tone, fe, FS)
+        out = ch.condition(low_tone, fe, FS, np.zeros(2))
         assert tail_peak(out) < tail_peak(low_tone) * 0.1
 
     def test_zero_in_zero_out(self):
-        assert np.allclose(ch.condition(np.zeros(1024), ch.FrontEndConfig(), FS), 0.0)
+        assert np.allclose(ch.condition(np.zeros(1024), ch.FrontEndConfig(), FS, np.zeros(2)), 0.0)
 
     def test_linearity(self):
         fe = ch.FrontEndConfig()
         rng = np.random.default_rng(13)
         a = rng.normal(size=512)
         b = rng.normal(size=512)
-        lhs = ch.condition(a + b, fe, FS)
-        rhs = ch.condition(a, fe, FS) + ch.condition(b, fe, FS)
+        lhs = ch.condition(a + b, fe, FS, np.zeros(2))
+        rhs = ch.condition(a, fe, FS, np.zeros(2)) + ch.condition(b, fe, FS, np.zeros(2))
         assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("block", [1, 7, 1000, 4096])
@@ -210,11 +211,19 @@ class TestCondition:
         # An empty block before each one must leave the carried state alone.
         blocks = [ch.condition(x[lo:hi], fe, FS, state)
                   for lo in range(0, len(x), block) for hi in (lo, lo + block)]
-        assert np.array_equal(np.concatenate(blocks), ch.condition(x, fe, FS))
+        assert np.array_equal(np.concatenate(blocks), ch.condition(x, fe, FS, np.zeros(2)))
+
+    @pytest.mark.parametrize("quality_factor", [0.3, 1.0, 20.0])
+    def test_a_zero_state_gives_the_stateless_filters_bits(self, quality_factor):
+        fe = ch.FrontEndConfig(quality_factor=quality_factor)
+        x = np.random.default_rng(5).normal(size=100_000)
+        x[::7] = -0.0
+        stateless = sps.lfilter(*ch.frontend_biquad(fe, FS), x)
+        assert ch.condition(x, fe, FS, np.zeros(2)).tobytes() == stateless.tobytes()
 
     def test_rejects_undersampled_input(self):
         with pytest.raises(ValueError):
-            ch.condition(np.zeros(16), ch.FrontEndConfig(), 2e6)
+            ch.condition(np.zeros(16), ch.FrontEndConfig(), 2e6, np.zeros(2))
 
 
 class TestFrontendCoefficients:
@@ -250,7 +259,7 @@ class TestFrontendCoefficients:
         fe = ch.FrontEndConfig(quality_factor=quality_factor)
         impulse = np.zeros(400_000)
         impulse[0] = 1.0
-        h = np.abs(ch.condition(impulse, fe, FS))
+        h = np.abs(ch.condition(impulse, fe, FS, np.zeros(2)))
         assert h[-1000:].max() < 1e-30 * h.max()
         assert ch.frontend_l1_bound(fe, FS) >= h.sum()
         assert ch.frontend_l1_bound(fe, FS) <= 1.02 * h.sum()
@@ -259,7 +268,7 @@ class TestFrontendCoefficients:
         def impulse_l1(fe):
             impulse = np.zeros(400_000)
             impulse[0] = 1.0
-            return np.abs(ch.condition(impulse, fe, FS)).sum()
+            return np.abs(ch.condition(impulse, fe, FS, np.zeros(2))).sum()
 
         # Past the budget the bound is the truncated sum plus the geometric tail
         # from there, which still holds however short the budget.

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -33,6 +35,20 @@ def test_run_writes_reports(tmp_path):
     assert report["nodes"]["master"]["frames_received"] == 1
     assert (out / "report.csv").exists()
     assert (out / "timeline.jsonl").exists()
+
+
+def test_the_readmes_example_scenario_runs(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"^```json\n(.*?)^```", readme, re.DOTALL | re.MULTILINE).group(1)
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(example)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", "--scenario", str(scenario_path),
+                                       "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    timeline = [json.loads(line) for line in (out / "timeline.jsonl").read_text().splitlines()]
+    assert [(e["node"], e["payload_hex"]) for e in timeline if e["kind"] == "report"] == [
+        ("master", "13 07")]
 
 
 def test_run_dump_waveforms(tmp_path):

@@ -1690,6 +1690,39 @@ class TestValidate:
         with pytest.raises(hs.ConfigInvalid, match=r"^duration_s: "):
             replace(scn.single_point_scenario(), duration_s=math.inf)
 
+    # A NaN in each float field of the config dataclasses, the tones' two included, and
+    # the message of the check that rejects it: NaN fails every comparison, so each check
+    # must be one that NaN makes false.
+    NAN_FIELDS = {
+        "ModemConfig.carrier_hz": (md.ModemConfig, {"carrier_hz": math.nan}, "carrier_hz must"),
+        "ModemConfig.amplitude_v": (md.ModemConfig, {"amplitude_v": math.nan}, "amplitude_v non"),
+        **{f"ChannelConfig.{name}": (ch.ChannelConfig, {name: math.nan}, "magnitudes must")
+           for name in ("cable_length_m", "attenuation_per_m", "noise_sigma_v")},
+        "ChannelConfig.propagation_speed_mps":
+            (ch.ChannelConfig, {"propagation_speed_mps": math.nan}, "propagation_speed_mps must"),
+        "ChannelConfig.interference.freq_hz":
+            (ch.ChannelConfig, {"interference": ((1e5, 0.1), (math.nan, 0.1))}, "tones must"),
+        "ChannelConfig.interference.amplitude_v":
+            (ch.ChannelConfig, {"interference": ((1e5, math.nan),)}, "tones must"),
+        **{f"FrontEndConfig.{name}": (ch.FrontEndConfig, {name: math.nan}, "parameters must")
+           for name in ("center_hz", "passband_gain", "quality_factor")},
+        **{f"UnitBudget.{unit}_ua": (pw.UnitBudget, {f"{unit}_ua": math.nan}, "currents must")
+           for unit in pw.UNIT_NAMES},
+    }
+
+    def test_every_float_field_has_a_nan_case(self):
+        floats = {f"{cls.__name__}.{f.name}"
+                  for cls in (md.ModemConfig, ch.ChannelConfig, ch.FrontEndConfig, pw.UnitBudget)
+                  for f in fields(cls) if typing.get_type_hints(cls)[f.name] is float}
+        assert floats | {"ChannelConfig.interference.freq_hz",
+                         "ChannelConfig.interference.amplitude_v"} == set(self.NAN_FIELDS)
+
+    @pytest.mark.parametrize("name", sorted(NAN_FIELDS))
+    def test_nan_is_rejected_when_the_config_is_built(self, name):
+        cls, kwargs, match = self.NAN_FIELDS[name]
+        with pytest.raises(ValueError, match=match):
+            cls(**kwargs)
+
     @pytest.mark.parametrize("edit, path", [
         (lambda sc: replace(sc, slaves=(replace(sc.slaves[0], temperature_c=150.0),)),
          "slaves[0].temperature_c"),
