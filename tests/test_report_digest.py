@@ -70,6 +70,10 @@ SCENARIOS = {
         lambda: replace(collided_multi_point_scenario(), ebn0_db=None),
     "multi_point_4800_collided_noiseless":
         lambda: replace(collided_4800_scenario(), ebn0_db=None),
+    # A seed of 2**64 + 5 is three 32-bit words in each receiver's seed key:
+    # seeds 5 and 2**32 + 5 give other reports.
+    "multi_point_6db_seed_over_2_64":
+        lambda: replace(scn.multi_point_scenario(polls_per_slave=2, ebn0_db=6.0), seed=2**64 + 5),
 }
 
 DIGESTS = {
@@ -91,6 +95,8 @@ DIGESTS = {
         "c340fbb7a5bc7765405deb8893567a9c93d286ca70913527260545dfe5000f4e",
     "multi_point_4800_collided_noiseless":
         "f31fd77620e7eb4e74d24c666d2200c473c8cc851ed71aa46d8fbdbee5b72dc3",
+    "multi_point_6db_seed_over_2_64":
+        "11d19f7d61093b9600f211c670b17e22f3168c43aeda32efe6e082ab694019d4",
 }
 
 
