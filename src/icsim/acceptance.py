@@ -93,7 +93,8 @@ def criterion_3_channel_calibration():
     symbols = np.ones(29, dtype=np.int64)
     delay = ch.delay_samples(channel, cfg.sample_rate_hz)
     out = np.zeros(delay + len(symbols) * cfg.samples_per_bit)
-    ch.propagate([symbols], [0], md.modulate((), cfg), channel, cfg.sample_rate_hz, out)
+    rows = ch.symbol_rows(md.modulate((), cfg), ch.channel_gain(channel))
+    ch.propagate([symbols], [0], rows, channel, cfg.sample_rate_hz, out)
     raw = _tail_amplitude(out)
     if abs(raw - 0.392) > 0.005 * 0.392:
         return False, f"pre-front-end amplitude {raw:.5f} V not 0.392 V +-0.5%"

@@ -4,9 +4,9 @@ The channel is linear: a measured coupling gain per coil-turn count, an
 optional exponential cable attenuation, a whole-sample propagation delay
 and additive interference tones, all in ``propagate``, which draws nothing.
 The transmissions on air add up, ``superpose``, which adds each in place
-from its symbol signs as plus or minus one symbol template.  Every node
-hears the one noiseless channel output plus its own seeded Gaussian noise,
-``channel_noise``.  The front end is a single biquad band-pass (bilinear
+from its symbol signs as rows of ``symbol_rows``, plus or minus one symbol.
+Every node hears the one noiseless channel output plus its own seeded
+Gaussian noise, ``channel_noise``.  The front end is a single biquad band-pass (bilinear
 transform, prewarped at the center frequency) with the bench's passband
 gain of 3; ``frontend_biquad`` builds and checks it once.  A reception can
 be received, ``propagate`` adding into its noise, and conditioned a block at
@@ -46,8 +46,9 @@ class ChannelConfig:
     def __post_init__(self):
         coupling_gain(self.turns)  # OutOfTable for a turn count not measured
         # Each check is false for NaN, so NaN fails it.
-        if not all(v >= 0 for v in (self.cable_length_m, self.attenuation_per_m, self.noise_sigma_v)):
-            raise ValueError("channel magnitudes must be nonnegative")
+        if not all(0 <= v < math.inf for v in (self.cable_length_m, self.attenuation_per_m,
+                                               self.noise_sigma_v)):
+            raise ValueError("channel magnitudes must be nonnegative and finite")
         if not self.propagation_speed_mps > 0:
             raise ValueError("propagation_speed_mps must be positive")
         if not all(v == v for tone in self.interference for v in tone):
@@ -89,7 +90,8 @@ NOISE_PEAK_SIGMAS = 64
 def channel_noise(sigma_v: float, n: int, seed, out: np.ndarray | None = None) -> np.ndarray:
     """The seeded noise of one reception: n samples of N(0, sigma_v).
 
-    ``seed`` is an int or a numpy Generator, whose stream the draw continues.
+    ``seed`` is what ``np.random.default_rng`` takes: an int, a uint32 array
+    or a Generator, whose stream the draw continues.
     Written into ``out`` when given.  numpy releases the interpreter lock
     while it draws and scales, so receptions can draw on worker threads.
     """
@@ -98,24 +100,25 @@ def channel_noise(sigma_v: float, n: int, seed, out: np.ndarray | None = None) -
     return noise
 
 
-def propagate(waves, offsets, template: np.ndarray, cfg: ChannelConfig,
+def propagate(waves, offsets, rows: np.ndarray, cfg: ChannelConfig,
               sample_rate_hz: float, out: np.ndarray, start: int = 0) -> np.ndarray:
     """Add the noiseless channel's output from reception sample ``start`` on into ``out``.
 
     A reception is the delay's silent samples, then the transmissions on air
-    received: ``waves`` and ``offsets`` as ``superpose`` takes them, counted
-    from the delay's end, each symbol plus or minus gain times ``template``.
-    Then each interference tone, ``amplitude_v * sin(2 pi freq_hz t)`` at
-    t = reception sample index / sample_rate_hz, is added through one buffer
-    as long as ``out``.  Every receiver hears this same output, added into
-    its own ``channel_noise``; any split of a reception into blocks gives
-    the same samples.  Returns ``out``.
+    received: ``waves``, ``offsets`` and ``rows`` as ``superpose`` takes them,
+    offsets counted from the delay's end and ``rows`` the received symbol's,
+    ``symbol_rows(template, channel_gain(cfg))``, which the caller builds
+    once.  Then each interference tone, ``amplitude_v * sin(2 pi freq_hz t)``
+    at t = reception sample index / sample_rate_hz, is added through one
+    buffer as long as ``out``.  Every receiver hears this same output, added
+    into its own ``channel_noise``; any split of a reception into blocks
+    gives the same samples.  Returns ``out``.
     """
     d = delay_samples(cfg, sample_rate_hz)
     skip = min(len(out), max(0, d - start))
     signal = out[skip:]
     first = start + skip - d  # the signal sample at signal[0]
-    superpose(waves, [off - first for off in offsets], channel_gain(cfg) * template, signal)
+    superpose(waves, [off - first for off in offsets], rows, signal)
     if cfg.interference:
         # Whole numbers as floats are exact, so t is bitwise index / sample_rate_hz.
         t = np.arange(start, start + len(out), dtype=float)
@@ -211,23 +214,32 @@ def condition(samples: np.ndarray, fe: FrontEndConfig, sample_rate_hz: float,
     return out
 
 
-def superpose(waves, offsets, template: np.ndarray, out: np.ndarray) -> np.ndarray:
+def symbol_rows(template: np.ndarray, gain: float = 1.0) -> np.ndarray:
+    """The rows ``superpose`` places symbols from: gain times ``template``, then its
+    negation, read-only.  Built once per run, as every symbol is one of them."""
+    symbol = gain * template
+    rows = np.stack((symbol, -symbol))
+    rows.flags.writeable = False
+    return rows
+
+
+def superpose(waves, offsets, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Add waves placed at start offsets into ``out``, clipped to its span; returns ``out``.
 
     Each wave is an array of symbol signs, +1 or -1, symbol k being
-    ``wave[k] * template``; ``offsets[k]`` is the index in ``out`` of
-    ``waves[k]``'s first sample.  The waves are added in list order, so the
-    floating-point sum is reproducible.  Each wave's symbols that overlap
-    the span are one gather of rows from (template, -template), which is
-    bitwise ``sign * template``, raveled, sliced to the span and added.
+    ``wave[k]`` times the symbol whose ``symbol_rows`` are ``rows``;
+    ``offsets[k]`` is the index in ``out`` of ``waves[k]``'s first sample.
+    The waves are added in list order, so the floating-point sum is
+    reproducible.  Each wave's symbols that overlap the span are one gather
+    of rows by sign, which is bitwise ``sign * symbol``, raveled, sliced to
+    the span and added.
     """
-    spb, length = len(template), len(out)
-    both = np.stack((template, -template))
+    spb, length = rows.shape[1], len(out)
     for signs, off in zip(waves, offsets):
         # Symbols lo to hi - 1 overlap [0, length); the first and last may be clipped.
         lo, hi = max(0, -off // spb), min(len(signs), -((off - length) // spb))
         if lo < hi:
             first = off + lo * spb  # the gathered samples' first index in out
             a, b = max(0, first), min(length, off + hi * spb)
-            out[a:b] += both[(signs[lo:hi] < 0).view(np.uint8)].ravel()[a - first : b - first]
+            out[a:b] += rows[(signs[lo:hi] < 0).view(np.uint8)].ravel()[a - first : b - first]
     return out

@@ -63,7 +63,7 @@ class Address:
             raise ValueError(f"address must be {ADDRESS_LEN} bytes, got {len(self.octets)}")
 
     def hex(self) -> str:
-        return " ".join(f"{b:02x}" for b in self.octets)
+        return self.octets.hex(" ")
 
 
 @dataclass(frozen=True)

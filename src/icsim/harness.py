@@ -6,13 +6,16 @@ not grow with run length.  ``_block_edges`` is the one block plan: receptions, B
 chunks and dumped frames are handled in blocks of whole symbols, none over two
 ``_BLOCK_SAMPLES`` blocks, whatever the delay.  One loop, ``_demodulated``, receives
 every block: a receiver's noise from its own seeded Generator in one buffer, plus the
-signal (for a reception, the channel's output, conditioned), correlated.  Each receiver
-is one job on up to 4 threads, the calling thread among them, which decodes the bits
-in node order, so reports are bitwise those of a serial run.  The event loop is the
-only clock: a node's wake is an event, at which it enters its mode and acts on, so
-the timeline is recorded in time order as it happens; ``nodes`` decides every frame,
-timer and frame end.  A run is a pure function of the Scenario, seed included, and
-writes no file: ``run_scenario`` returns the Report, which the writers below write.
+signal (for a reception, the channel's output, conditioned), correlated.  What every
+reception shares is made once per run: the received symbol's two rows, and the 32-bit
+words of the seed and of each node id, which with the transmission index's key each
+receiver's noise stream.  Each receiver is one job on up to 4 threads, the calling
+thread among them, which decodes the bits in node order, so reports are bitwise those
+of a serial run.  The event loop is the only clock: a node's wake is an event, at
+which it enters its mode and acts on, so the timeline is recorded in time order as it
+happens; ``nodes`` decides every frame, timer and frame end.  A run is a pure function
+of the Scenario, seed included, and writes no file: ``run_scenario`` returns the
+Report, which the writers below write.
 """
 
 from __future__ import annotations
@@ -252,6 +255,14 @@ class _Node:
         self.power_mode, self.last_change_s = mode, now_s
 
 
+def _uint32_words(n: int) -> list[int]:
+    """n's little-endian 32-bit words, as SeedSequence takes a nonnegative int: 0 is [0]."""
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 class _Sim:
     def __init__(self, sc: Scenario):
         self.sc = sc
@@ -259,8 +270,9 @@ class _Sim:
         self.fs = sc.modem.sample_rate_hz
         self.delay = ch.delay_samples(sc.channel, self.fs)
         self.prop_delay_s = self.delay / self.fs
-        # The reference symbol is +1 times the template every symbol is +/- of.
-        self.template = md.modulate((), sc.modem)
+        # Every symbol on air is received as one of these rows: the reference symbol,
+        # +1 times the template, through the channel's gain, and its negation.
+        self.rows = ch.symbol_rows(md.modulate((), sc.modem), ch.channel_gain(sc.channel))
         # Every frame is FRAME_LEN bytes, so every reception has these blocks.
         self.edges = _block_edges(md.frame_samples(FRAME_LEN, sc.modem) + self.delay,
                                   sc.modem.samples_per_bit, first=self.delay)
@@ -278,6 +290,10 @@ class _Sim:
             state = nd.SlaveState(address=spec.address, mode=spec.mode,
                                   temperature_c=spec.temperature_c)
             self.nodes[f"slave{i + 1}"] = _Node(f"slave{i + 1}", state, spec.budget, "STOP1")
+
+        # _rx_seed's key words that do not change within a run.
+        self.seed_words = _uint32_words(sc.seed)
+        self.id_words = {node_id: list(node_id.encode()) for node_id in self.nodes}
 
         self.queue: list = []
         self.seq = 0
@@ -299,9 +315,13 @@ class _Sim:
         entry.update(detail)
         self.timeline.append(entry)
 
-    def _rx_seed(self, tx_index, receiver) -> int:
-        key = [self.sc.seed, tx_index, *receiver.encode()]
-        return int(np.random.SeedSequence(key).generate_state(1)[0])
+    def _rx_seed(self, tx_index, receiver) -> np.ndarray:
+        """The seed of receiver's noise in transmission tx_index: one uint32 word of
+        SeedSequence([seed, tx_index, *receiver.encode()]), whose ints are given as the
+        uint32 words SeedSequence would make of them."""
+        key = np.array([*self.seed_words, *_uint32_words(tx_index), *self.id_words[receiver]],
+                       dtype=np.uint32)
+        return np.random.SeedSequence(key).generate_state(1)
 
     # -- transmissions --
 
@@ -348,7 +368,7 @@ class _Sim:
         state = np.zeros(2)  # the biquad's, carried from block to block
 
         def received(block, lo):
-            ch.propagate(waves, offsets, self.template, self.sc.channel, self.fs, block, lo)
+            ch.propagate(waves, offsets, self.rows, self.sc.channel, self.fs, block, lo)
             return ch.condition(block, self.sc.front_end, self.fs, state)
 
         return _demodulated(self.edges, self.delay, self.sigma, rng, received, self.sc.modem,
@@ -558,7 +578,7 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
     grid = list(ebn0_db_list)
     sigmas = [md.ebn0_to_noise_sigma(10 ** (ebn0_db / 10), cfg) for ebn0_db in grid]
     spb = cfg.samples_per_bit
-    template = md.modulate((), cfg)
+    rows = ch.symbol_rows(md.modulate((), cfg))
     jobs = ((gi, ci, min(chunk_bits, n_bits - done))
             for gi in range(len(grid)) for ci, done in enumerate(range(0, n_bits, chunk_bits)))
     errors = [0] * len(grid)
@@ -572,7 +592,7 @@ def measure_ber(cfg: md.ModemConfig, ebn0_db_list, n_bits: int, seed: int,
 
         def received(noise, lo):
             # Bitwise signal + normal(0, sigma): channel_noise draws what normal does.
-            return ch.superpose([signs], [-lo], template, noise)
+            return ch.superpose([signs], [-lo], rows, noise)
 
         rx = _demodulated(_block_edges((n + 1) * spb, spb), 0, sigmas[gi], rng, received, cfg, n)
         return gi, int(np.count_nonzero(bits != rx))
@@ -641,15 +661,29 @@ def emit_report(report: Report, fmt: str, path) -> None:
 
 
 def report_json_chunks(report: Report):
-    """report.json's text, in chunks: keys sorted, indented, no nan or inf, newline-ended."""
-    encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
-    yield from encoder.iterencode(report.to_dict())
-    yield "\n"
+    """report.json's text, in chunks: keys sorted, indented, no nan or inf, newline-ended.
+
+    The text is json.dumps(report.to_dict(), indent=2, sort_keys=True), bitwise.  The
+    timeline, its last key and most of its text, is written an entry at a time by the C
+    encoder, whose item separator breaks an entry's items onto the lines indent=2 puts
+    them on: an entry is flat, its values numbers and strings.
+    """
+    summary = report.to_dict()
+    timeline = summary.pop("timeline")
+    yield json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)[: -len("\n}")]
+    if not timeline:
+        yield ',\n  "timeline": []\n}\n'
+        return
+    entry = json.JSONEncoder(sort_keys=True, allow_nan=False,
+                             separators=(",\n      ", ": ")).encode
+    yield ',\n  "timeline": ['
+    for i, item in enumerate(timeline):
+        yield f'{"," if i else ""}\n    {{\n      {entry(item)[1:-1]}\n    }}'
+    yield "\n  ]\n}\n"
 
 
 def emit_timeline(report: Report, path) -> None:
     """Write the timeline as JSON lines, whole or not at all."""
+    entry = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
     with _written_whole(path) as fh:
-        for entry in report.timeline:
-            fh.write(json.dumps(entry, sort_keys=True, allow_nan=False))
-            fh.write("\n")
+        fh.writelines(f"{entry(item)}\n" for item in report.timeline)

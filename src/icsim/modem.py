@@ -41,8 +41,8 @@ class ModemConfig:
     def __post_init__(self):
         if self.samples_per_cycle < 3:
             raise ValueError("samples_per_cycle must be at least 3")
-        if not (self.carrier_hz > 0 and self.amplitude_v >= 0):  # false for NaN too
-            raise ValueError("carrier_hz must be positive and amplitude_v nonnegative")
+        if not (self.carrier_hz > 0 and 0 <= self.amplitude_v < math.inf):  # false for NaN too
+            raise ValueError("carrier_hz must be positive and amplitude_v nonnegative and finite")
         if not 0 < self.bit_rate_bps <= self.carrier_hz:
             raise ValueError("bit_rate_bps must be positive and at most carrier_hz")
         if not math.isfinite(self.sample_rate_hz):

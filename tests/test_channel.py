@@ -44,10 +44,15 @@ class TestCouplingGain:
 SYMBOL = md.modulate((), md.ModemConfig())
 
 
+def received_rows(cfg):
+    """The received symbol's rows, as a run builds them once."""
+    return ch.symbol_rows(SYMBOL, ch.channel_gain(cfg))
+
+
 def channel_output(cfg, waves, offsets, n, start=0):
     """Samples start to start + n of the noiseless channel's output."""
     out = np.zeros(n)
-    assert ch.propagate(waves, offsets, SYMBOL, cfg, FS, out, start) is out
+    assert ch.propagate(waves, offsets, received_rows(cfg), cfg, FS, out, start) is out
     return out
 
 
@@ -69,7 +74,8 @@ class TestPropagate:
     def test_empty_in_empty_out(self):
         cfg = ch.ChannelConfig(interference=((50e3, 0.5),))
         out = np.empty(0)
-        assert ch.propagate([np.ones(3, dtype=np.int64)], [0], SYMBOL, cfg, FS, out, 100) is out
+        ones = np.ones(3, dtype=np.int64)
+        assert ch.propagate([ones], [0], received_rows(cfg), cfg, FS, out, 100) is out
         assert len(channel_output(cfg, [], [], 0)) == 0
 
     def test_deterministic_for_fixed_seed(self):
@@ -127,7 +133,7 @@ class TestPropagate:
         for freq_hz, amplitude_v in interference:
             ref += amplitude_v * np.sin(2 * math.pi * freq_hz * t)
         received = ch.channel_noise(cfg.noise_sigma_v, n, 7)
-        ch.propagate(waves, offsets, SYMBOL, cfg, FS, received)
+        ch.propagate(waves, offsets, received_rows(cfg), cfg, FS, received)
         assert np.array_equal(received, ref)
 
     @pytest.mark.parametrize("n", [3 * (1 << 16) + 5, 2500, 7])
@@ -144,7 +150,7 @@ class TestPropagate:
         for split in (n, 701, 50):
             out = np.zeros(n)
             for lo in range(0, n, split):
-                ch.propagate([signs], [0], SYMBOL, cfg, FS, out[lo : lo + split], lo)
+                ch.propagate([signs], [0], received_rows(cfg), cfg, FS, out[lo : lo + split], lo)
             assert np.array_equal(out, ref), split
 
     def test_in_place_equals_a_new_array(self):
@@ -153,7 +159,7 @@ class TestPropagate:
         signs = random_signs(9, 30)
         noise = ch.channel_noise(0.05, ch.delay_samples(cfg, FS) + 30 * len(SYMBOL), 11)
         out = noise.copy()
-        ch.propagate([signs], [0], SYMBOL, cfg, FS, out)
+        ch.propagate([signs], [0], received_rows(cfg), cfg, FS, out)
         assert np.array_equal(out, noise + channel_output(cfg, [signs], [0], len(noise)))
 
 
@@ -300,41 +306,42 @@ def expanded_sum(waves, offsets, length, template, out=None):
 
 class TestSuperpose:
     TEMPLATE = carrier_tone(amplitude=0.3, cycles=14)  # 224 samples, a 115200 bps symbol
+    ROWS = ch.symbol_rows(TEMPLATE)
     SIGNS = [np.array([1, -1, -1, 1, -1, 1, 1]), np.array([-1, -1, 1, 1, -1, 1, -1])]
 
     def test_single_waveform_identity(self):
         n = len(self.SIGNS[0]) * len(self.TEMPLATE)
-        out = ch.superpose(self.SIGNS[:1], [0], self.TEMPLATE, np.zeros(n))
+        out = ch.superpose(self.SIGNS[:1], [0], self.ROWS, np.zeros(n))
         assert np.array_equal(out, (self.SIGNS[0][:, None] * self.TEMPLATE).ravel())
 
     def test_cancellation(self):
         s = self.SIGNS[0]
-        out = ch.superpose([s, -s], [0, 0], self.TEMPLATE, np.zeros(len(s) * len(self.TEMPLATE)))
+        out = ch.superpose([s, -s], [0, 0], self.ROWS, np.zeros(len(s) * len(self.TEMPLATE)))
         assert not out.any()
 
     def test_offsets_place_each_waveform(self):
-        out = ch.superpose([np.array([1, -1]), np.array([1])], [0, 5], np.array([1.0, 2.0]),
-                           np.zeros(8))
+        rows = ch.symbol_rows(np.array([1.0, 2.0]))
+        out = ch.superpose([np.array([1, -1]), np.array([1])], [0, 5], rows, np.zeros(8))
         assert out.tolist() == [1.0, 2.0, -1.0, -2.0, 0.0, 1.0, 2.0, 0.0]
 
     def test_length_clips_both_ends(self):
         template = np.array([1.0, 2.0, 3.0])
         waves = [np.array([1, -1]), np.array([-1, 1]), np.array([1])]
         # The second wave starts two samples early and the third runs past the end.
-        out = ch.superpose(waves, [0, -2, 3], template, np.zeros(5))
+        out = ch.superpose(waves, [0, -2, 3], ch.symbol_rows(template), np.zeros(5))
         assert out.tolist() == [-2.0, 3.0, 5.0, 3.0, 0.0]
 
     @pytest.mark.parametrize("offset", [-1, -2, -4])
     def test_one_symbol_clipped_at_both_ends(self, offset):
         template = np.arange(1.0, 9.0)
-        out = ch.superpose([np.array([-1, 1])], [offset], template, np.zeros(3))
+        out = ch.superpose([np.array([-1, 1])], [offset], ch.symbol_rows(template), np.zeros(3))
         assert out.tolist() == (-template[-offset : 3 - offset]).tolist()
 
     def test_waveform_outside_the_span_adds_nothing(self):
         n = 4 * len(self.TEMPLATE)
         ones = np.ones(4, dtype=np.int64)
         for offset in (-2 * 224, -3 * 224 - 5, 4 * 224, 9 * 224 + 1):
-            out = ch.superpose([ones, self.SIGNS[0][:2]], [0, offset], self.TEMPLATE,
+            out = ch.superpose([ones, self.SIGNS[0][:2]], [0, offset], self.ROWS,
                                np.zeros(n))
             assert np.array_equal(out, np.tile(self.TEMPLATE, 4)), offset
 
@@ -343,7 +350,7 @@ class TestSuperpose:
         # Including offsets off the symbol grid, which clip a symbol at each end.
         n = len(self.SIGNS[0]) * len(self.TEMPLATE)
         out = np.zeros(n)
-        assert ch.superpose(self.SIGNS, [0, offset], self.TEMPLATE, out) is out
+        assert ch.superpose(self.SIGNS, [0, offset], self.ROWS, out) is out
         assert np.array_equal(out, expanded_sum(self.SIGNS, [0, offset], n, self.TEMPLATE))
 
     def test_long_symbols_clipped_at_both_ends_are_bitwise(self):
@@ -355,7 +362,7 @@ class TestSuperpose:
         waves, offsets = [1 - 2 * rng.integers(0, 2, 31), 1 - 2 * rng.integers(0, 2, 9)], [-2000, 7]
         noise = rng.standard_normal(29 * 5568)
         out = noise.copy()
-        ch.superpose(waves, offsets, template, out)
+        ch.superpose(waves, offsets, ch.symbol_rows(template), out)
         ref = expanded_sum(waves, offsets, len(noise), template, noise)
         assert out.tobytes() == ref.tobytes()
 
@@ -367,7 +374,7 @@ class TestSuperpose:
         assert not np.array_equal(
             ref, expanded_sum(waves[::-1], offsets[::-1], len(noise), self.TEMPLATE, noise))
         out = noise.copy()
-        ch.superpose(waves, offsets, self.TEMPLATE, out)
+        ch.superpose(waves, offsets, self.ROWS, out)
         assert np.array_equal(out, ref)
 
     @given(st.data())
@@ -389,5 +396,5 @@ class TestSuperpose:
         out = np.array(data.draw(st.lists(zero_or_any, min_size=length, max_size=length),
                                  label="out"))
         ref = expanded_sum(waves, offsets, length, template, out)
-        assert ch.superpose(waves, offsets, template, out) is out
+        assert ch.superpose(waves, offsets, ch.symbol_rows(template), out) is out
         assert np.array_equal(out.view(np.int64), ref.view(np.int64))

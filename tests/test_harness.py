@@ -867,8 +867,7 @@ class TestReceiveThreads:
         # Workers finish in any order, so the draws are compared as a multiset.
         drawn = [b"".join(parts) for parts in blocks.values()]
         assert len(drawn) == len(seeds) > 1
-        assert sorted(drawn) == sorted(ch.channel_noise(sigma, n, seed).tobytes()
-                                       for seed in seeds)
+        assert sorted(drawn) == sorted(real_noise(sigma, n, seed).tobytes() for seed in seeds)
 
     @pytest.mark.parametrize("make_scenario", [
         lambda: scn.single_point_scenario(bit_rate_bps=9600),
@@ -905,6 +904,23 @@ class TestReceiveThreads:
         # The first reception's five draws, and none after it.
         assert len(draws) <= 5
         assert set(threading.enumerate()) == threads_before
+
+
+class TestReceiverSeed:
+    """Each receiver's noise Generator is the one the SeedSequence of the
+    Python ints [seed, tx_index, *node id bytes] seeds, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_equals_the_int_keyed_generator(self, seed):
+        sim = hs._Sim(replace(scn.multi_point_scenario(polls_per_slave=1), seed=seed))
+        assert len(sim.nodes) == 6
+        for tx_index in (0, 1, 2**32 - 1, 2**32 + 1):
+            for node in sim.nodes:
+                key = np.random.SeedSequence([seed, tx_index, *node.encode()])
+                ref = np.random.default_rng(int(key.generate_state(1)[0]))
+                rng = np.random.default_rng(sim._rx_seed(tx_index, node))
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
 
 
 class TestStreamedReception:
@@ -1205,6 +1221,18 @@ class TestReportIo:
         assert path.read_bytes() == text.encode()
         assert text.endswith("}\n")
 
+    @pytest.mark.parametrize("timeline", ["run", "escaped", "empty"])
+    def test_json_text_is_json_dumps_indented(self, single_point_report, timeline):
+        # The timeline's entries are encoded apart, so check them around the rest.
+        report = copy.deepcopy(single_point_report)
+        if timeline == "escaped":
+            report.timeline.append({"time_s": 1e-7, "node": "slave1", "kind": "log",
+                                    "message": 'a "quoted"\tline \u00e9', "latency_s": -0.0})
+        elif timeline == "empty":
+            report.timeline.clear()
+        text = "".join(hs.report_json_chunks(report))
+        assert text == json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+
     def test_csv_rows(self, single_point_report, tmp_path):
         path = tmp_path / "report.csv"
         hs.emit_report(single_point_report, "csv", path)
@@ -1228,6 +1256,8 @@ class TestReportIo:
         hs.emit_timeline(single_point_report, path)
         entries = [json.loads(line) for line in path.read_text().splitlines()]
         assert entries == single_point_report.timeline
+        assert path.read_text() == "".join(f"{json.dumps(entry, sort_keys=True)}\n"
+                                           for entry in single_point_report.timeline)
 
     def test_non_finite_values_are_not_written_as_json(self, single_point_report, tmp_path):
         report = copy.deepcopy(single_point_report)
@@ -1720,6 +1750,16 @@ class TestValidate:
     @pytest.mark.parametrize("name", sorted(NAN_FIELDS))
     def test_nan_is_rejected_when_the_config_is_built(self, name):
         cls, kwargs, match = self.NAN_FIELDS[name]
+        with pytest.raises(ValueError, match=match):
+            cls(**kwargs)
+
+    # An infinite cable makes channel_gain NaN, and an infinite amplitude an infinite
+    # received one: a Scenario would blame either on ebn0_db or the overflow bound.
+    @pytest.mark.parametrize("cls, kwargs, match", [
+        (ch.ChannelConfig, {"cable_length_m": math.inf}, "magnitudes must be nonnegative and fin"),
+        (md.ModemConfig, {"amplitude_v": math.inf}, "amplitude_v nonnegative and finite"),
+    ], ids=["ChannelConfig.cable_length_m", "ModemConfig.amplitude_v"])
+    def test_inf_is_rejected_when_the_config_is_built(self, cls, kwargs, match):
         with pytest.raises(ValueError, match=match):
             cls(**kwargs)
 
