@@ -11,11 +11,12 @@ reception shares is made once per run: the received symbol's two rows, and the 3
 words of the seed and of each node id, which with the transmission index's key each
 receiver's noise stream.  Each receiver is one job on up to 4 threads, the calling
 thread among them, which decodes the bits in node order, so reports are bitwise those
-of a serial run.  The event loop is the only clock: a node's wake is an event, at
-which it enters its mode and acts on, so the timeline is recorded in time order as it
-happens; ``nodes`` decides every frame, timer and frame end.  A run is a pure function
-of the Scenario, seed included, and writes no file: ``run_scenario`` returns the
-Report, which the writers below write.
+of a serial run; a thread left with no job draws a running job's next block of noise
+ahead for it, in that Generator's block order.  The event loop is the only clock: a
+node's wake is an event, at which it enters its mode and acts on, so the timeline is
+recorded in time order as it happens; ``nodes`` decides every frame, timer and frame
+end.  A run is a pure function of the Scenario, seed included, and writes no file:
+``run_scenario`` returns the Report, which the writers below write.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import itertools
 import json
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -280,6 +282,10 @@ class _Sim:
         # threads: the calling one and a pool of the others, if any.
         self.threads = _draw_threads()
         self.pool = None  # while the run is on, the pool, if any
+        # With a pool, noise and blocks past the first, a detector can offer its next
+        # draw; self.draws holds the reception's offers while its detectors run.
+        self.can_offer = self.threads > 1 and self.sigma > 0 and len(self.edges) > 2
+        self.draws = None
 
         timeout = nd.master_timeout_s(sc.modem, self.prop_delay_s)
         self.nodes: dict[str, _Node] = {
@@ -349,18 +355,22 @@ class _Sim:
         receivers = [node for node in self.nodes.values() if node.id != tx.sender]
         # The transmissions on air: tx at offset 0, then each overlapping one.
         on_air = zip(*[(0, tx.signs), *tx.overlapping])
-        detected = _in_order(self.pool, functools.partial(self.detect, tx, *on_air), receivers)
-        # zip takes the next receiver first, so it stops with no job pending.
-        for node, bits in zip(receivers, detected):
-            self.link.physical_bits += len(bits)
-            self.link.bit_errors += int(np.count_nonzero(bits != tx.bits))
-            try:
-                frame = fc.decode_frame(md.bits_to_bytes(bits))
-            except fc.CodecError as err:
-                node.stats.decode_errors += 1
-                self.record(now_s, node.id, "decode_error", reason=err.kind.value)
-                continue
-            self.deliver(now_s, node, frame)
+        self.draws = _DrawAhead() if self.can_offer else None
+        detected = _in_order(self.pool, functools.partial(self.detect, tx, *on_air), receivers,
+                             self.draws)
+        # zip takes the next receiver first, so it stops with no job pending, and closing
+        # the jobs then ends the call's helping threads.
+        with contextlib.closing(detected):
+            for node, bits in zip(receivers, detected):
+                self.link.physical_bits += len(bits)
+                self.link.bit_errors += int(np.count_nonzero(bits != tx.bits))
+                try:
+                    frame = fc.decode_frame(md.bits_to_bytes(bits))
+                except fc.CodecError as err:
+                    node.stats.decode_errors += 1
+                    self.record(now_s, node.id, "decode_error", reason=err.kind.value)
+                    continue
+                self.deliver(now_s, node, frame)
 
     def detect(self, tx, offsets, waves, node):
         """The bits node demodulates from tx, received with the waves on air at their offsets."""
@@ -372,7 +382,7 @@ class _Sim:
             return ch.condition(block, self.sc.front_end, self.fs, state)
 
         return _demodulated(self.edges, self.delay, self.sigma, rng, received, self.sc.modem,
-                            len(tx.bits))
+                            len(tx.bits), self.draws)
 
     # -- protocol glue --
 
@@ -471,7 +481,7 @@ def run_scenario(sc: Scenario) -> Report:
 def _draw_threads() -> int:
     """Threads detecting receptions or BER chunks, the calling thread among
     them: the usable cores, at most 4, since each running job holds its own
-    buffers."""
+    buffers, and each call one spare block buffer besides."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -491,7 +501,7 @@ def _pool(threads: int):
             pool.shutdown(cancel_futures=True)
 
 
-def _in_order(pool, fn, jobs):
+def _in_order(pool, fn, jobs, draws=None):
     """fn(job) for each job, in job order, whichever thread ran it.
 
     Jobs are submitted to pool at most 2 * _draw_threads(), read once per
@@ -499,23 +509,40 @@ def _in_order(pool, fn, jobs):
     thread claims each queued job no worker has started, the oldest first,
     and runs it itself; with no pool, it runs each as it falls due.  A job
     that raises raises when its result is due.
+
+    Given draws, the _DrawAhead the jobs offer their draws to, the calling
+    thread draws offers while the due job runs and no queued job is left to
+    claim, and once every job is submitted, one helper per worker draws offers
+    until the call closes: close it (contextlib.closing) if it is not run out.
     """
     if pool is None:
         yield from map(fn, jobs)
         return
+    threads = _draw_threads()
     jobs, pending = iter(jobs), deque()  # [future, job] in job order
-    ahead = 1 + 2 * _draw_threads()
-    while True:
-        for job in itertools.islice(jobs, ahead - len(pending)):
-            pending.append([pool.submit(fn, job), job])
-        if not pending:
-            return
-        for entry in pending:
-            if pending[0][0].done():
-                break
-            if entry[0].cancel():
-                entry[0] = _ran_here(fn, entry[1])
-        yield pending.popleft()[0].result()
+    ahead, helpers = 1 + 2 * threads, None
+    try:
+        while True:
+            for job in itertools.islice(jobs, ahead - len(pending)):
+                pending.append([pool.submit(fn, job), job])
+            if not pending:
+                return
+            if draws is not None and helpers is None and len(pending) < ahead:
+                # Every job is submitted, so each helper starts once its worker finds none.
+                helpers = [pool.submit(draws.help) for _ in range(threads - 1)]
+            for entry in pending:
+                if pending[0][0].done():
+                    break
+                if entry[0].cancel():
+                    entry[0] = _ran_here(fn, entry[1])
+            if draws is not None:
+                draws.help(pending[0][0])
+            yield pending.popleft()[0].result()
+    finally:
+        if draws is not None:
+            draws.close()
+            for helper in helpers or ():
+                helper.cancel()
 
 
 def _block_edges(n, spb, first=0):
@@ -526,23 +553,150 @@ def _block_edges(n, spb, first=0):
     return [0, *range(block, first, block), *range(first + block, n, block), n]
 
 
-def _demodulated(edges, skip, sigma, rng, received, cfg: md.ModemConfig, n_bits: int):
+def _demodulated(edges, skip, sigma, rng, received, cfg: md.ModemConfig, n_bits: int,
+                 draws=None):
     """md.demodulate of all but the first skip samples of an array received in the
     blocks between edges: each is its noise of sigma from the Generator rng (zeros if
-    sigma is 0) in one buffer, then received(noise, lo) of it, lo its first sample."""
-    buffer = np.empty(max(hi - lo for lo, hi in zip(edges, edges[1:])))
+    sigma is 0) in one buffer, then received(noise, lo) of it, lo its first sample.
+
+    With a _DrawAhead draws, given only with noise, each block but the first is
+    offered to it once the block before it is drawn, and collected when it falls
+    due: drawn by whichever thread took the offer, or here."""
+    spans = list(zip(edges, edges[1:]))
+    buffer = np.empty(max(hi - lo for lo, hi in spans))
 
     def blocks():
-        for lo, hi in zip(edges, edges[1:]):
-            noise = buffer[: hi - lo]
-            if sigma > 0:
-                ch.channel_noise(sigma, hi - lo, rng, noise)
-            else:
-                noise.fill(0.0)
-            # A block wholly within the first skip samples comes out empty.
-            yield received(noise, lo)[max(0, skip - lo):]
+        nonlocal buffer
+        offered = None  # the next block's draw, on offer
+        try:
+            for i, (lo, hi) in enumerate(spans):
+                if offered is not None:
+                    draw, offered = offered, None
+                    buffer = draws.collect(draw, buffer)
+                elif sigma > 0:
+                    ch.channel_noise(sigma, hi - lo, rng, buffer[: hi - lo])
+                else:
+                    buffer[: hi - lo].fill(0.0)
+                if draws is not None and i + 1 < len(spans):
+                    offered = draws.offer(sigma, spans[i + 1][1] - spans[i + 1][0], rng,
+                                          len(buffer))
+                # A block wholly within the first skip samples comes out empty.
+                yield received(buffer[: hi - lo], lo)[max(0, skip - lo):]
+        finally:
+            # md.demodulate stops after the last symbol, or on an error, without
+            # running the loop on: an offer still out is taken back here.
+            if offered is not None:
+                draws.withdraw(offered)
 
     return md.demodulate(blocks(), cfg, n_bits)
+
+
+@dataclass(eq=False)
+class _Draw:
+    """One block's noise on offer: n samples of sigma from the Generator rng, to be
+    drawn into the first n samples of a buffer of size samples, the offering job's
+    own buffer's length."""
+    sigma: float
+    n: int
+    rng: np.random.Generator
+    size: int
+    buffer: np.ndarray | None = None  # set when a thread takes the offer
+    done: bool = False
+    error: BaseException | None = None
+
+
+class _DrawAhead:
+    """The draws one call's running jobs offer to threads with nothing else to do.
+
+    A thread that helps takes the oldest offer, draws it into the call's one spare
+    buffer, made when first taken, and marks it done.  The offering job collects
+    it when the block falls due: it waits for a draw in progress, and gives its own
+    buffer up as the spare for the drawn one; or, if no thread took the offer,
+    withdraws it and draws the block itself.  A job offers a block only once the
+    block before it is drawn, so a Generator's draws stay in block order, and the
+    call holds one block buffer more than its running jobs.
+    """
+
+    def __init__(self):
+        self.cond = threading.Condition()
+        self.offers = deque()  # _Draws no thread has taken, oldest first
+        self.spares = [None]  # the spare when no thread draws into it; None until made
+        self.closed = False
+
+    def offer(self, sigma, n, rng, size) -> _Draw:
+        draw = _Draw(sigma, n, rng, size)
+        with self.cond:
+            self.offers.append(draw)
+            self.cond.notify_all()
+        return draw
+
+    def collect(self, draw: _Draw, buffer: np.ndarray) -> np.ndarray:
+        """The buffer holding draw's noise, draw.n samples from its start: buffer
+        itself, drawn here if no thread took the offer, or the buffer a thread drew
+        it into, given in exchange for buffer.  Raises what that draw raised."""
+        with self.cond:
+            taken = draw.buffer is not None
+            if taken:
+                self.cond.wait_for(lambda: draw.done)
+                self.spares.append(buffer if draw.error is None else draw.buffer)
+                self.cond.notify_all()
+            else:
+                self.offers.remove(draw)
+        if not taken:
+            ch.channel_noise(draw.sigma, draw.n, draw.rng, buffer[: draw.n])
+            return buffer
+        if draw.error is not None:
+            raise draw.error
+        return draw.buffer
+
+    def withdraw(self, draw: _Draw) -> None:
+        """Take back an offer whose block will not be received, and its buffer."""
+        with self.cond:
+            if draw.buffer is None:
+                self.offers.remove(draw)
+                return
+            self.cond.wait_for(lambda: draw.done)
+            self.spares.append(draw.buffer)
+            self.cond.notify_all()
+
+    def help(self, due: Future | None = None) -> None:
+        """Draw the oldest offer, and the next, until the Future due is done, or,
+        with no due, until the call closes; a thread waits for an offer and the
+        spare, and due's completion wakes it."""
+        if due is not None:
+            due.add_done_callback(self._wake)
+        stop = (lambda: self.closed) if due is None else due.done
+        while (draw := self._take(stop)) is not None:
+            try:
+                ch.channel_noise(draw.sigma, draw.n, draw.rng, draw.buffer[: draw.n])
+            except BaseException as err:
+                draw.error = err  # the offering job raises it when its block is due
+                if not isinstance(err, Exception):
+                    raise
+            finally:
+                with self.cond:
+                    draw.done = True
+                    self.cond.notify_all()
+
+    def _take(self, stop) -> _Draw | None:
+        """The oldest offer, given the spare to draw into, or None once stop() is true."""
+        with self.cond:
+            self.cond.wait_for(lambda: stop() or self.offers and self.spares)
+            if stop():
+                return None
+            draw, spare = self.offers.popleft(), self.spares.pop()
+            draw.buffer = np.empty(draw.size) if spare is None else spare
+            return draw
+
+    def _wake(self, _future) -> None:
+        with self.cond:
+            self.cond.notify_all()
+
+    def close(self) -> None:
+        """End the call's helpers: each returns once its draw, if any, is done."""
+        with self.cond:
+            self.closed = True
+            self.cond.notify_all()
 
 
 def _ran_here(fn, job) -> Future:

@@ -791,8 +791,7 @@ class TestReceiveThreads:
     def record_callers(monkeypatch, callers):
         """Record each thread's calls of the reception's layers in callers."""
         for module, name in ((ch, "propagate"), (ch, "condition"), (md, "demodulate"),
-                             (fc, "decode_frame"), (hs._Sim, "deliver"),
-                             (ch, "channel_noise")):
+                             (fc, "decode_frame"), (hs._Sim, "deliver")):
             def record(*args, _real=getattr(module, name), _name=name, **kwargs):
                 callers.setdefault(threading.current_thread(), []).append(_name)
                 return _real(*args, **kwargs)
@@ -800,26 +799,39 @@ class TestReceiveThreads:
 
     def check_detectors(self, sc, threads, blocks, monkeypatch):
         """Run sc on threads draw threads and check that each receiver's
-        whole detector, blocks blocks, runs on one thread while decoding and
-        delivery stay on the main thread."""
+        detector, blocks blocks, receives and conditions them on one thread,
+        that its draws, on any thread, come in block order, and that decoding
+        and delivery stay on the main thread."""
         monkeypatch.setattr(hs, "_draw_threads", lambda: threads)
-        callers = {}
+        callers, draws = {}, {}  # each thread's layer calls; each Generator's draw lengths
         self.record_callers(monkeypatch, callers)
-        assert len(hs._Sim(sc).edges) - 1 == blocks
+        real_noise = ch.channel_noise
+
+        def channel_noise(sigma, n, rng, out):
+            # A Generator's next draw is offered only once this one is done.
+            draws.setdefault(rng, []).append(n)
+            return real_noise(sigma, n, rng, out)
+
+        monkeypatch.setattr(ch, "channel_noise", channel_noise)
+        edges = hs._Sim(sc).edges
+        assert len(edges) - 1 == blocks
         report = hs.run_scenario(sc)
         assert report.nodes["master"].frames_received == len(sc.poll_schedule)
         pinned, main = {"decode_frame", "deliver"}, threading.main_thread()
         assert pinned <= set(callers[main])
         assert all(pinned.isdisjoint(names) for thread, names in callers.items() if thread is not main)
-        # Each receiver's whole detector runs on one thread, the main one or
-        # a worker: its demodulate draws, receives and conditions its blocks
-        # in turn.
-        detector = ["demodulate", *["channel_noise", "propagate", "condition"] * blocks]
+        # Each receiver's demodulate runs on one thread, the main one or a
+        # worker, and receives and conditions its blocks in turn there.
+        detector = ["demodulate", *["propagate", "condition"] * blocks]
         detected = [[name for name in names if name not in pinned]
                     for names in callers.values()]
         sent = sum(stats.frames_sent for stats in report.nodes.values())
-        assert sum(map(len, detected)) == sent * len(sc.slaves) * len(detector)
+        receivers = sent * len(sc.slaves)
+        assert sum(map(len, detected)) == receivers * len(detector)
         assert all(names == detector * (len(names) // len(detector)) for names in detected)
+        # Its noise is drawn block by block, in order, on whichever thread.
+        assert len(draws) == receivers
+        assert all(lengths == np.diff(edges).tolist() for lengths in draws.values())
 
     @pytest.mark.parametrize("bit_rate_bps, blocks", [(115200, 1), (9600, 5)],
                              ids=["115200", "9600"])
@@ -885,6 +897,105 @@ class TestReceiveThreads:
         assert counts["receive"] > 0
         blocks = len(hs._Sim(sc).edges) - 1
         assert counts["propagate"] == counts["receive"] * len(sc.slaves) * blocks
+
+    def test_idle_threads_draw_ahead_and_the_report_is_bitwise(self, monkeypatch, tmp_path):
+        """On 2 threads, a block of some receiver's noise is drawn on a thread
+        other than the one running its demodulate, and the report is the
+        serial run's, byte for byte."""
+        sc = collided_4800_scenario()
+
+        def report_bytes(name):
+            hs.emit_report(hs.run_scenario(sc), "json", tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        monkeypatch.setattr(hs, "_draw_threads", lambda: 1)
+        serial = report_bytes("serial.json")
+        running = threading.local()  # .demodulate while this thread runs one
+        demodulated_on, drawn = {}, []  # each Generator's demodulate thread; each draw's
+        real_demodulate, real_noise = md.demodulate, ch.channel_noise
+
+        def demodulate(*args, **kwargs):
+            running.demodulate = True
+            try:
+                return real_demodulate(*args, **kwargs)
+            finally:
+                running.demodulate = False
+
+        def channel_noise(sigma, n, rng, out):
+            thread = threading.current_thread()
+            if getattr(running, "demodulate", False):
+                # A detector draws its first block, and any not drawn ahead,
+                # inside its demodulate.
+                assert demodulated_on.setdefault(rng, thread) is thread
+            drawn.append((rng, thread))
+            return real_noise(sigma, n, rng, out)
+
+        monkeypatch.setattr(md, "demodulate", demodulate)
+        monkeypatch.setattr(ch, "channel_noise", channel_noise)
+        monkeypatch.setattr(hs, "_draw_threads", lambda: 2)
+        threads_before = threading.active_count()
+        assert report_bytes("threaded.json") == serial
+        assert threading.active_count() == threads_before
+        assert any(thread is not demodulated_on[rng] for rng, thread in drawn)
+
+    def test_a_draw_ahead_that_raises_raises_in_job_order(self, monkeypatch):
+        """A draw that raises on a thread drawing ahead raises from its
+        receiver's job when that is due: the receivers before it are decoded
+        and none after it."""
+        monkeypatch.setattr(hs, "_draw_threads", lambda: 2)
+        detecting = threading.local()  # .owner: the (tx index, node id) detected here
+        owners, failed, decoded = {}, [], []  # each Generator's; each failed draw's; each decode's tx
+        receptions = []  # each reception's (tx index, receivers), in order
+        real_detect, real_noise = hs._Sim.detect, ch.channel_noise
+        real_receive, real_decode = hs._Sim.receive, fc.decode_frame
+
+        def detect(sim, tx, offsets, waves, node):
+            detecting.owner = tx.index, node.id
+            try:
+                return real_detect(sim, tx, offsets, waves, node)
+            finally:
+                detecting.owner = None
+
+        def channel_noise(sigma, n, rng, out):
+            owner = getattr(detecting, "owner", None)
+            if owner is None:  # drawn ahead, on a thread detecting no receiver
+                failed.append(owners[rng])
+                raise RuntimeError("drawn ahead")
+            owners.setdefault(rng, owner)
+            return real_noise(sigma, n, rng, out)
+
+        def receive(sim, now_s, tx):
+            receptions.append((tx.index, [node for node in sim.nodes if node != tx.sender]))
+            return real_receive(sim, now_s, tx)
+
+        def decode_frame(data):
+            decoded.append(receptions[-1][0])
+            return real_decode(data)
+
+        monkeypatch.setattr(hs._Sim, "detect", detect)
+        monkeypatch.setattr(ch, "channel_noise", channel_noise)
+        monkeypatch.setattr(hs._Sim, "receive", receive)
+        monkeypatch.setattr(fc, "decode_frame", decode_frame)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="drawn ahead"):
+            hs.run_scenario(collided_4800_scenario())
+        assert threading.active_count() == threads_before
+        # Only the last reception drew ahead, and its first failed job raised.
+        tx_index, receivers = receptions[-1]
+        assert {index for index, _ in failed} == {tx_index}
+        first = min(receivers.index(node_id) for _, node_id in failed)
+        assert decoded.count(tx_index) == first
+
+    def test_a_reception_with_no_receivers_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(hs, "_draw_threads", lambda: 2)
+        base = scn.single_point_scenario(bit_rate_bps=4800)
+        sc = replace(base, slaves=(), poll_schedule=(),
+                     collision_injections=((base.poll_schedule[0][0], "master"),))
+        assert hs._Sim(sc).can_offer
+        threads_before = threading.active_count()
+        report = hs.run_scenario(sc)
+        assert report.nodes["master"].frames_sent == 1
+        assert threading.active_count() == threads_before
 
     def test_a_failed_draw_raises_and_shuts_the_pool_down(self, monkeypatch):
         draws = []  # each draw's Generator, as its first block is drawn
